@@ -13,7 +13,8 @@
 // bound ahead of the exact kernel. Reported per dataset: the fraction of
 // summary-LBD survivors the tier prunes, the raw bytes each configuration
 // touches past the summaries (4·length per exact evaluation vs 1 byte per
-// padded dimension per quantized check), and the wall-clock speedup.
+// padded dimension per quantized check), and the wall-clock speedup, with
+// tier-off and tier-on timed back to back per query.
 // Answers are bit-identical by construction (tests/rowq_test.cc), so the
 // tier is pure profit whenever the prune rate beats its bandwidth cost.
 //
@@ -28,6 +29,7 @@
 #include "sfa/tlb.h"
 #include "util/stats.h"
 #include "util/table_printer.h"
+#include "util/timer.h"
 
 namespace {
 
@@ -83,22 +85,30 @@ int main(int argc, char** argv) {
          FormatDouble(sofa_profile.SeriesPruningRatio() * 100.0, 1) + "%",
          FormatDouble(messi_profile.SeriesPruningRatio() * 100.0, 1) + "%"});
 
-    // Rowq tier sweep on the same tree: time the exact path, attach the
-    // tier, time again. Same index, same queries, bit-identical answers.
+    // Rowq tier sweep on the same tree: every query runs with the tier
+    // off and on back to back, the first of the pair alternating from
+    // query to query, so machine drift lands on both sides alike. Same
+    // index, same queries, bit-identical answers.
     constexpr std::size_t kRowqK = 10;
-    index::QueryProfile off_profile;
-    const std::vector<double> off_ms =
-        TimeQueries(ds.queries, [&](const float* query) {
-          (void)sofa.tree->SearchKnn(query, kRowqK, &off_profile);
-        });
     const auto rowq = quant::RowQuant::Build(ds.data);
     const std::size_t padded = rowq->quantizer().padded_length();
-    sofa.tree->AttachRowQuant(rowq);
+    index::QueryProfile off_profile;
     index::QueryProfile on_profile;
-    const std::vector<double> on_ms =
-        TimeQueries(ds.queries, [&](const float* query) {
-          (void)sofa.tree->SearchKnn(query, kRowqK, &on_profile);
-        });
+    std::vector<double> off_ms;
+    std::vector<double> on_ms;
+    const auto time_query = [&](const float* query, bool tier_on) {
+      sofa.tree->AttachRowQuant(tier_on ? rowq : nullptr);
+      WallTimer timer;
+      (void)sofa.tree->SearchKnn(query, kRowqK,
+                                 tier_on ? &on_profile : &off_profile);
+      (tier_on ? on_ms : off_ms).push_back(timer.Millis());
+    };
+    for (std::size_t q = 0; q < ds.queries.size(); ++q) {
+      const bool on_first = q % 2 == 1;
+      time_query(ds.queries.row(q), on_first);
+      time_query(ds.queries.row(q), !on_first);
+    }
+    sofa.tree->AttachRowQuant(nullptr);
 
     const double prune_rate =
         on_profile.rowq_checked == 0
@@ -144,8 +154,7 @@ int main(int argc, char** argv) {
 
   const std::string stats_path = flags.GetString("stats-json", "");
   if (!stats_path.empty()) {
-    // Same run-identity block as the registry-backed benches, so
-    // tools/bench_compare.py can gate rowq sweeps too.
+    // Same run-identity block as the registry-backed benches.
     json = WithBenchMetadata(
         json, BenchMetadataJson(
                   "ablation_pruning_power",

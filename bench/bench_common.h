@@ -97,9 +97,9 @@ std::vector<double> AblationTlbs(const Dataset& train, const Dataset& queries,
 /// Values render as bare JSON numbers when numeric, else as strings.
 using BenchParam = std::pair<std::string, std::string>;
 
-/// JSON object identifying a bench run for the perf-baseline harness
-/// (tools/bench_compare.py refuses to diff runs whose environments
-/// disagree): {"bench": ..., "git_sha": ..., "dispatch":
+/// JSON object identifying a bench run (numbers from different ISA
+/// tiers or machine sizes are not comparable): {"bench": ...,
+/// "git_sha": ..., "dispatch":
 /// "avx512|avx2|scalar", "hardware_threads": N, ...params}. The git sha
 /// comes from $SOFA_GIT_SHA, then $GITHUB_SHA, then `git rev-parse
 /// HEAD`, else "unknown".

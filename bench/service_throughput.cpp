@@ -7,26 +7,27 @@
 //                 T-way intra-query parallelism (QueryEngine::Search);
 //   executor    — raw cross-query fan-out: T workers, one thread per
 //                 query (service::RunThroughputBatch);
-//   service     — end-to-end SearchService in throughput mode (admission
-//                 queue + dispatcher + metrics), swept over batch sizes;
-//   shardS      — SearchService over a shard::ShardedIndex of S shards
-//                 (scatter-gather merge), swept over --shards, so QPS and
-//                 p99 are comparable shard count by shard count against
-//                 the single-index rows above.
+//   service     — end-to-end SearchService (admission queue + one
+//                 single-threaded pool task per query, at most T running,
+//                 + metrics);
+//   shardS      — the same service over a shard::ShardedIndex of S shards
+//                 (one search over all shard trees per query), swept over
+//                 --shards, so QPS and p99 are comparable shard count by
+//                 shard count against the single-index rows above.
 //
 // Expected shape: under cross-query parallelism QPS scales with T while
 // per-query sync overhead (queue locks, worker handoffs) is amortized
 // away, so `executor`/`service` clear the sequential baseline — the
-// FAISS/FLASH batching result. Sharding adds a per-query scatter/merge
-// cost in exchange for smaller per-shard trees; at these in-memory sizes
-// it is roughly QPS-neutral (its payoff is per-shard rebuild/republish
-// and collections too large for one index). The final verdict lines
-// compare the best throughput-mode and the best sharded QPS against the
-// sequential baseline at the same T.
+// FAISS/FLASH batching result. A sharded query walks S smaller trees
+// under one pruning bound, so it costs a little more than one tree (one
+// root fan-out per shard); its payoff is per-shard rebuild/republish and
+// collections too large for one index. The final verdict lines compare
+// the best cross-query and the best sharded QPS against the sequential
+// baseline at the same T.
 //
 // Flags: --n_series=50000 --n_queries=400 --length=256 --k=10
-//        --threads=1,2,4 --batches=1,8,32,128 --shards=1,2,4
-//        --leaf_size=1000 --seed=7 --stats-json=FILE
+//        --threads=1,2,4 --shards=1,2,4 --leaf_size=1000 --seed=7
+//        --stats-json=FILE
 //
 // The run ends with a JSON dump of the shared metrics registry (all
 // service instances aggregate into it); --stats-json also writes it to a
@@ -92,10 +93,9 @@ std::vector<std::size_t> ParseSizeList(const Flags& flags,
 }
 
 // End-of-run registry dump: printed to stdout and, with --stats-json,
-// written to a file (what the bench-smoke CI step validates and the
-// perf-baseline harness diffs). The metadata block identifies the run —
-// git sha, ISA dispatch tier, dataset parameters — so tools/
-// bench_compare.py can refuse apples-to-oranges comparisons.
+// written to a file (what the bench-smoke CI step validates). The
+// metadata block identifies the run — git sha, ISA dispatch tier,
+// dataset parameters.
 void DumpRegistry(obs::Registry* registry, const Flags& flags,
                   const std::string& metadata) {
   const std::string rendered = bench::WithBenchMetadata(
@@ -133,8 +133,6 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(flags.GetInt("seed", 7));
   const std::vector<std::size_t> thread_counts =
       ParseSizeList(flags, "threads", {1, 2, 4, 8});
-  const std::vector<std::size_t> batch_sizes =
-      ParseSizeList(flags, "batches", {1, 8, 32, 128});
   const std::vector<std::size_t> shard_counts =
       ParseSizeList(flags, "shards", {1, 2, 4});
 
@@ -166,8 +164,8 @@ int main(int argc, char** argv) {
   const index::TreeIndex tree(&data, scheme.get(), index_config, &pool);
   std::printf("index built in %.2f s\n\n", build_timer.Seconds());
 
-  TablePrinter table({"Threads", "Mode", "Batch", "QPS", "p50 (ms)",
-                      "p99 (ms)", "vs sequential"});
+  TablePrinter table({"Threads", "Mode", "QPS", "p50 (ms)", "p99 (ms)",
+                      "vs sequential"});
   double best_speedup = 0.0;
   std::size_t best_threads = 0;
   std::vector<double> seq_qps_at(thread_counts.size(), 0.0);
@@ -188,7 +186,7 @@ int main(int argc, char** argv) {
     const double seq_seconds = timer.Seconds();
     const double seq_qps = static_cast<double>(n_queries) / seq_seconds;
     seq_qps_at[ti] = seq_qps;
-    table.AddRow({std::to_string(threads), "sequential", "-",
+    table.AddRow({std::to_string(threads), "sequential",
                   FormatDouble(seq_qps, 1),
                   FormatDouble(stats::Percentile(latencies, 50.0), 3),
                   FormatDouble(stats::Percentile(latencies, 99.0), 3),
@@ -207,7 +205,7 @@ int main(int argc, char** argv) {
       service::RunThroughputBatch(tree, &tasks, &pool, threads);
       const double qps = static_cast<double>(n_queries) / timer.Seconds();
       const double speedup = qps / seq_qps;
-      table.AddRow({std::to_string(threads), "executor", "all",
+      table.AddRow({std::to_string(threads), "executor",
                     FormatDouble(qps, 1), "-", "-",
                     FormatDouble(speedup, 2) + "x"});
       if (speedup > best_speedup) {
@@ -216,11 +214,9 @@ int main(int argc, char** argv) {
       }
     }
 
-    // --- end-to-end service in throughput mode, swept over batch size.
-    for (const std::size_t batch : batch_sizes) {
+    // --- end-to-end service: one pool task per query, T at a time.
+    {
       service::ServiceConfig config;
-      config.latency_mode_threshold = 0;  // throughput mode
-      config.max_batch = batch;
       config.max_pending = queries.size();
       config.num_threads = threads;
       config.start_paused = true;  // stage the backlog, then go
@@ -242,8 +238,7 @@ int main(int argc, char** argv) {
       const double qps = static_cast<double>(n_queries) / timer.Seconds();
       const double speedup = qps / seq_qps;
       const service::MetricsSnapshot metrics = svc.Metrics();
-      table.AddRow({std::to_string(threads), "service",
-                    std::to_string(batch), FormatDouble(qps, 1),
+      table.AddRow({std::to_string(threads), "service", FormatDouble(qps, 1),
                     FormatDouble(metrics.latency_p50_ms, 3),
                     FormatDouble(metrics.latency_p99_ms, 3),
                     FormatDouble(speedup, 2) + "x"});
@@ -254,11 +249,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- sharded service: scatter-gather over S shards, throughput mode.
+  // --- sharded service: one search over all S shard trees per query.
   double best_shard_speedup = 0.0;
   std::size_t best_shard_count = 0, best_shard_threads = 0;
-  const std::size_t shard_batch =
-      *std::max_element(batch_sizes.begin(), batch_sizes.end());
   for (const std::size_t shards : shard_counts) {
     shard::ShardingConfig shard_config;
     shard_config.num_shards = shards;
@@ -271,8 +264,6 @@ int main(int argc, char** argv) {
     for (std::size_t ti = 0; ti < thread_counts.size(); ++ti) {
       const std::size_t threads = thread_counts[ti];
       service::ServiceConfig config;
-      config.latency_mode_threshold = 0;  // throughput mode
-      config.max_batch = shard_batch;
       config.max_pending = queries.size();
       config.num_threads = threads;
       config.start_paused = true;
@@ -296,7 +287,7 @@ int main(int argc, char** argv) {
       const double speedup = qps / seq_qps_at[ti];
       const service::MetricsSnapshot metrics = svc.Metrics();
       table.AddRow({std::to_string(threads), "shard" + std::to_string(shards),
-                    std::to_string(shard_batch), FormatDouble(qps, 1),
+                    FormatDouble(qps, 1),
                     FormatDouble(metrics.latency_p50_ms, 3),
                     FormatDouble(metrics.latency_p99_ms, 3),
                     FormatDouble(speedup, 2) + "x"});
@@ -310,10 +301,10 @@ int main(int argc, char** argv) {
   std::printf("\n");
 
   table.Print(std::cout);
-  std::printf("\nbest throughput-mode speedup vs sequential at matched "
+  std::printf("\nbest cross-query speedup vs sequential at matched "
               "thread count: %.2fx (T=%zu) — target >= 2x\n",
               best_speedup, best_threads);
-  std::printf("best sharded scatter-gather speedup vs sequential at matched "
+  std::printf("best sharded speedup vs sequential at matched "
               "thread count: %.2fx (S=%zu, T=%zu)\n",
               best_shard_speedup, best_shard_count, best_shard_threads);
   std::size_t max_threads_requested = 0;
@@ -324,7 +315,8 @@ int main(int argc, char** argv) {
     std::printf("note: sweep oversubscribes this machine (%zu hardware "
                 "threads); cross-query scaling is capacity-bound here and "
                 "the measured gap reflects only the per-query "
-                "coordination overhead that throughput mode removes.\n",
+                "coordination overhead that cross-query execution "
+                "removes.\n",
                 HardwareThreads());
   }
   DumpRegistry(&registry, flags,

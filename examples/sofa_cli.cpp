@@ -18,7 +18,7 @@
 //                     [--method=DFT|PAA|APCA|PLA|CHEBY|DHWT] [--word=16]
 //   sofa_cli serve    --data=data.fvecs --index=index.sofa
 //                     --queries=queries.fvecs [--k=10] [--epsilon=0]
-//                     [--mode=auto|latency|throughput] [--batch=64]
+//                     [--batch=64]
 //                     [--deadline_ms=0] [--repeat=1]
 //                     [--shards=N] [--assignment=contiguous|hash] [--rowq]
 //                     [--insert-file=rows.fvecs] [--compact-threshold=1024]
@@ -44,8 +44,8 @@
 //                     (streams the queries through the SearchService and
 //                      prints serving metrics: QPS, p50/p95/p99, pruning;
 //                      --shards reloads the per-shard files written by
-//                      `build --shards` and serves the scatter-gather
-//                      sharded index — answers are identical;
+//                      `build --shards` and serves them as one sharded
+//                      index — answers are identical;
 //                      --insert-file additionally streams rows through the
 //                      incremental ingest path concurrently with the query
 //                      traffic: rows buffer per shard, stay exactly
@@ -516,12 +516,12 @@ int StatsCommand(const Flags& flags) {
   X(deadline_ms, "deadline_ms", Double, 0.0,                                  \
     "replay mode: per-query deadline (0 = none)")                             \
   X(repeat, "repeat", Int, 1, "replay mode: passes over the query file")      \
-  X(mode, "mode", String, "auto", "scheduling: auto|latency|throughput")      \
-  X(batch, "batch", Int, 64, "max queries per dispatcher batch")              \
+  X(batch, "batch", Int, 64,                                                  \
+    "query starts per priority round (the reserve's span)")                   \
   X(max_pending, "max-pending", Int, 4096,                                    \
     "network mode: admission queue bound (beyond it, shed kRejected)")        \
   X(priority_reserve, "priority-reserve", Int, 0,                             \
-    "batch slots reserved for batch/background (0 = max_batch/8)")            \
+    "slots per round reserved for batch/background (0 = batch/8)")            \
   X(tenant_quota, "tenant-quota", Int, 0,                                     \
     "per-tenant in-flight cap (0 = unlimited)")                               \
   X(insert_file, "insert-file", String, "",                                   \
@@ -581,6 +581,12 @@ void PrintServeHelp() {
       "                       SIGTERM/SIGINT, then drain gracefully:\n"
       "                       refuse new connections, finish in-flight\n"
       "                       requests, dump final stats + slow log\n"
+      "\n"
+      "Either way every admitted query is one single-threaded search over\n"
+      "all shards (and insert buffers) at once; one query per worker runs\n"
+      "at a time, and the next starts as soon as a worker frees up\n"
+      "(strict priority classes, with --priority-reserve slots per\n"
+      "--batch starts kept for batch/background queries).\n"
       "\n"
       "flags (default in brackets):\n");
 #define SOFA_SERVE_HELP(field, flag, type, default_value, help) \
@@ -653,12 +659,6 @@ bool ParseServeOptions(const Flags& flags, ServeOptions* opts,
       !non_negative("deadline_ms", opts->deadline_ms) ||
       !non_negative("stats-interval", opts->stats_interval) ||
       !non_negative("slow-query-ms", opts->slow_query_ms)) {
-    return false;
-  }
-  if (opts->mode != "auto" && opts->mode != "latency" &&
-      opts->mode != "throughput") {
-    *error = "--mode must be auto|latency|throughput, got '" + opts->mode +
-             "'";
     return false;
   }
   if (opts->assignment != "contiguous" && opts->assignment != "hash") {
@@ -865,7 +865,6 @@ int Serve(const Flags& flags, ThreadPool* pool) {
   const double epsilon = opts.epsilon;
   const double deadline_ms = opts.deadline_ms;
   const std::size_t repeat = static_cast<std::size_t>(opts.repeat);
-  const std::string mode = opts.mode;
 
   service::ServiceConfig config;
   config.max_batch = static_cast<std::size_t>(opts.batch);
@@ -875,11 +874,6 @@ int Serve(const Flags& flags, ThreadPool* pool) {
                                : queries->size() * repeat + 1;
   config.priority_reserve = static_cast<std::size_t>(opts.priority_reserve);
   config.tenant_max_in_flight = static_cast<std::size_t>(opts.tenant_quota);
-  if (mode == "latency") {
-    config.latency_mode_threshold = config.max_batch;  // never cross-query
-  } else if (mode == "throughput") {
-    config.latency_mode_threshold = 0;  // always cross-query
-  }
   config.registry = &registry;
   config.trace.sample_every = static_cast<std::uint32_t>(opts.trace_sample);
   config.trace.slow_query_ms = opts.slow_query_ms;
@@ -1025,10 +1019,9 @@ int Serve(const Flags& flags, ThreadPool* pool) {
                    started.ToString().c_str());
       return 1;
     }
-    std::printf("listening on %s:%u (mode=%s, batch<=%zu, shards=%zu, "
-                "max_pending=%zu, %s)\n",
-                opts.listen_host.c_str(), server.port(), mode.c_str(),
-                config.max_batch, num_shards, config.max_pending,
+    std::printf("listening on %s:%u (shards=%zu, max_pending=%zu, %s)\n",
+                opts.listen_host.c_str(), server.port(), num_shards,
+                config.max_pending,
                 compactor.has_value() ? "mutable" : "read-only");
     std::fflush(stdout);
     if (!opts.port_file.empty() &&
@@ -1091,12 +1084,11 @@ int Serve(const Flags& flags, ThreadPool* pool) {
 
   const service::MetricsSnapshot metrics = svc.Metrics();
   if (network) {
-    std::printf("served %llu requests over %.2f s (mode=%s, batch<=%zu, "
-                "shards=%zu)\n",
+    std::printf("served %llu requests over %.2f s (shards=%zu)\n",
                 static_cast<unsigned long long>(
                     metrics.completed + metrics.rejected + metrics.expired +
                     metrics.invalid + metrics.quota_rejected),
-                wall_seconds, mode.c_str(), config.max_batch, num_shards);
+                wall_seconds, num_shards);
     std::printf("  net: %llu connections accepted (%llu rejected), "
                 "%llu frames in, %llu out, %llu protocol errors\n",
                 static_cast<unsigned long long>(
@@ -1107,10 +1099,8 @@ int Serve(const Flags& flags, ThreadPool* pool) {
                 static_cast<unsigned long long>(net_stats->frames_sent),
                 static_cast<unsigned long long>(net_stats->protocol_errors));
   } else {
-    std::printf("served %zu requests in %.2f s (mode=%s, batch<=%zu, "
-                "shards=%zu)\n",
-                futures.size(), wall_seconds, mode.c_str(), config.max_batch,
-                num_shards);
+    std::printf("served %zu requests in %.2f s (shards=%zu)\n",
+                futures.size(), wall_seconds, num_shards);
   }
   std::printf("  ok %llu  rejected %llu  expired %llu  invalid %llu  "
               "quota-shed %llu\n",
@@ -1134,14 +1124,9 @@ int Serve(const Flags& flags, ThreadPool* pool) {
               metrics.latency_mean_ms, metrics.latency_p50_ms,
               metrics.latency_p95_ms, metrics.latency_p99_ms,
               metrics.latency_max_ms);
-  std::printf("  scheduling: %llu latency-mode queries, %llu "
-              "throughput batches (%llu queries)\n",
-              static_cast<unsigned long long>(metrics.latency_queries),
-              static_cast<unsigned long long>(metrics.throughput_batches),
-              static_cast<unsigned long long>(metrics.throughput_queries));
   std::printf("  pruning: %.1f%% of series cut by LBD before raw data "
-              "(%llu LBD checks, %llu real distances, %llu candidates "
-              "filtered post-scan)\n",
+              "(%llu LBD checks, %llu real distances, %llu deleted rows "
+              "masked)\n",
               100.0 * metrics.profile.SeriesPruningRatio(),
               static_cast<unsigned long long>(
                   metrics.profile.series_lbd_checked),

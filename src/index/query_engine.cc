@@ -2,17 +2,16 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <limits>
 #include <mutex>
 #include <optional>
 #include <queue>
+#include <utility>
 
 #include "core/distance.h"
 #include "quant/lbd.h"
 #include "quant/rowq.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace sofa {
 namespace index {
@@ -20,64 +19,10 @@ namespace {
 
 constexpr float kInf = std::numeric_limits<float>::infinity();
 
-// Shared k-NN result set: a bounded max-heap under a mutex plus an atomic
-// mirror of the pruning bound (k-th best squared distance) for cheap reads
-// from all workers.
-class ResultSet {
- public:
-  explicit ResultSet(std::size_t k) : k_(k) { bsf_sq_.store(kInf); }
-
-  /// Current pruning bound (squared distance); +inf until k results exist.
-  float bsf_sq() const { return bsf_sq_.load(std::memory_order_relaxed); }
-
-  /// Offers a candidate; keeps the k smallest.
-  void Update(std::uint32_t id, float dist_sq) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (heap_.size() < k_) {
-      heap_.push(Entry{dist_sq, id});
-      if (heap_.size() == k_) {
-        bsf_sq_.store(heap_.top().dist_sq, std::memory_order_relaxed);
-      }
-      return;
-    }
-    if (dist_sq < heap_.top().dist_sq) {
-      heap_.pop();
-      heap_.push(Entry{dist_sq, id});
-      bsf_sq_.store(heap_.top().dist_sq, std::memory_order_relaxed);
-    }
-  }
-
-  /// Drains into a sorted (ascending) neighbor list.
-  std::vector<Neighbor> Finish() {
-    std::vector<Neighbor> result;
-    result.reserve(heap_.size());
-    while (!heap_.empty()) {
-      result.push_back(
-          Neighbor{heap_.top().id, std::sqrt(heap_.top().dist_sq)});
-      heap_.pop();
-    }
-    std::reverse(result.begin(), result.end());
-    return result;
-  }
-
- private:
-  struct Entry {
-    float dist_sq;
-    std::uint32_t id;
-    bool operator<(const Entry& other) const {  // max-heap on distance
-      return dist_sq < other.dist_sq;
-    }
-  };
-
-  std::size_t k_;
-  std::priority_queue<Entry> heap_;
-  std::atomic<float> bsf_sq_;
-  std::mutex mutex_;
-};
-
 struct LeafEntry {
   float lbd_sq;
   const Node* leaf;
+  std::uint32_t part;
   bool operator>(const LeafEntry& other) const {
     return lbd_sq > other.lbd_sq;
   }
@@ -119,31 +64,51 @@ class LeafQueue {
       queue_;
 };
 
-// Per-query immutable context.
-struct QueryContext {
-  const TreeIndex* index;
-  const float* query;
+// Per-tree immutable query state: the query in that tree's summary space.
+struct PartContext {
+  const TreeIndex* index = nullptr;
+  const std::vector<std::uint32_t>* global_ids = nullptr;  // null = identity
   std::vector<float> projection;   // query in summary space
   std::vector<std::uint8_t> word;  // query's own word
-  // ε-approximation: lower bounds are inflated by this factor before being
-  // compared against the BSF; 1.0 = exact search.
-  float lbd_inflation_sq = 1.0f;
-  // Compressed pruning tier (engaged when the index carries a rowq
+  // Compressed pruning tier (engaged when the tree carries a rowq
   // sidecar): quantized-row lower bounds evaluated between the summary
   // LBD and the exact kernel.
   std::optional<quant::RowQuantView> rowq;
+
+  std::uint32_t GlobalId(std::uint32_t local) const {
+    return global_ids == nullptr ? local : (*global_ids)[local];
+  }
+};
+
+// Per-query immutable context.
+struct QueryContext {
+  const float* query = nullptr;
+  // ε-approximation: lower bounds are inflated by this factor before being
+  // compared against the BSF; 1.0 = exact search.
+  float lbd_inflation_sq = 1.0f;
+  // Deleted global ids, masked before any distance work (null = none).
+  const std::unordered_set<std::uint32_t>* exclude = nullptr;
+  std::vector<PartContext> parts;
+
+  bool Masked(std::uint32_t global_id, QueryProfile* profile) const {
+    if (exclude == nullptr || exclude->count(global_id) == 0) {
+      return false;
+    }
+    ++profile->candidates_filtered;
+    return true;
+  }
 };
 
 // The rowq tier: true when the quantized lower bound proves row `id`
-// cannot be admitted at `bound`. Admission everywhere requires a strict
-// d < bound, and the deflated bound never exceeds the float the exact
-// kernel reports, so pruning at lb ≥ bound is answer-preserving bit for
-// bit (ties included). The bound < kInf guard keeps the tier out of the
+// cannot be admitted at `bound`. The result set admits only d < bound,
+// and the deflated bound never exceeds the float the exact kernel
+// reports, so pruning at lb ≥ bound is answer-preserving bit for bit
+// (ties included). The bound < kInf guard keeps the tier out of the
 // heap-filling phase, where inflated products could overflow to +inf
 // and compare ≥ an infinite bound.
-inline bool RowqPrunes(const QueryContext& ctx, std::uint32_t id, float bound,
-                       QueryProfile* profile) {
-  if (!ctx.rowq || !(bound < kInf) || !ctx.rowq->prunable(id)) {
+inline bool RowqPrunes(const QueryContext& ctx, const PartContext& part,
+                       std::uint32_t id, float bound, QueryProfile* profile) {
+  if (!part.rowq || !(bound < kInf) || !part.rowq->prunable(id)) {
     return false;
   }
   ++profile->rowq_checked;
@@ -151,8 +116,8 @@ inline bool RowqPrunes(const QueryContext& ctx, std::uint32_t id, float bound,
   // threshold; the predicate below is applied to whatever (partial or
   // full) adjusted bound comes back, so the abandon point affects cost
   // only, never the decision's soundness.
-  const float lb = ctx.rowq->LowerBoundEarlyAbandon(
-      id, ctx.rowq->RawAbandonThreshold(bound, ctx.lbd_inflation_sq));
+  const float lb = part.rowq->LowerBoundEarlyAbandon(
+      id, part.rowq->RawAbandonThreshold(bound, ctx.lbd_inflation_sq));
   if (lb * ctx.lbd_inflation_sq >= bound) {
     ++profile->rowq_pruned;
     return true;
@@ -160,37 +125,46 @@ inline bool RowqPrunes(const QueryContext& ctx, std::uint32_t id, float bound,
   return false;
 }
 
+// Rowq tier, then the early-abandoning real distance, then the offer.
+inline void ScanRow(const QueryContext& ctx, const PartContext& part,
+                    std::uint32_t id, float bound, ResultSet* results,
+                    QueryProfile* profile) {
+  if (RowqPrunes(ctx, part, id, bound, profile)) {
+    return;
+  }
+  const Dataset& data = part.index->data();
+  const float d = SquaredEuclideanEarlyAbandon(ctx.query, data.row(id),
+                                               data.length(), bound);
+  ++profile->series_ed_computed;
+  if (d < bound) {
+    results->Offer(part.GlobalId(id), d);
+  }
+}
+
 // Scans every series of a leaf with the real distance only (approximate
 // search seeding the BSF).
-void ScanLeafExact(const QueryContext& ctx, const Node& leaf,
-                   ResultSet* results, QueryProfile* profile) {
-  const Dataset& data = ctx.index->data();
+void ScanLeafExact(const QueryContext& ctx, const PartContext& part,
+                   const Node& leaf, ResultSet* results,
+                   QueryProfile* profile) {
   for (std::size_t i = 0; i < leaf.leaf_size(); ++i) {
     const std::uint32_t id = leaf.series_ids[i];
-    const float bound = results->bsf_sq();
-    if (RowqPrunes(ctx, id, bound, profile)) {
-      continue;
-    }
-    const float d = SquaredEuclideanEarlyAbandon(ctx.query, data.row(id),
-                                                 data.length(), bound);
-    ++profile->series_ed_computed;
-    if (d < bound) {
-      results->Update(id, d);
+    if (!ctx.Masked(part.GlobalId(id), profile)) {
+      ScanRow(ctx, part, id, results->bound_sq(), results, profile);
     }
   }
 }
 
 // Scans a leaf with the LBD → real-distance cascade (Algorithm 3 call site).
-void ScanLeafPruned(const QueryContext& ctx, const Node& leaf,
-                    ResultSet* results, QueryProfile* profile) {
-  const Dataset& data = ctx.index->data();
-  const quant::SummaryScheme& scheme = ctx.index->scheme();
+void ScanLeafPruned(const QueryContext& ctx, const PartContext& part,
+                    const Node& leaf, ResultSet* results,
+                    QueryProfile* profile) {
+  const quant::SummaryScheme& scheme = part.index->scheme();
   const std::size_t l = scheme.word_length();
   const float inflation = ctx.lbd_inflation_sq;
   for (std::size_t i = 0; i < leaf.leaf_size(); ++i) {
-    const float bound = results->bsf_sq();
+    const float bound = results->bound_sq();
     const float lbd_sq = quant::LbdSquaredEarlyAbandon(
-        scheme.table(), scheme.weights(), ctx.projection.data(),
+        scheme.table(), scheme.weights(), part.projection.data(),
         leaf.words.data() + i * l, bound / inflation);
     ++profile->series_lbd_checked;
     if (lbd_sq * inflation >= bound) {
@@ -198,25 +172,19 @@ void ScanLeafPruned(const QueryContext& ctx, const Node& leaf,
       continue;
     }
     const std::uint32_t id = leaf.series_ids[i];
-    if (RowqPrunes(ctx, id, bound, profile)) {
-      continue;
-    }
-    const float d = SquaredEuclideanEarlyAbandon(ctx.query, data.row(id),
-                                                 data.length(), bound);
-    ++profile->series_ed_computed;
-    if (d < bound) {
-      results->Update(id, d);
+    if (!ctx.Masked(part.GlobalId(id), profile)) {
+      ScanRow(ctx, part, id, bound, results, profile);
     }
   }
 }
 
 // Descends from `node` to the leaf matching the query's own word bits.
-const Node* DescendToLeaf(const QueryContext& ctx, const Node* node) {
-  const std::uint32_t bits = ctx.index->scheme().bits();
+const Node* DescendToLeaf(const PartContext& part, const Node* node) {
+  const std::uint32_t bits = part.index->scheme().bits();
   while (!node->is_leaf()) {
     const std::size_t dim = node->split_dim;
     const std::uint32_t child_card = node->left->cards[dim];
-    const std::uint32_t bit = (ctx.word[dim] >> (bits - child_card)) & 1u;
+    const std::uint32_t bit = (part.word[dim] >> (bits - child_card)) & 1u;
     node = bit == 0 ? node->left.get() : node->right.get();
   }
   return node;
@@ -224,14 +192,14 @@ const Node* DescendToLeaf(const QueryContext& ctx, const Node* node) {
 
 // Approximate search (paper Section IV-C): the leaf the query itself would
 // be stored in, or the most promising subtree when that root child is
-// empty.
-const Node* ApproximateLeaf(const QueryContext& ctx) {
-  const TreeIndex& index = *ctx.index;
+// empty. Null only for an empty tree.
+const Node* ApproximateLeaf(const PartContext& part) {
+  const TreeIndex& index = *part.index;
   const std::size_t root_bits = index.root_bits();
   const std::uint32_t bits = index.scheme().bits();
   std::uint32_t key = 0;
   for (std::size_t dim = 0; dim < root_bits; ++dim) {
-    key = (key << 1) | (ctx.word[dim] >> (bits - 1));
+    key = (key << 1) | (part.word[dim] >> (bits - 1));
   }
   const Node* start = index.root_child(key);
   if (start == nullptr) {
@@ -239,31 +207,33 @@ const Node* ApproximateLeaf(const QueryContext& ctx) {
     for (const auto& [subtree_key, node] : index.subtrees()) {
       const float lbd = quant::NodeLbdSquared(
           index.scheme().table(), index.scheme().weights(),
-          ctx.projection.data(), node->prefixes.data(), node->cards.data());
+          part.projection.data(), node->prefixes.data(), node->cards.data());
       if (lbd < best_lbd) {
         best_lbd = lbd;
         start = node;
       }
     }
   }
-  return start == nullptr ? nullptr : DescendToLeaf(ctx, start);
+  return start == nullptr ? nullptr : DescendToLeaf(part, start);
 }
 
 // DFS of one subtree, pruning by node LBD and spreading surviving leaves
 // round-robin over the queues.
-void CollectLeaves(const QueryContext& ctx, const Node* node,
-                   const ResultSet& results, std::vector<LeafQueue>* queues,
+void CollectLeaves(const QueryContext& ctx, std::uint32_t part_index,
+                   const Node* node, const ResultSet& results,
+                   std::vector<LeafQueue>* queues,
                    std::atomic<std::size_t>* queue_cursor,
                    const Node* skip_leaf, QueryProfile* profile) {
   if (node->is_leaf() && node == skip_leaf) {
     return;  // already scanned exhaustively by the approximate phase
   }
-  const quant::SummaryScheme& scheme = ctx.index->scheme();
+  const PartContext& part = ctx.parts[part_index];
+  const quant::SummaryScheme& scheme = part.index->scheme();
   const float lbd_sq = quant::NodeLbdSquared(
-      scheme.table(), scheme.weights(), ctx.projection.data(),
+      scheme.table(), scheme.weights(), part.projection.data(),
       node->prefixes.data(), node->cards.data());
   ++profile->nodes_visited;
-  if (lbd_sq * ctx.lbd_inflation_sq >= results.bsf_sq()) {
+  if (lbd_sq * ctx.lbd_inflation_sq >= results.bound_sq()) {
     ++profile->nodes_pruned;  // prunes the entire subtree
     return;
   }
@@ -271,92 +241,142 @@ void CollectLeaves(const QueryContext& ctx, const Node* node,
     const std::size_t qi =
         queue_cursor->fetch_add(1, std::memory_order_relaxed) %
         queues->size();
-    (*queues)[qi].Push(LeafEntry{lbd_sq, node});
+    (*queues)[qi].Push(LeafEntry{lbd_sq, node, part_index});
     ++profile->leaves_collected;
     return;
   }
-  CollectLeaves(ctx, node->left.get(), results, queues, queue_cursor,
-                skip_leaf, profile);
-  CollectLeaves(ctx, node->right.get(), results, queues, queue_cursor,
-                skip_leaf, profile);
+  CollectLeaves(ctx, part_index, node->left.get(), results, queues,
+                queue_cursor, skip_leaf, profile);
+  CollectLeaves(ctx, part_index, node->right.get(), results, queues,
+                queue_cursor, skip_leaf, profile);
 }
 
-// Builds the per-query context (projection + word).
-QueryContext MakeContext(const TreeIndex* index, const float* query,
-                         double epsilon) {
-  const quant::SummaryScheme& scheme = index->scheme();
-  const std::size_t l = scheme.word_length();
+// Builds the per-query context: one projection + word per tree (trees
+// sharing one scheme object share the computation).
+QueryContext MakeContext(const TreePart* parts, std::size_t num_parts,
+                         const float* query, double epsilon,
+                         const std::unordered_set<std::uint32_t>* exclude) {
   QueryContext ctx;
-  ctx.index = index;
   ctx.query = query;
-  ctx.projection.resize(l);
-  ctx.word.resize(l);
   const double inflation = (1.0 + epsilon) * (1.0 + epsilon);
   ctx.lbd_inflation_sq = static_cast<float>(inflation);
-  auto scratch = scheme.NewScratch();
-  scheme.Project(query, ctx.projection.data(), scratch.get());
-  for (std::size_t dim = 0; dim < l; ++dim) {
-    ctx.word[dim] = scheme.table().Quantize(dim, ctx.projection[dim]);
-  }
-  if (index->rowq() != nullptr) {
-    ctx.rowq.emplace(index->rowq().get(), query);
+  ctx.exclude = exclude != nullptr && !exclude->empty() ? exclude : nullptr;
+  ctx.parts.resize(num_parts);
+  for (std::size_t p = 0; p < num_parts; ++p) {
+    PartContext& part = ctx.parts[p];
+    part.index = parts[p].tree;
+    part.global_ids = parts[p].global_ids;
+    const quant::SummaryScheme& scheme = part.index->scheme();
+    if (p > 0 && &parts[p - 1].tree->scheme() == &scheme) {
+      part.projection = ctx.parts[p - 1].projection;
+      part.word = ctx.parts[p - 1].word;
+    } else {
+      const std::size_t l = scheme.word_length();
+      part.projection.resize(l);
+      part.word.resize(l);
+      auto scratch = scheme.NewScratch();
+      scheme.Project(query, part.projection.data(), scratch.get());
+      for (std::size_t dim = 0; dim < l; ++dim) {
+        part.word[dim] = scheme.table().Quantize(dim, part.projection[dim]);
+      }
+    }
+    if (part.index->rowq() != nullptr) {
+      part.rowq.emplace(part.index->rowq().get(), query);
+    }
   }
   return ctx;
 }
 
 }  // namespace
 
+QueryEngine::QueryEngine(const std::vector<TreePart>* parts, ThreadPool* pool)
+    : parts_(parts->data()), num_parts_(parts->size()), pool_(pool) {
+  SOFA_CHECK(!parts->empty());
+  for (const TreePart& part : *parts) {
+    SOFA_CHECK(part.tree != nullptr);
+    SOFA_CHECK_EQ(part.tree->data().length(),
+                  (*parts)[0].tree->data().length());
+  }
+  if (pool_ == nullptr) {
+    pool_ = (*parts)[0].tree->pool();
+  }
+}
+
 std::vector<Neighbor> QueryEngine::Search(const float* query, std::size_t k,
                                           double epsilon,
                                           QueryProfile* profile,
                                           std::size_t num_threads) const {
-  const TreeIndex& index = *index_;
-  const Dataset& data = index.data();
-  if (data.empty() || k == 0) {
+  return Search(query, k, epsilon, profile, num_threads, nullptr, FlatScan());
+}
+
+std::vector<Neighbor> QueryEngine::Search(
+    const float* query, std::size_t k, double epsilon, QueryProfile* profile,
+    std::size_t num_threads, const std::unordered_set<std::uint32_t>* exclude,
+    const FlatScan& flat_scan) const {
+  if (k == 0) {
     return {};
   }
   SOFA_CHECK(epsilon >= 0.0);
-  k = std::min(k, data.size());
-  const QueryContext ctx = MakeContext(index_, query, epsilon);
+  const TreePart* parts = this->parts();
+  const QueryContext ctx =
+      MakeContext(parts, num_parts_, query, epsilon, exclude);
   ResultSet results(k);
   QueryProfile local_profile;
 
-  // Phase 1: approximate answer seeds the BSF.
-  const Node* approx_leaf = ApproximateLeaf(ctx);
-  if (approx_leaf != nullptr) {
-    ScanLeafExact(ctx, *approx_leaf, &results, &local_profile);
+  // Phase 1: the first tree's approximate answer seeds the BSF; then any
+  // flat scans (insert buffers) tighten it before the trees are walked.
+  const Node* approx_leaf = nullptr;
+  std::uint32_t approx_part = 0;
+  for (; approx_part < num_parts_; ++approx_part) {
+    approx_leaf = ApproximateLeaf(ctx.parts[approx_part]);
+    if (approx_leaf != nullptr) {
+      ScanLeafExact(ctx, ctx.parts[approx_part], *approx_leaf, &results,
+                    &local_profile);
+      break;
+    }
+  }
+  if (flat_scan) {
+    flat_scan(&results, &local_profile);
   }
 
-  ThreadPool* pool = index.pool();
+  const IndexConfig& config = parts[0].tree->config();
   if (num_threads == 0) {
-    num_threads = index.config().num_threads == 0
-                      ? pool->size()
-                      : index.config().num_threads;
+    num_threads = config.num_threads == 0 ? pool_->size() : config.num_threads;
   }
-  const std::size_t num_queues = index.config().num_queues == 0
-                                     ? num_threads
-                                     : index.config().num_queues;
+  // At most one queue per worker: with more queues than workers a worker
+  // drains them one after another, out of global LBD order.
+  const std::size_t num_queues =
+      config.num_queues == 0 ? num_threads
+                             : std::min(config.num_queues, num_threads);
 
-  // Phase 2: collect candidate leaves into the priority queues, using
-  // exactly num_threads workers over dynamically handed-out subtree chunks.
+  // Phase 2: collect candidate leaves of every tree into the priority
+  // queues, using exactly num_threads workers over dynamically handed-out
+  // subtree chunks.
+  std::vector<std::pair<std::uint32_t, const Node*>> roots;
+  for (std::uint32_t p = 0; p < num_parts_; ++p) {
+    for (const auto& [key, node] : parts[p].tree->subtrees()) {
+      roots.emplace_back(p, node);
+    }
+  }
   std::vector<LeafQueue> queues(num_queues);
   std::atomic<std::size_t> queue_cursor(0);
-  const auto& subtrees = index.subtrees();
   std::mutex profile_mutex;
   {
-    std::atomic<std::size_t> next_subtree(0);
+    std::atomic<std::size_t> next_root(0);
     constexpr std::size_t kGrain = 4;
-    ParallelRun(pool, num_threads, [&](std::size_t) {
+    ParallelRun(pool_, num_threads, [&](std::size_t) {
       QueryProfile worker_profile;
       while (true) {
-        const std::size_t begin = next_subtree.fetch_add(kGrain);
-        if (begin >= subtrees.size()) {
+        const std::size_t begin = next_root.fetch_add(kGrain);
+        if (begin >= roots.size()) {
           break;
         }
-        const std::size_t end = std::min(subtrees.size(), begin + kGrain);
-        for (std::size_t s = begin; s < end; ++s) {
-          CollectLeaves(ctx, subtrees[s].second, results, &queues,
-                        &queue_cursor, approx_leaf, &worker_profile);
+        const std::size_t end = std::min(roots.size(), begin + kGrain);
+        for (std::size_t r = begin; r < end; ++r) {
+          CollectLeaves(ctx, roots[r].first, roots[r].second, results,
+                        &queues, &queue_cursor,
+                        roots[r].first == approx_part ? approx_leaf : nullptr,
+                        &worker_profile);
         }
       }
       std::lock_guard<std::mutex> lock(profile_mutex);
@@ -365,7 +385,7 @@ std::vector<Neighbor> QueryEngine::Search(const float* query, std::size_t k,
   }
 
   // Phase 3: workers drain the queues with BSF pruning and abandonment.
-  ParallelRun(pool, num_threads, [&](std::size_t worker) {
+  ParallelRun(pool_, num_threads, [&](std::size_t worker) {
     QueryProfile worker_profile;
     for (std::size_t offset = 0; offset < num_queues; ++offset) {
       LeafQueue& queue = queues[(worker + offset) % num_queues];
@@ -374,12 +394,13 @@ std::vector<Neighbor> QueryEngine::Search(const float* query, std::size_t k,
         if (!entry.has_value()) {
           break;  // queue exhausted, move to the next one
         }
-        if (entry->lbd_sq * ctx.lbd_inflation_sq >= results.bsf_sq()) {
+        if (entry->lbd_sq * ctx.lbd_inflation_sq >= results.bound_sq()) {
           // All remaining entries are at least as far: abandon the queue.
           worker_profile.leaves_abandoned += 1 + queue.Clear();
           break;
         }
-        ScanLeafPruned(ctx, *entry->leaf, &results, &worker_profile);
+        ScanLeafPruned(ctx, ctx.parts[entry->part], *entry->leaf, &results,
+                       &worker_profile);
       }
     }
     std::lock_guard<std::mutex> lock(profile_mutex);
@@ -394,19 +415,17 @@ std::vector<Neighbor> QueryEngine::Search(const float* query, std::size_t k,
 
 std::vector<Neighbor> QueryEngine::SearchLeafOnly(const float* query,
                                                   std::size_t k) const {
-  const TreeIndex& index = *index_;
-  if (index.data().empty() || k == 0) {
+  if (k == 0) {
     return {};
   }
-  k = std::min(k, index.data().size());
-  const QueryContext ctx = MakeContext(index_, query, 0.0);
-  const Node* leaf = ApproximateLeaf(ctx);
+  const QueryContext ctx = MakeContext(parts(), 1, query, 0.0, nullptr);
+  const Node* leaf = ApproximateLeaf(ctx.parts[0]);
   if (leaf == nullptr) {
     return {};
   }
-  ResultSet results(std::min(k, leaf->leaf_size()));
+  ResultSet results(k);
   QueryProfile profile;
-  ScanLeafExact(ctx, *leaf, &results, &profile);
+  ScanLeafExact(ctx, ctx.parts[0], *leaf, &results, &profile);
   return results.Finish();
 }
 

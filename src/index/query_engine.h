@@ -1,50 +1,101 @@
-// Exact GEMINI query answering over a TreeIndex (paper Section IV-C).
+// Exact GEMINI query answering over a TreeIndex (paper Section IV-C) —
+// or over every tree of a sharded generation at once.
 //
 // Per query:
-//   1. Approximate search: descend the tree along the query's own word to
+//   1. Approximate search: descend one tree along the query's own word to
 //      one leaf and compute real distances there — the initial best-so-far
-//      (BSF).
-//   2. Collect: walk all subtrees in parallel; prune nodes whose summary
-//      LBD ≥ BSF; surviving leaves go into a fixed set of lock-protected
-//      priority queues ordered by leaf LBD.
+//      (BSF). With several trees, the first tree that has such a leaf
+//      seeds; the other trees' own leaves are pruned like any other leaf.
+//   2. Collect: walk all subtrees of all trees in parallel; prune nodes
+//      whose summary LBD exceeds the BSF; surviving leaves go into a fixed
+//      set of lock-protected priority queues ordered by leaf LBD (at most
+//      one queue per worker, so a single-threaded search visits leaves in
+//      LBD order).
 //   3. Process: workers repeatedly pop the minimum-LBD leaf of a queue. If
-//      its LBD ≥ BSF the whole queue is abandoned (everything behind it is
-//      farther). Otherwise the leaf is scanned: per series a SIMD
-//      early-abandoning LBD, then, if still promising, the early-abandoning
-//      real distance; improvements update the shared BSF / k-NN heap.
+//      its LBD exceeds the BSF the whole queue is abandoned (everything
+//      behind it is farther). Otherwise the leaf is scanned: per series a
+//      SIMD early-abandoning LBD, then, if still promising, the early-
+//      abandoning real distance; improvements update the shared result
+//      set.
+//
+// One ResultSet keyed by global id serves all trees and any flat scans
+// offered alongside (the insert buffers of an ingesting generation), so
+// a sharded query prunes against one bound and nothing is merged
+// afterwards. Deleted ids are masked inside the scans.
 
 #ifndef SOFA_INDEX_QUERY_ENGINE_H_
 #define SOFA_INDEX_QUERY_ENGINE_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <unordered_set>
 #include <vector>
 
+#include "index/result_set.h"
 #include "index/tree_index.h"
+#include "util/thread_pool.h"
 
 namespace sofa {
 namespace index {
 
+/// One tree of a generation: its local row i answers as global id
+/// (*global_ids)[i]; null global_ids = identity (an unsharded tree).
+struct TreePart {
+  const TreeIndex* tree = nullptr;
+  const std::vector<std::uint32_t>* global_ids = nullptr;
+};
+
+/// A scan that offers rows (under global ids) to a search's result set
+/// besides the trees, counting its work into `profile` — e.g. the flat
+/// scans of an ingesting generation's insert buffers.
+using FlatScan = std::function<void(ResultSet* results, QueryProfile* profile)>;
+
 /// Stateless facade; one Search call = one exact (or ε-approximate) query,
-/// internally parallelized on the index's thread pool.
+/// parallelized on `num_threads` workers of the pool.
 class QueryEngine {
  public:
-  explicit QueryEngine(const TreeIndex* index) : index_(index) {}
+  explicit QueryEngine(const TreeIndex* index)
+      : single_{index, nullptr}, pool_(index->pool()) {}
 
-  /// k-NN ascending by distance (Euclidean, not squared). With epsilon > 0
-  /// every answer is within (1+epsilon) of the exact distance; 0 = exact.
-  /// `profile` (optional) receives merged work counters. `num_threads`
-  /// overrides the index configuration (0 = use it); batch mode passes 1.
+  /// Searches every tree of `parts` as one collection. `parts` (non-empty,
+  /// trees of one series length) must outlive the engine; `pool` runs
+  /// multi-threaded searches (null = the first tree's pool).
+  explicit QueryEngine(const std::vector<TreePart>* parts,
+                       ThreadPool* pool = nullptr);
+
+  /// k-NN ascending by (distance, id) (Euclidean, not squared). With
+  /// epsilon > 0 every answer is within (1+epsilon) of the exact distance;
+  /// 0 = exact. `profile` (optional) receives merged work counters.
+  /// `num_threads` overrides the index configuration (0 = use it); the
+  /// serving layer passes 1.
   std::vector<Neighbor> Search(const float* query, std::size_t k,
                                double epsilon = 0.0,
                                QueryProfile* profile = nullptr,
                                std::size_t num_threads = 0) const;
 
-  /// Phase-1-only approximate answer (the query's own leaf).
+  /// Search with the ingest path's extras: ids in `exclude` (may be null)
+  /// are masked inside every scan and counted in
+  /// profile->candidates_filtered; `flat_scan` (may be empty) runs once,
+  /// right after the approximate phase, against the same result set.
+  std::vector<Neighbor> Search(const float* query, std::size_t k,
+                               double epsilon, QueryProfile* profile,
+                               std::size_t num_threads,
+                               const std::unordered_set<std::uint32_t>* exclude,
+                               const FlatScan& flat_scan) const;
+
+  /// Phase-1-only approximate answer (the query's own leaf of the first
+  /// tree).
   std::vector<Neighbor> SearchLeafOnly(const float* query,
                                        std::size_t k) const;
 
  private:
-  const TreeIndex* index_;
+  const TreePart* parts() const { return parts_ != nullptr ? parts_ : &single_; }
+
+  TreePart single_;
+  const TreePart* parts_ = nullptr;  // null = the one tree in single_
+  std::size_t num_parts_ = 1;
+  ThreadPool* pool_;
 };
 
 }  // namespace index

@@ -39,7 +39,8 @@ enum class SplitPolicy {
 struct IndexConfig {
   std::size_t leaf_capacity = 2000;
   std::size_t num_threads = 0;  // 0 = hardware concurrency
-  std::size_t num_queues = 0;   // 0 = num_threads (paper: queue per core)
+  std::size_t num_queues = 0;   // 0 = num_threads (paper: queue per core);
+                                // a search uses at most one per worker
   SplitPolicy split_policy = SplitPolicy::kBestBalance;
 
   /// Root fan-out bits. MESSI fixes this to the word length (2^16 children
@@ -68,9 +69,11 @@ struct QueryProfile {
   std::uint64_t series_lbd_checked = 0; // per-series LBD evaluations
   std::uint64_t series_lbd_pruned = 0;  // series cut without touching data
   std::uint64_t series_ed_computed = 0; // real-distance evaluations
-  std::uint64_t candidates_filtered = 0; // tombstoned candidates dropped at
-                                         // the gather merge (deleted rows
-                                         // still present in a tree)
+  std::uint64_t candidates_filtered = 0; // tombstoned rows masked inside
+                                         // the scans (deleted rows still
+                                         // present in a tree or buffer; a
+                                         // tree row counts once it passes
+                                         // the series LBD)
   std::uint64_t rowq_checked = 0;  // quantized-row lower-bound evaluations
   std::uint64_t rowq_pruned = 0;   // series cut by the rowq tier (survived
                                    // the summary LBD, never reached the

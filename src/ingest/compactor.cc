@@ -66,8 +66,6 @@ Compactor::Compactor(service::SearchService* service,
         length_, config_.chunk_capacity, std::move(quantizer)));
   }
   tombstones_ = std::make_shared<TombstoneSet>();
-  shard_tombstone_counts_ =
-      std::make_shared<std::vector<std::atomic<std::size_t>>>(num_shards_);
   if (!config_.wal_dir.empty()) {
     if (config_.wal.registry == nullptr) {
       config_.wal.registry = config_.registry;
@@ -106,15 +104,10 @@ Compactor::Compactor(service::SearchService* service,
       pending_ += rows->size();
     }
     for (const std::uint32_t id : recovered->tombstones) {
-      const std::size_t s = RouteShard(id);
-      (*shard_tombstone_counts_)[s].fetch_add(1, std::memory_order_relaxed);
       if (tombstones_->Add(id)) {
         deleted_ever_.insert(id);
-        ++shard_tombstoned_[s];
+        ++shard_tombstoned_[RouteShard(id)];
         ++deleted_;
-      } else {
-        (*shard_tombstone_counts_)[s].fetch_sub(1,
-                                                std::memory_order_relaxed);
       }
     }
   } else {
@@ -296,17 +289,12 @@ void Compactor::LeaderCommitLocked(std::unique_lock<std::mutex>* lock) {
 }
 
 void Compactor::ApplyDeleteLocked(std::uint32_t id, std::size_t s) {
-  // Count before Add: a reader whose view contains the id then provably
-  // sees the incremented count (the TombstoneSet mutex orders them).
-  (*shard_tombstone_counts_)[s].fetch_add(1, std::memory_order_relaxed);
+  // A duplicate (two deletes of one id raced through staging) is a no-op,
+  // on replay too.
   if (tombstones_->Add(id)) {
     deleted_ever_.insert(id);
     ++deleted_;
     ++shard_tombstoned_[s];
-  } else {
-    // Duplicate (two deletes of one id raced through staging): the
-    // second record is a no-op on replay too.
-    (*shard_tombstone_counts_)[s].fetch_sub(1, std::memory_order_relaxed);
   }
 }
 
@@ -351,8 +339,8 @@ StatusOr<std::uint32_t> Compactor::Insert(const float* row,
   const std::size_t s = RouteShard(id);
   if (wal_ == nullptr) {
     // In-memory path: id assignment and append share the lock so each
-    // buffer sees strictly ascending global ids (the merge's tie rule
-    // depends on it).
+    // buffer sees strictly ascending global ids (compacted shards keep
+    // their global ids ascending).
     ++next_id_;
     buffers_[s]->Append(row, id);
     ++pending_;
@@ -472,18 +460,12 @@ RecoverStats Compactor::Recover() {
               stats.ok = false;  // delete of a row this log never created
               return;
             }
-            const std::size_t s = RouteShard(record.id);
-            (*shard_tombstone_counts_)[s].fetch_add(
-                1, std::memory_order_relaxed);
+            // A duplicate record (raced deletes) changes nothing.
             if (tombstones_->Add(record.id)) {
               deleted_ever_.insert(record.id);
-              ++shard_tombstoned_[s];
+              ++shard_tombstoned_[RouteShard(record.id)];
               ++deleted_;
               ++stats.deletes_applied;
-            } else {
-              // Duplicate record (raced deletes): undo the count.
-              (*shard_tombstone_counts_)[s].fetch_sub(
-                  1, std::memory_order_relaxed);
             }
             return;
           }
@@ -494,16 +476,9 @@ RecoverStats Compactor::Recover() {
               stats.ok = false;
               return;
             }
-            for (std::size_t s = 0; s < num_shards_; ++s) {
-              (*shard_tombstone_counts_)[s].store(
-                  0, std::memory_order_relaxed);
-            }
             shard_tombstoned_.assign(num_shards_, 0);
             for (const std::uint32_t id : record.tombstones) {
-              const std::size_t s = RouteShard(id);
-              ++shard_tombstoned_[s];
-              (*shard_tombstone_counts_)[s].fetch_add(
-                  1, std::memory_order_relaxed);
+              ++shard_tombstoned_[RouteShard(id)];
             }
             tombstones_->ResetTo(record.tombstones);
             deleted_ever_.clear();
@@ -715,7 +690,6 @@ std::shared_ptr<const service::ShardBuffers> Compactor::MakeBuffers(
   buffers->buffers.assign(buffers_.begin(), buffers_.end());
   buffers->start = start;
   buffers->tombstones = tombstones_;
-  buffers->tombstone_shard_counts = shard_tombstone_counts_;
   return buffers;
 }
 
@@ -773,13 +747,6 @@ void Compactor::TrimRetiredLocked() {
     pending_purge_ids_.erase(id);
   }
   tombstones_->Erase(purgeable);
-  // Narrow the per-shard k-widening only after the erase: a reader whose
-  // view still contains a purged id needs no width for it (the purge
-  // gating guarantees no live generation's tree holds its row).
-  for (const std::uint32_t id : purgeable) {
-    (*shard_tombstone_counts_)[RouteShard(id)].fetch_sub(
-        1, std::memory_order_relaxed);
-  }
 }
 
 void Compactor::CompactorLoop() {
@@ -813,7 +780,7 @@ void Compactor::CompactorLoop() {
       // Most-work shard first (buffered rows + resident tombstones):
       // under sustained ingest this keeps the flat-scanned delta sets as
       // small as possible, and under sustained deletes it keeps the
-      // tombstone set — and with it the merge's k-widening — bounded.
+      // tombstone set every query masks against bounded.
       std::size_t best = num_shards_;
       std::size_t best_work = 0;
       for (std::size_t s = 0; s < num_shards_; ++s) {

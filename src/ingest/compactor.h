@@ -14,8 +14,8 @@
 // extends the last shard's range; hash assignment hashes the id as at
 // build time) and publishes it to queries immediately through the live
 // buffer — no snapshot republish per insert. Delete() logs and
-// tombstones the id; queries mask tombstoned ids out of buffer scans and
-// the gather merge immediately, whether the row lives in a tree or a
+// tombstones the id; queries mask tombstoned ids inside their tree and
+// buffer scans immediately, whether the row lives in a tree or a
 // buffer. Once a shard's pending rows reach `compact_threshold`, a
 // dedicated background thread rebuilds that shard's TreeIndex over
 // (slice ∪ buffered rows) \ tombstones and republishes through
@@ -225,7 +225,7 @@ class Compactor {
   /// start, seeded from `recovered` when resuming from a persisted
   /// generation). While a Compactor is attached it must be the service's
   /// only publisher. Tree rebuilds run on `base`'s thread pool,
-  /// competing with query scatter — compaction under live traffic by
+  /// competing with query tasks — compaction under live traffic by
   /// design. With config.wal_dir set the constructor opens the log
   /// (aborting via SOFA_CHECK when the directory cannot be created) but
   /// does not replay it — call Recover() before serving traffic if
@@ -375,18 +375,8 @@ class Compactor {
   // Per shard: tombstoned ids not yet physically removed from that
   // shard's structures. Counts toward the compaction trigger, so a
   // delete-only workload still compacts, purges its tombstones, and
-  // keeps the merge's k-widening bounded.
+  // keeps the tombstone set every query masks against bounded.
   std::vector<std::size_t> shard_tombstoned_;
-  // Per shard: un-purged tombstones routed there — the query path's
-  // per-shard k-widening (shared live with every snapshot via
-  // ShardBuffers). Differs from shard_tombstoned_ in when it drops:
-  // only at purge (when no live generation's tree can still hold the
-  // row), not at compaction — an in-flight query on a pre-compaction
-  // generation still needs the width. Incremented BEFORE the tombstone
-  // is added (the TombstoneSet mutex then publishes it to any reader
-  // whose view contains the id), decremented after the purge erases it.
-  std::shared_ptr<std::vector<std::atomic<std::size_t>>>
-      shard_tombstone_counts_;
   // Group-commit state: staged mutations awaiting a leader, whether a
   // leader is mid-write, staged-insert count (admission accounting), and
   // the persist barrier that pauses staging while a fold point is taken.

@@ -1,10 +1,8 @@
 #include "ingest/insert_buffer.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <limits>
-#include <queue>
 
 #include "core/distance.h"
 #include "util/check.h"
@@ -14,20 +12,6 @@ namespace ingest {
 namespace {
 
 constexpr float kInf = std::numeric_limits<float>::infinity();
-
-// Max-heap entry ordered by (distance, id): the worst retained candidate —
-// largest distance, largest id among equal distances — sits on top, so
-// eviction always discards the highest global id of a tie.
-struct HeapEntry {
-  float dist_sq;
-  std::uint32_t id;
-  bool operator<(const HeapEntry& other) const {
-    if (dist_sq != other.dist_sq) {
-      return dist_sq < other.dist_sq;
-    }
-    return id < other.id;
-  }
-};
 
 }  // namespace
 
@@ -86,24 +70,29 @@ std::size_t InsertBuffer::SearchKnn(
     const float* query, std::size_t k, std::size_t begin,
     std::vector<Neighbor>* out,
     const std::unordered_set<std::uint32_t>* exclude) const {
+  SOFA_CHECK(out != nullptr);
   ScanStats stats;
-  SearchKnn(query, k, begin, out, exclude, &stats);
+  if (k > 0) {
+    index::ResultSet results(k);
+    Scan(query, begin, exclude, &results, &stats);
+    const std::vector<Neighbor> found = results.Finish();
+    out->insert(out->end(), found.begin(), found.end());
+  }
   return stats.scanned;
 }
 
-void InsertBuffer::SearchKnn(const float* query, std::size_t k,
-                             std::size_t begin, std::vector<Neighbor>* out,
-                             const std::unordered_set<std::uint32_t>* exclude,
-                             ScanStats* stats) const {
-  SOFA_CHECK(out != nullptr && stats != nullptr);
+void InsertBuffer::Scan(const float* query, std::size_t begin,
+                        const std::unordered_set<std::uint32_t>* exclude,
+                        index::ResultSet* results, ScanStats* stats) const {
+  SOFA_CHECK(results != nullptr && stats != nullptr);
   const View view = Snapshot();
   SOFA_CHECK(begin >= view.base)
       << "scan from " << begin << " below first retained row " << view.base;
-  if (begin >= view.count || k == 0) {
-    return;
-  }
   if (exclude != nullptr && exclude->empty()) {
     exclude = nullptr;
+  }
+  if (begin >= view.count) {
+    return;
   }
   // The rowq tier shares one padded query across the scan.
   AlignedVector<float> padded_query;
@@ -111,27 +100,26 @@ void InsertBuffer::SearchKnn(const float* query, std::size_t k,
     padded_query.resize(quantizer_->padded_length());
     quantizer_->PadQuery(query, padded_query.data());
   }
-  // Flat scan in ascending global-id order with the tree engine's
-  // early-abandoning kernel. Strict `<` against the k-th best keeps the
-  // first-seen — lowest — global id on exact distance ties; a completed
-  // (non-abandoned) sum is the exact distance, bit-identical to what the
-  // tree reports for the same row. Tombstoned rows are masked before any
-  // distance work: the scan behaves as if they were never appended. With
-  // a quantizer, rows whose quantized lower bound already meets the
-  // current k-th best are cut without touching float data — admission is
-  // strictly `d < bound` and the deflated bound never exceeds the exact
-  // kernel's float, so the heap content (ids and distances) is
-  // bit-identical to the unquantized scan, ties included.
-  std::priority_queue<HeapEntry> heap;
+  // Flat scan with the tree engine's early-abandoning kernel against the
+  // result set's bound, which sits just above its k-th distance: a row
+  // tied with the k-th still reaches the set, where (distance, id) order
+  // decides. A completed (non-abandoned) sum is the exact distance,
+  // bit-identical to what the tree reports for the same row. Tombstoned
+  // rows are masked before any distance work: the scan behaves as if
+  // they were never appended. With a quantizer, rows whose quantized
+  // lower bound already meets the bound are cut without touching float
+  // data — the deflated bound never exceeds the exact kernel's float, so
+  // the set's content is bit-identical to the unquantized scan.
   for (std::size_t r = begin; r < view.count; ++r) {
     const std::size_t slot = r - view.base;
     const Chunk& chunk = *view.chunks[slot / chunk_capacity_];
     const std::size_t at = slot % chunk_capacity_;
     if (exclude != nullptr && exclude->count(chunk.ids[at]) != 0) {
+      ++stats->masked;
       continue;
     }
     ++stats->scanned;
-    const float bound = heap.size() < k ? kInf : heap.top().dist_sq;
+    const float bound = results->bound_sq();
     if (quantizer_ != nullptr && bound < kInf && chunk.prunable[at] != 0) {
       ++stats->rowq_checked;
       // The kernel may stop early once its partial sum crosses the raw
@@ -152,19 +140,8 @@ void InsertBuffer::SearchKnn(const float* query, std::size_t k,
     const float d = SquaredEuclideanEarlyAbandon(query, chunk.rows.row(at),
                                                  length_, bound);
     ++stats->ed_computed;
-    if (heap.size() < k) {
-      heap.push(HeapEntry{d, chunk.ids[at]});
-    } else if (d < bound) {
-      heap.pop();
-      heap.push(HeapEntry{d, chunk.ids[at]});
-    }
+    results->Offer(chunk.ids[at], d);
   }
-  std::vector<Neighbor> result(heap.size());
-  for (std::size_t i = heap.size(); i-- > 0;) {
-    result[i] = Neighbor{heap.top().id, std::sqrt(heap.top().dist_sq)};
-    heap.pop();
-  }
-  out->insert(out->end(), result.begin(), result.end());
 }
 
 void InsertBuffer::CopyRange(std::size_t begin, std::size_t end, Dataset* rows,

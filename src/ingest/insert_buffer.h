@@ -8,7 +8,8 @@
 // FAISS-style (Johnson et al., billion-scale similarity search: a pruned
 // index over the bulk plus a brute-force flat scan over a small delta):
 // the shard's TreeIndex covers the compacted prefix and the buffer is
-// scanned flat, with deleted ids masked inline (SearchKnn's `exclude`).
+// scanned flat into the query's one result set (Scan), with deleted ids
+// masked inline.
 // The scan uses the same early-abandoning SIMD distance kernel as the tree
 // engine (not the flat index's ‖x‖²+‖y‖²−2x·y trick, whose rounding
 // differs), so a row reports the *bit-identical* distance whether it is
@@ -34,6 +35,7 @@
 
 #include "core/dataset.h"
 #include "core/neighbor.h"
+#include "index/result_set.h"
 #include "quant/rowq.h"
 #include "util/aligned.h"
 
@@ -42,10 +44,11 @@ namespace ingest {
 
 class InsertBuffer {
  public:
-  /// Work counters of one buffer scan (SearchKnn stats overload) — the
+  /// Work counters of buffer scans (Scan accumulates into them) — the
   /// per-buffer slice of QueryProfile accounting.
   struct ScanStats {
     std::size_t scanned = 0;       // non-masked rows considered
+    std::size_t masked = 0;        // tombstoned rows skipped unscanned
     std::size_t ed_computed = 0;   // early-abandoning distance evaluations
     std::size_t rowq_checked = 0;  // quantized lower bounds evaluated
     std::size_t rowq_pruned = 0;   // rows cut before any float row access
@@ -66,8 +69,7 @@ class InsertBuffer {
   /// Appends one row (length() floats, z-normalized like the base
   /// collection) carrying `global_id`, and returns the buffer size after
   /// the append. Callers must append global ids in ascending order — the
-  /// merge's lowest-global-id-first tie rule and the ascending-global-ids
-  /// invariant of compacted shards both rely on it.
+  /// ascending-global-ids invariant of compacted shards relies on it.
   std::size_t Append(const float* row, std::uint32_t global_id);
 
   /// Rows ever appended (monotonic; trims do not shrink it).
@@ -93,13 +95,14 @@ class InsertBuffer {
       std::vector<Neighbor>* out,
       const std::unordered_set<std::uint32_t>* exclude = nullptr) const;
 
-  /// SearchKnn with full work accounting: identical answers, and
-  /// `stats` (required) receives the scan/kernel/pruning counters. The
-  /// plain overload's return value equals stats.scanned.
-  void SearchKnn(const float* query, std::size_t k, std::size_t begin,
-                 std::vector<Neighbor>* out,
-                 const std::unordered_set<std::uint32_t>* exclude,
-                 ScanStats* stats) const;
+  /// The flat scan behind SearchKnn, offering rows [begin, size()-at-call)
+  /// under their global ids to a result set that other scans of the same
+  /// query share (the tree phases of an ingesting generation's search):
+  /// every row is pruned against, and may tighten, the one shared bound.
+  /// `exclude` masks as in SearchKnn; `stats` (required) accumulates.
+  void Scan(const float* query, std::size_t begin,
+            const std::unordered_set<std::uint32_t>* exclude,
+            index::ResultSet* results, ScanStats* stats) const;
 
   /// Copies rows [begin, end) and their global ids into `rows`/`ids`
   /// (appending) — the compaction handoff into the rebuilt shard slice.

@@ -7,9 +7,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
+#include <vector>
 
 #include "obs/exposition.h"
 #include "obs/trace.h"
@@ -34,6 +36,22 @@ bool ReadFull(int fd, std::uint8_t* out, std::size_t n) {
       continue;
     }
     return false;
+  }
+  return true;
+}
+
+// Reads a `size`-byte payload, growing `payload` only as bytes arrive
+// (kReadChunk at a time): a header may claim up to kMaxPayloadSize, but
+// a connection holds memory only for what its peer actually sent.
+bool ReadPayload(int fd, std::size_t size, std::vector<std::uint8_t>* payload) {
+  constexpr std::size_t kReadChunk = 64 << 10;
+  payload->clear();
+  while (payload->size() < size) {
+    const std::size_t at = payload->size();
+    payload->resize(at + std::min(kReadChunk, size - at));
+    if (!ReadFull(fd, payload->data() + at, payload->size() - at)) {
+      return false;
+    }
   }
   return true;
 }
@@ -176,8 +194,8 @@ void SofaServer::ReaderLoop(Connection* conn) {
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
       break;
     }
-    std::vector<std::uint8_t> payload(header.payload_size);
-    if (!ReadFull(conn->fd, payload.data(), payload.size())) {
+    std::vector<std::uint8_t> payload;
+    if (!ReadPayload(conn->fd, header.payload_size, &payload)) {
       break;  // truncated frame: peer died mid-send
     }
     status = VerifyPayload(header, payload.data(), payload.size());

@@ -1,15 +1,16 @@
 // Per-query tracing: a lightweight span timeline answering "where did
-// this query's latency go?" — admission wait, scatter, per-shard tree
-// scans, buffer scans, merge. Designed for ~zero cost when sampling is
-// off: the service checks one atomic counter per query and allocates a
-// QueryTrace only for sampled queries; untraced queries carry a null
-// pointer through the whole pipeline.
+// this query's latency go?" — admission wait, the search, the buffer
+// scans inside it. Designed for ~zero cost when sampling is off: the
+// service checks one atomic counter per query and allocates a QueryTrace
+// only for sampled queries; untraced queries carry a null pointer
+// through the whole pipeline.
 //
-// Threading model: the coordinating thread Begin/EndSpan()s its own
-// sequential stages and pre-AllocateSpan()s one slot per scattered task;
-// each worker stamps only its own slot (StampSpan), so slot writes never
-// race. Finish() must happen after the coordinator has joined all
-// workers (the service's batch barrier provides this).
+// Threading model: one thread at a time records spans (a query is handed
+// from the submitting thread to the pool worker that runs it, with the
+// queue's lock ordering the two). Work fanned out to other threads gets
+// pre-AllocateSpan()ed slots that each worker stamps alone (StampSpan),
+// so slot writes never race; Finish() must happen after those workers
+// have been joined.
 
 #ifndef SOFA_OBS_TRACE_H_
 #define SOFA_OBS_TRACE_H_
@@ -88,7 +89,7 @@ class QueryTrace {
   /// Closes a span opened by BeginSpan. Ignores -1.
   void EndSpan(int span);
 
-  /// Reserves a slot for a scattered task; a worker later fills it with
+  /// Reserves a slot for a fanned-out task; a worker later fills it with
   /// StampSpan. Returns -1 if full (the worker must tolerate it).
   int AllocateSpan(const char* name, int parent = -1);
 

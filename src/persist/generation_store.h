@@ -148,8 +148,8 @@ class GenerationStore {
   /// Loads the newest committed generation that validates end to end
   /// (manifest CRC, per-file sizes and CRCs, index deserialization),
   /// falling back across torn or corrupt ones; nullopt when none loads.
-  /// `pool` backs the reassembled index's query scatter and must outlive
-  /// it. With `enable_rowq` the reassembled shards carry the compressed
+  /// `pool` backs the reassembled index's rebuilds and multi-threaded
+  /// searches and must outlive it. With `enable_rowq` the reassembled shards carry the compressed
   /// pruning tier: persisted shard-<s>.rq sidecars are validated and
   /// attached, and shards without one (tier off at persist time, or a
   /// v1 generation predating the format) get a sidecar rebuilt

@@ -8,44 +8,10 @@
 
 namespace sofa {
 namespace service {
-namespace {
 
-// One task: deadline check, then either the buffer flat scan or the
-// single-threaded tree search.
-void ExecuteTask(QueryTask* task_ptr, const index::TreeIndex* default_index) {
-  QueryTask& task = *task_ptr;
-  if (task.deadline != std::chrono::steady_clock::time_point::max() &&
-      task.deadline < std::chrono::steady_clock::now()) {
-    task.expired = true;
-    return;
-  }
-  if (task.buffer != nullptr) {
-    // Delta-set half of an ingesting query: exact flat scan of the
-    // shard's insert buffer, tombstones masked inline. With the rowq
-    // tier attached to the buffer, quantized-pruned rows never reach
-    // the distance kernel, so ed/rowq work is accounted separately.
-    ingest::InsertBuffer::ScanStats stats;
-    task.buffer->SearchKnn(task.query, task.k, task.buffer_start, task.result,
-                           task.exclude, &stats);
-    if (task.profile != nullptr) {
-      task.profile->series_ed_computed += stats.ed_computed;
-      task.profile->rowq_checked += stats.rowq_checked;
-      task.profile->rowq_pruned += stats.rowq_pruned;
-    }
-    return;
-  }
-  const index::TreeIndex* index =
-      task.index != nullptr ? task.index : default_index;
-  SOFA_DCHECK(index != nullptr);
-  const index::QueryEngine engine(index);
-  *task.result = engine.Search(task.query, task.k, task.epsilon,
-                               task.profile, /*num_threads=*/1);
-}
-
-// Shared worker loop: tasks with a null index fall back to `default_index`
-// (null only when every task names its own).
-void RunTasks(std::vector<QueryTask>* tasks, ThreadPool* pool,
-              std::size_t num_workers, const index::TreeIndex* default_index) {
+void RunThroughputBatch(const index::TreeIndex& index,
+                        std::vector<QueryTask>* tasks, ThreadPool* pool,
+                        std::size_t num_workers) {
   SOFA_CHECK(tasks != nullptr);
   SOFA_CHECK(pool != nullptr);
   if (tasks->empty()) {
@@ -55,6 +21,7 @@ void RunTasks(std::vector<QueryTask>* tasks, ThreadPool* pool,
     num_workers = pool->size();
   }
   num_workers = std::min(num_workers, tasks->size());
+  const index::QueryEngine engine(&index);
   // Grain 1: per-query costs are skewed (pruning power varies wildly
   // between queries), so workers pull one query at a time.
   std::atomic<std::size_t> next(0);
@@ -66,39 +33,15 @@ void RunTasks(std::vector<QueryTask>* tasks, ThreadPool* pool,
       }
       QueryTask& task = (*tasks)[t];
       SOFA_DCHECK(task.result != nullptr);
-      if (task.trace != nullptr) {
-        // Traced tasks are bracketed by this worker's hardware counters
-        // (one thread_local perf group, opened once per worker thread),
-        // so cycles/instructions/LLC-miss attribution is exact per scan
-        // span. Untraced tasks skip all of it — the hot path stays one
-        // branch.
-        obs::PerfCounters& perf = obs::PerfCounters::ForCurrentThread();
-        const double span_start = task.trace->NowMs();
-        perf.Start();
-        ExecuteTask(&task, default_index);
-        task.perf = perf.Stop();
-        // Expired tasks stamp a zero-length span at pickup time — the
-        // timeline then shows where the deadline cut the scatter.
-        task.trace->StampSpan(task.span, span_start, task.trace->NowMs());
-        task.trace->StampSpanPerf(task.span, task.perf);
-      } else {
-        ExecuteTask(&task, default_index);
+      if (task.deadline != std::chrono::steady_clock::time_point::max() &&
+          task.deadline < std::chrono::steady_clock::now()) {
+        task.expired = true;
+        continue;
       }
+      *task.result = engine.Search(task.query, task.k, task.epsilon,
+                                   task.profile, /*num_threads=*/1);
     }
   });
-}
-
-}  // namespace
-
-void RunThroughputBatch(const index::TreeIndex& index,
-                        std::vector<QueryTask>* tasks, ThreadPool* pool,
-                        std::size_t num_workers) {
-  RunTasks(tasks, pool, num_workers, &index);
-}
-
-void RunTaskBatch(std::vector<QueryTask>* tasks, ThreadPool* pool,
-                  std::size_t num_workers) {
-  RunTasks(tasks, pool, num_workers, /*default_index=*/nullptr);
 }
 
 }  // namespace service

@@ -1,28 +1,21 @@
-// Cross-query batch execution (the serving layer's "throughput mode").
+// Cross-query batch execution over one tree.
 //
-// The paper's protocol parallelizes *inside* one query; under heavy
-// traffic the same cores are better spent running many queries at once,
-// each single-threaded (FAISS-style batched execution, FLASH's inter-query
-// parallelism on CPUs). This executor is the one implementation of that
-// fan-out: SearchService dispatches admitted batches through it,
-// TreeIndex::SearchKnnBatch delegates to it, and ShardedIndex scatters a
-// query across its shards as one task per shard (every task naming its
-// own index).
+// The paper's protocol parallelizes *inside* one query; a caller holding
+// a whole batch of queries up front can instead run many queries at
+// once, each single-threaded (FAISS-style batched execution, FLASH's
+// inter-query parallelism on CPUs). TreeIndex::SearchKnnBatch delegates
+// here. The serving layer does not batch: SearchService runs every
+// admitted query as its own pool task as soon as a worker is free.
 
 #ifndef SOFA_SERVICE_EXECUTOR_H_
 #define SOFA_SERVICE_EXECUTOR_H_
 
 #include <chrono>
 #include <cstddef>
-#include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "core/neighbor.h"
 #include "index/tree_index.h"
-#include "ingest/insert_buffer.h"
-#include "obs/perf_counters.h"
-#include "obs/trace.h"
 #include "util/thread_pool.h"
 
 namespace sofa {
@@ -37,59 +30,22 @@ struct QueryTask {
   index::QueryProfile* profile = nullptr;
   std::vector<Neighbor>* result = nullptr;
 
-  /// Index this task runs against. Required by RunTaskBatch; with
-  /// RunThroughputBatch a null entry falls back to the batch-wide index
-  /// (the homogeneous single-index case).
-  const index::TreeIndex* index = nullptr;
-
-  /// Insert-buffer scan unit: when `buffer` is non-null the task is an
-  /// exact flat scan of the buffer rows [buffer_start, live size)
-  /// instead of a tree search (`index` is then ignored) — the ingest
-  /// path's delta-set half of a query, load-balanced through the same
-  /// executor scatter as the tree halves. `exclude` masks tombstoned
-  /// global ids inside the scan; rows scanned land in
-  /// profile->series_ed_computed like any other real-distance work.
-  const ingest::InsertBuffer* buffer = nullptr;
-  std::size_t buffer_start = 0;
-  const std::unordered_set<std::uint32_t>* exclude = nullptr;
-
   /// Drop-dead time, re-checked when a worker picks the task up (a task
   /// can expire while earlier tasks of the same batch run). Expired
   /// tasks are skipped and flagged instead of executed.
   std::chrono::steady_clock::time_point deadline =
       std::chrono::steady_clock::time_point::max();
   bool expired = false;  // output: set by the executor
-
-  /// Optional per-query tracing: when `trace` is non-null the worker
-  /// stamps slot `span` (pre-allocated by the coordinator) with this
-  /// task's execution window. Each slot belongs to exactly one task, so
-  /// stamping never races.
-  obs::QueryTrace* trace = nullptr;
-  int span = -1;
-
-  /// Output: hardware counters of this task's execution window (traced
-  /// tasks only — untraced tasks skip sampling entirely). Also stamped
-  /// onto the trace span; the service aggregates it into the
-  /// sofa_query_stage_{cycles,instructions,llc_misses,stalled_cycles}
-  /// histograms. `perf.hardware == false` means the rdtsc fallback
-  /// (perf_event_open denied — containers, CI).
-  obs::PerfSample perf;
 };
 
-/// Answers all tasks exactly, parallel across queries: `num_workers` pool
-/// workers (0 = pool size) dynamically pull tasks and run each query
-/// single-threaded, so per-query work never nests parallel sections.
-/// Tasks without an explicit index run against `index`.
-/// Safe to call from a non-pool thread only (it blocks on the pool).
+/// Answers all tasks against `index`, parallel across queries:
+/// `num_workers` pool workers (0 = pool size) dynamically pull tasks and
+/// run each query single-threaded, so per-query work never nests parallel
+/// sections. Safe to call from a non-pool thread only (it blocks on the
+/// pool).
 void RunThroughputBatch(const index::TreeIndex& index,
                         std::vector<QueryTask>* tasks, ThreadPool* pool,
                         std::size_t num_workers = 0);
-
-/// Heterogeneous variant: every task names its own index (the shard
-/// scatter path — one query fanned into one task per shard, or a mixed
-/// batch over several generations). Same threading contract as above.
-void RunTaskBatch(std::vector<QueryTask>* tasks, ThreadPool* pool,
-                  std::size_t num_workers = 0);
 
 }  // namespace service
 }  // namespace sofa

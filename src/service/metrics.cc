@@ -35,15 +35,6 @@ MetricsCollector::MetricsCollector(obs::Registry* registry) {
       registry_->GetCounter(kRequests, {{"status", "invalid"}}, kRequestsHelp);
   swaps_ = registry_->GetCounter("sofa_service_index_swaps_total", {},
                                  "Index generations published");
-  const char* kMode = "sofa_service_mode_queries_total";
-  const char* kModeHelp = "Queries by scheduling mode";
-  latency_queries_ =
-      registry_->GetCounter(kMode, {{"mode", "latency"}}, kModeHelp);
-  throughput_queries_ =
-      registry_->GetCounter(kMode, {{"mode", "throughput"}}, kModeHelp);
-  throughput_batches_ =
-      registry_->GetCounter("sofa_service_throughput_batches_total", {},
-                            "Cross-query parallel batches dispatched");
   obs::HistogramOptions latency_options;
   latency_options.min_value = 1e-3;
   latency_options.max_value = 1e5;
@@ -107,11 +98,6 @@ void MetricsCollector::SyncDerived() {
   }
 }
 
-void MetricsCollector::RecordThroughputBatch(std::uint64_t batch_size) {
-  throughput_batches_->Add();
-  throughput_queries_->Add(batch_size);
-}
-
 void MetricsCollector::RecordCompleted(double latency_ms,
                                        const index::QueryProfile* profile,
                                        Priority priority) {
@@ -142,9 +128,6 @@ MetricsSnapshot MetricsCollector::Snapshot() const {
   for (std::size_t i = 0; i < kNumPriorities; ++i) {
     snapshot.completed_by_priority[i] = completed_by_priority_[i]->Value();
   }
-  snapshot.latency_queries = latency_queries_->Value();
-  snapshot.throughput_batches = throughput_batches_->Value();
-  snapshot.throughput_queries = throughput_queries_->Value();
   snapshot.uptime_seconds = uptime_.Seconds();
   snapshot.qps = snapshot.uptime_seconds > 0.0
                      ? static_cast<double>(snapshot.completed) /

@@ -1,6 +1,6 @@
 // Serving metrics: what a production deployment watches while the engine
 // answers traffic — admission counts, a latency histogram (p50/p95/p99),
-// QPS, scheduling-mode decisions, hot-swap count, and the merged
+// QPS, hot-swap count, and the merged
 // QueryProfile pruning counters of profiled queries.
 //
 // Since the unified observability layer (src/obs/), the collector is a
@@ -32,16 +32,12 @@ struct MetricsSnapshot {
   std::uint64_t completed = 0;   // answered queries
   std::uint64_t rejected = 0;    // bounced at admission (queue full/shutdown)
   std::uint64_t quota_rejected = 0;  // bounced at the per-tenant quota
-  std::uint64_t expired = 0;     // dropped at dispatch (deadline passed)
+  std::uint64_t expired = 0;     // dropped at start (deadline passed)
   std::uint64_t invalid = 0;     // malformed (query length mismatch)
   std::uint64_t swaps = 0;       // index generations published
 
   /// Completed queries per admission priority class (index = Priority).
   std::uint64_t completed_by_priority[kNumPriorities] = {0, 0, 0};
-
-  std::uint64_t latency_queries = 0;     // ran with intra-query parallelism
-  std::uint64_t throughput_batches = 0;  // cross-query parallel batches
-  std::uint64_t throughput_queries = 0;  // queries inside those batches
 
   double uptime_seconds = 0.0;
   double qps = 0.0;  // completed / uptime
@@ -57,7 +53,7 @@ struct MetricsSnapshot {
 };
 
 /// Thread-safe aggregation; Record* calls are cheap enough for the
-/// dispatch/completion path (lock-free registry instruments; only the
+/// query completion path (lock-free registry instruments; only the
 /// optional profile merge takes a mutex).
 class MetricsCollector {
  public:
@@ -76,8 +72,6 @@ class MetricsCollector {
   void RecordExpired() { expired_->Add(); }
   void RecordInvalid() { invalid_->Add(); }
   void RecordSwap() { swaps_->Add(); }
-  void RecordLatencyModeQuery() { latency_queries_->Add(); }
-  void RecordThroughputBatch(std::uint64_t batch_size);
 
   /// One answered query: end-to-end latency (overall + per its priority
   /// class) plus (optionally) its merged work counters.
@@ -104,9 +98,6 @@ class MetricsCollector {
   obs::Counter* expired_;
   obs::Counter* invalid_;
   obs::Counter* swaps_;
-  obs::Counter* latency_queries_;
-  obs::Counter* throughput_batches_;
-  obs::Counter* throughput_queries_;
   obs::Histogram* latency_ms_;  // 1 µs .. 100 s
   // Per admission priority class: completion count + latency histogram
   // (labeled {priority="interactive"|"batch"|"background"}).

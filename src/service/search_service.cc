@@ -1,71 +1,21 @@
 #include "service/search_service.h"
 
 #include <algorithm>
-#include <atomic>
 #include <unordered_set>
 #include <utility>
 
 #include "index/query_engine.h"
-#include "service/executor.h"
+#include "obs/perf_counters.h"
 #include "util/check.h"
 
 namespace sofa {
 namespace service {
 namespace {
 
-// The insert-buffer scan half of an ingesting query runs as executor
-// tasks alongside the tree scatter (one task per non-null buffer), so
-// the delta-set work is load-balanced across the same workers instead of
-// serializing on the dispatcher thread. These helpers size and fill the
-// buffer-task block appended after a query's tree-task block.
-std::size_t BufferTaskCount(const IndexSnapshot& snapshot) {
-  if (!snapshot.is_ingesting()) {
-    return 0;
-  }
-  std::size_t count = 0;
-  for (const auto& buffer : snapshot.buffers->buffers) {
-    if (buffer != nullptr) {
-      ++count;
-    }
-  }
-  return count;
-}
-
-// Fills `tasks[at...]` with one scan task per non-null buffer; each
-// task's result/profile slot comes from the parallel arrays at the same
-// offset. Returns one past the last filled slot.
-std::size_t FillBufferTasks(
-    const IndexSnapshot& snapshot, const SearchRequest& request,
-    const std::unordered_set<std::uint32_t>* exclude, bool with_deadline,
-    std::vector<QueryTask>* tasks, std::size_t at,
-    std::vector<std::vector<Neighbor>>* results,
-    std::vector<index::QueryProfile>* profiles) {
-  const ShardBuffers& buffers = *snapshot.buffers;
-  for (std::size_t s = 0; s < buffers.buffers.size(); ++s) {
-    if (buffers.buffers[s] == nullptr) {
-      continue;
-    }
-    QueryTask& task = (*tasks)[at];
-    task.query = request.query.data();
-    task.k = request.k;
-    if (with_deadline) {
-      task.deadline = request.deadline;
-    }
-    task.buffer = buffers.buffers[s].get();
-    task.buffer_start = buffers.start[s];
-    task.exclude = exclude;
-    task.result = &(*results)[at];
-    task.profile =
-        request.collect_profile ? &(*profiles)[at] : nullptr;
-    ++at;
-  }
-  return at;
-}
-
-// One consistent tombstone snapshot for a query (or a whole batch): the
-// live set can grow concurrently, and tree scatter + buffer scan + merge
-// must all filter the same ids. Null when the generation has no delete
-// path or nothing is tombstoned — the fast path skips all filtering.
+// One consistent tombstone snapshot for a query: the live set can grow
+// concurrently, and the tree and buffer scans must mask the same ids.
+// Null when the generation has no delete path or nothing is tombstoned —
+// the fast path skips all masking.
 std::shared_ptr<const std::unordered_set<std::uint32_t>> TombstoneViewOf(
     const IndexSnapshot& snapshot) {
   if (!snapshot.is_ingesting() || snapshot.buffers->tombstones == nullptr) {
@@ -78,35 +28,54 @@ std::shared_ptr<const std::unordered_set<std::uint32_t>> TombstoneViewOf(
   return view;
 }
 
-// Per-shard widening for the tree searches of a query whose filter view
-// is non-empty: a deleted row still inside shard s's tree can displace
-// at most one live candidate from shard s's own list, so each shard
-// over-fetches by the tombstones routed to it, not by the global count.
-// Must be sampled AFTER TombstoneViewOf (see ShardBuffers); falls back
-// to the global view size when the snapshot carries no counts.
-std::vector<std::size_t> ShardKExtra(
-    const IndexSnapshot& snapshot,
-    const std::unordered_set<std::uint32_t>& view) {
-  const std::size_t num_shards = snapshot.sharded->num_shards();
-  std::vector<std::size_t> extra(num_shards, view.size());
-  const auto& counts = snapshot.buffers->tombstone_shard_counts;
-  if (counts != nullptr && counts->size() == num_shards) {
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      extra[s] = (*counts)[s].load(std::memory_order_relaxed);
-    }
-  }
-  return extra;
-}
-
 // Span names used by this TU and matched by pointer in StageHistogram —
-// every span is begun/allocated with one of these arrays, so identity
-// comparison is exact and free.
+// every span is begun with one of these arrays, so identity comparison
+// is exact and free.
 constexpr char kSpanAdmission[] = "admission";
-constexpr char kSpanScatter[] = "scatter";
-constexpr char kSpanShardScan[] = "shard_scan";
-constexpr char kSpanBufferScan[] = "buffer_scan";
-constexpr char kSpanMerge[] = "merge";
 constexpr char kSpanSearch[] = "search";
+constexpr char kSpanBufferScan[] = "buffer_scan";
+
+// One query over a whole generation: one single-threaded engine search
+// over its tree(s) and, when the generation is ingesting, its live insert
+// buffers scanned into the same result set. The query's tombstone view
+// is masked inside both scans, so the engine's answer is final.
+std::vector<Neighbor> SearchGeneration(const IndexSnapshot& snapshot,
+                                       const SearchRequest& request,
+                                       index::QueryProfile* profile,
+                                       obs::QueryTrace* trace,
+                                       int search_span) {
+  const auto tombstones = TombstoneViewOf(snapshot);
+  index::FlatScan buffer_scan;
+  if (snapshot.is_ingesting()) {
+    buffer_scan = [&](index::ResultSet* results,
+                      index::QueryProfile* scan_profile) {
+      const int span = trace != nullptr
+                           ? trace->BeginSpan(kSpanBufferScan, search_span)
+                           : -1;
+      const ShardBuffers& buffers = *snapshot.buffers;
+      ingest::InsertBuffer::ScanStats stats;
+      for (std::size_t s = 0; s < buffers.buffers.size(); ++s) {
+        if (buffers.buffers[s] != nullptr) {
+          buffers.buffers[s]->Scan(request.query.data(), buffers.start[s],
+                                   tombstones.get(), results, &stats);
+        }
+      }
+      scan_profile->series_ed_computed += stats.ed_computed;
+      scan_profile->rowq_checked += stats.rowq_checked;
+      scan_profile->rowq_pruned += stats.rowq_pruned;
+      scan_profile->candidates_filtered += stats.masked;
+      if (trace != nullptr) {
+        trace->EndSpan(span);
+      }
+    };
+  }
+  const index::QueryEngine engine =
+      snapshot.is_sharded() ? index::QueryEngine(&snapshot.sharded->parts())
+                            : index::QueryEngine(snapshot.tree);
+  return engine.Search(request.query.data(), request.k, request.epsilon,
+                       profile, /*num_threads=*/1, tombstones.get(),
+                       buffer_scan);
+}
 
 }  // namespace
 
@@ -123,6 +92,8 @@ SearchService::SearchService(std::shared_ptr<const IndexSnapshot> snapshot,
   if (config_.max_batch == 0) {
     config_.max_batch = 1;
   }
+  max_running_ =
+      config_.num_threads == 0 ? pool_->size() : config_.num_threads;
   obs::Registry* registry = metrics_.registry();
   traces_total_ = registry->GetCounter("sofa_query_traces_total", {},
                                        "Queries that carried a trace");
@@ -133,48 +104,31 @@ SearchService::SearchService(std::shared_ptr<const IndexSnapshot> snapshot,
   const char* kStageHelp = "Per-stage time of traced queries (ms)";
   const obs::HistogramOptions stage_options;  // 1 µs .. 100 s
   stage_admission_ = registry->GetHistogram(
-      kStage, stage_options, {{"stage", "admission"}}, kStageHelp);
-  stage_scatter_ = registry->GetHistogram(
-      kStage, stage_options, {{"stage", "scatter"}}, kStageHelp);
-  stage_shard_scan_ = registry->GetHistogram(
-      kStage, stage_options, {{"stage", "shard_scan"}}, kStageHelp);
-  stage_buffer_scan_ = registry->GetHistogram(
-      kStage, stage_options, {{"stage", "buffer_scan"}}, kStageHelp);
-  stage_merge_ = registry->GetHistogram(
-      kStage, stage_options, {{"stage", "merge"}}, kStageHelp);
+      kStage, stage_options, {{"stage", kSpanAdmission}}, kStageHelp);
   stage_search_ = registry->GetHistogram(
-      kStage, stage_options, {{"stage", "search"}}, kStageHelp);
-  // Hardware-counter attribution of the executor-run stages. Counts per
-  // scan span range from a handful (tiny buffers) to billions of cycles,
-  // hence the wide geometry.
+      kStage, stage_options, {{"stage", kSpanSearch}}, kStageHelp);
+  stage_buffer_scan_ = registry->GetHistogram(
+      kStage, stage_options, {{"stage", kSpanBufferScan}}, kStageHelp);
+  // Hardware-counter attribution of the search stage. Counts per search
+  // range from a handful to billions of cycles, hence the wide geometry.
   obs::HistogramOptions perf_options;
   perf_options.min_value = 1.0;
   perf_options.max_value = 1e12;
   perf_options.buckets_per_decade = 5;
-  struct {
-    StagePerfHistograms* slot;
-    const char* stage;
-  } const perf_stages[] = {{&perf_shard_scan_, "shard_scan"},
-                           {&perf_buffer_scan_, "buffer_scan"},
-                           {&perf_search_, "search"}};
-  for (const auto& entry : perf_stages) {
-    entry.slot->cycles = registry->GetHistogram(
-        "sofa_query_stage_cycles", perf_options, {{"stage", entry.stage}},
-        "CPU cycles per traced stage execution (rdtsc fallback when "
-        "perf_event_open is unavailable)");
-    entry.slot->instructions = registry->GetHistogram(
-        "sofa_query_stage_instructions", perf_options,
-        {{"stage", entry.stage}},
-        "Retired instructions per traced stage execution");
-    entry.slot->llc_misses = registry->GetHistogram(
-        "sofa_query_stage_llc_misses", perf_options, {{"stage", entry.stage}},
-        "Last-level-cache misses per traced stage execution");
-    entry.slot->stalled_cycles = registry->GetHistogram(
-        "sofa_query_stage_stalled_cycles", perf_options,
-        {{"stage", entry.stage}},
-        "Backend-stalled cycles per traced stage execution");
-  }
-  dispatcher_ = std::thread([this] { DispatcherLoop(); });
+  const obs::Labels perf_labels = {{"stage", kSpanSearch}};
+  perf_cycles_ = registry->GetHistogram(
+      "sofa_query_stage_cycles", perf_options, perf_labels,
+      "CPU cycles per traced stage execution (rdtsc fallback when "
+      "perf_event_open is unavailable)");
+  perf_instructions_ = registry->GetHistogram(
+      "sofa_query_stage_instructions", perf_options, perf_labels,
+      "Retired instructions per traced stage execution");
+  perf_llc_misses_ = registry->GetHistogram(
+      "sofa_query_stage_llc_misses", perf_options, perf_labels,
+      "Last-level-cache misses per traced stage execution");
+  perf_stalled_cycles_ = registry->GetHistogram(
+      "sofa_query_stage_stalled_cycles", perf_options, perf_labels,
+      "Backend-stalled cycles per traced stage execution");
 }
 
 SearchService::~SearchService() { Shutdown(); }
@@ -214,6 +168,7 @@ std::future<SearchResponse> SearchService::Submit(SearchRequest request) {
   }
   std::future<SearchResponse> future = pending.promise.get_future();
   RequestStatus shed = RequestStatus::kOk;
+  std::vector<std::shared_ptr<PendingRequest>> started;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_) {
@@ -235,9 +190,12 @@ std::future<SearchResponse> SearchService::Submit(SearchRequest request) {
           std::min(static_cast<std::size_t>(pending.request.priority),
                    kNumPriorities - 1);
       queues_[cls].push_back(std::move(pending));
-      work_cv_.notify_one();
-      return future;
+      StartQueriesLocked(&started);
     }
+  }
+  if (shed == RequestStatus::kOk) {
+    Launch(std::move(started));
+    return future;
   }
   // Shed without running: stopped, admission queue full, or the tenant's
   // in-flight quota is spent.
@@ -286,25 +244,23 @@ void SearchService::Pause() {
 }
 
 void SearchService::Resume() {
+  std::vector<std::shared_ptr<PendingRequest>> started;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     paused_ = false;
+    StartQueriesLocked(&started);
   }
-  work_cv_.notify_all();
+  Launch(std::move(started));
 }
 
 void SearchService::Drain() {
   std::unique_lock<std::mutex> lock(mutex_);
   drain_cv_.wait(lock, [this] {
-    return stopping_ || (QueuedCountLocked() == 0 && !executing_);
+    return running_ == 0 && (stopping_ || QueuedCountLocked() == 0);
   });
 }
 
 void SearchService::Shutdown() {
-  // Serialized: a second caller (e.g. the destructor racing an explicit
-  // Shutdown) blocks here until the first has joined the dispatcher, so
-  // nobody returns while the dispatcher thread is still alive.
-  std::lock_guard<std::mutex> shutdown_lock(shutdown_mutex_);
   std::deque<PendingRequest> drained;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -317,7 +273,6 @@ void SearchService::Shutdown() {
       queues_[cls].clear();
     }
   }
-  work_cv_.notify_all();
   drain_cv_.notify_all();
   for (PendingRequest& pending : drained) {
     SearchResponse response;
@@ -326,9 +281,10 @@ void SearchService::Shutdown() {
     metrics_.RecordRejected();
     pending.promise.set_value(std::move(response));
   }
-  if (dispatcher_.joinable()) {
-    dispatcher_.join();
-  }
+  // Executing queries finish on the pool; they touch this object until
+  // they release their slot, so wait for the last one.
+  std::unique_lock<std::mutex> lock(mutex_);
+  drain_cv_.wait(lock, [this] { return running_ == 0; });
 }
 
 MetricsSnapshot SearchService::Metrics() const { return metrics_.Snapshot(); }
@@ -356,303 +312,143 @@ void SearchService::ReleaseTenantLocked(const std::string& tenant) {
   }
 }
 
-// Pops up to max_batch requests in strict priority order — except for a
-// small per-round reserve granted to waiting lower classes, so a steady
-// interactive flood cannot starve batch/background forever. The batch
-// comes out interactive-first, which also makes latency-mode execution
-// (sequential within the batch) serve interactive requests first.
-void SearchService::FillBatchLocked(std::vector<PendingRequest>* batch) {
-  const std::size_t max_batch = config_.max_batch;
-  const std::size_t reserve_cap =
-      config_.priority_reserve != 0
-          ? config_.priority_reserve
-          : std::max<std::size_t>(1, max_batch / 8);
-  const std::size_t lower_waiting = queues_[1].size() + queues_[2].size();
-  std::size_t reserved = std::min(reserve_cap, lower_waiting);
-  if (!queues_[0].empty()) {
-    // Never let the reserve consume the whole round while interactive
-    // work waits.
-    reserved = std::min(reserved, max_batch > 1 ? max_batch - 1 : 0);
-  }
-  // Strict priority for the unreserved budget; leftover budget (e.g. a
-  // short interactive queue) spills down to the lower classes naturally.
-  std::size_t budget = max_batch - reserved;
-  for (std::size_t cls = 0; cls < kNumPriorities; ++cls) {
-    while (budget > 0 && !queues_[cls].empty()) {
-      batch->push_back(std::move(queues_[cls].front()));
-      queues_[cls].pop_front();
-      --budget;
-    }
-  }
-  // The reserved slots go to whatever lower-class work is still waiting,
-  // batch before background.
-  budget += reserved;
-  for (std::size_t cls = 1; cls < kNumPriorities; ++cls) {
-    while (budget > 0 && !queues_[cls].empty()) {
-      batch->push_back(std::move(queues_[cls].front()));
-      queues_[cls].pop_front();
-      --budget;
-    }
-  }
-}
-
-void SearchService::DispatcherLoop() {
+// Strict priority order — except for a small reserve of every round of
+// max_batch starts, granted to waiting lower classes (batch before
+// background), so a steady interactive flood cannot starve them forever.
+// The reserved slots come last in a round, and never take the whole
+// round while interactive work waits.
+SearchService::PendingRequest SearchService::PopNextLocked() {
+  const auto pop = [this](std::size_t cls) {
+    PendingRequest next = std::move(queues_[cls].front());
+    queues_[cls].pop_front();
+    --round_left_;
+    return next;
+  };
   while (true) {
-    std::vector<PendingRequest> batch;
-    std::shared_ptr<const IndexSnapshot> snapshot;
-    std::uint64_t version = 0;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_cv_.wait(lock, [this] {
-        return stopping_ || (!paused_ && QueuedCountLocked() > 0);
-      });
-      if (stopping_) {
-        return;  // Shutdown() fails whatever is still queued
+    if (round_left_ == 0) {
+      const std::size_t max_batch = config_.max_batch;
+      const std::size_t reserve_cap =
+          config_.priority_reserve != 0
+              ? config_.priority_reserve
+              : std::max<std::size_t>(1, max_batch / 8);
+      round_reserved_ =
+          std::min(reserve_cap, queues_[1].size() + queues_[2].size());
+      if (!queues_[0].empty()) {
+        round_reserved_ = std::min(round_reserved_, max_batch - 1);
       }
-      batch.reserve(std::min(QueuedCountLocked(), config_.max_batch));
-      FillBatchLocked(&batch);
-      snapshot = snapshot_;  // the generation this whole batch runs against
-      version = version_;
-      executing_ = true;
+      round_left_ = max_batch;
     }
-    ExecuteBatch(&batch, *snapshot, version);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      executing_ = false;
-      if (QueuedCountLocked() == 0) {
-        drain_cv_.notify_all();
+    if (round_left_ > round_reserved_) {
+      for (std::size_t cls = 0; cls < kNumPriorities; ++cls) {
+        if (!queues_[cls].empty()) {
+          return pop(cls);
+        }
+      }
+    } else {
+      for (std::size_t cls = 1; cls < kNumPriorities; ++cls) {
+        if (!queues_[cls].empty()) {
+          --round_reserved_;
+          return pop(cls);
+        }
       }
     }
+    round_left_ = 0;  // only reserved slots left and no lower class waits
   }
 }
 
-void SearchService::ExecuteBatch(std::vector<PendingRequest>* batch,
-                                 const IndexSnapshot& snapshot,
-                                 std::uint64_t version) {
-  const std::size_t series_length = snapshot.series_length();
-  const auto now = std::chrono::steady_clock::now();
-
-  // Admission-time bookkeeping per request; expired/malformed requests are
-  // answered without touching the engine.
-  std::vector<SearchResponse> responses(batch->size());
-  std::vector<std::size_t> runnable;
-  runnable.reserve(batch->size());
-  for (std::size_t i = 0; i < batch->size(); ++i) {
-    const SearchRequest& request = (*batch)[i].request;
-    responses[i].index_version = version;
-    if ((*batch)[i].trace != nullptr) {
-      // Queue wait ends when the batch picks the request up.
-      (*batch)[i].trace->EndSpan((*batch)[i].admission_span);
-    }
-    if (request.deadline < now) {
-      responses[i].status = RequestStatus::kDeadlineExpired;
-      metrics_.RecordExpired();
-    } else if (request.query.size() != series_length) {
-      responses[i].status = RequestStatus::kInvalidArgument;
-      metrics_.RecordInvalid();
-    } else {
-      runnable.push_back(i);
-    }
+void SearchService::StartQueriesLocked(
+    std::vector<std::shared_ptr<PendingRequest>>* started) {
+  if (paused_ || stopping_) {
+    return;
   }
-
-  if (!runnable.empty()) {
-    const bool latency_mode = runnable.size() <= config_.latency_mode_threshold;
-    if (latency_mode) {
-      // One tombstone snapshot for the whole batch (every request here
-      // was submitted before the batch started, so batch-time visibility
-      // satisfies the delete contract) — recomputing per request would
-      // copy the set once per query under concurrent deletes.
-      std::shared_ptr<const std::unordered_set<std::uint32_t>> tombstones;
-      std::vector<std::size_t> k_extra;
-      if (snapshot.is_sharded()) {
-        tombstones = TombstoneViewOf(snapshot);
-        if (tombstones != nullptr) {
-          k_extra = ShardKExtra(snapshot, *tombstones);
-        }
-      }
-      for (const std::size_t i : runnable) {
-        const SearchRequest& request = (*batch)[i].request;
-        // A request can expire while the queries before it in this batch
-        // run; re-check right before execution.
-        if (request.deadline < std::chrono::steady_clock::now()) {
-          responses[i].status = RequestStatus::kDeadlineExpired;
-          metrics_.RecordExpired();
-          continue;
-        }
-        metrics_.RecordLatencyModeQuery();
-        obs::QueryTrace* trace = (*batch)[i].trace.get();
-        // Traced queries always collect work counters — the trace
-        // attaches them — so the profile lands in the response either way.
-        index::QueryProfile* profile = request.collect_profile ||
-                                               trace != nullptr
-                                           ? &responses[i].profile
-                                           : nullptr;
-        if (snapshot.is_sharded()) {
-          // Intra-query parallelism of a sharded generation = one worker
-          // per shard task plus one per insert-buffer scan when the
-          // generation is ingesting — the whole query fans through a
-          // single executor batch and gathers in the exact merge.
-          // Scatter on the service's pool, not the pool the index was
-          // built with (which may be a short-lived builder pool).
-          const shard::ShardedIndex& sharded = *snapshot.sharded;
-          const std::size_t num_shards = sharded.num_shards();
-          const std::size_t buffer_tasks = BufferTaskCount(snapshot);
-          const std::size_t total_tasks = num_shards + buffer_tasks;
-          std::vector<std::vector<Neighbor>> results(total_tasks);
-          std::vector<index::QueryProfile> profiles(
-              profile != nullptr ? total_tasks : 0);
-          std::vector<QueryTask> tasks(total_tasks);
-          const int scatter_span =
-              trace != nullptr ? trace->BeginSpan(kSpanScatter) : -1;
-          for (std::size_t s = 0; s < num_shards; ++s) {
-            QueryTask& task = tasks[s];
-            task.index = sharded.shard(s).tree.get();
-            task.query = request.query.data();
-            task.k = request.k + (k_extra.empty() ? 0 : k_extra[s]);
-            task.epsilon = request.epsilon;
-            task.result = &results[s];
-            task.profile = profile != nullptr ? &profiles[s] : nullptr;
-            if (trace != nullptr) {
-              task.trace = trace;
-              task.span = trace->AllocateSpan(kSpanShardScan, scatter_span);
-            }
-          }
-          if (buffer_tasks > 0) {
-            FillBufferTasks(snapshot, request, tombstones.get(),
-                            /*with_deadline=*/false, &tasks, num_shards,
-                            &results, &profiles);
-            if (trace != nullptr) {
-              for (std::size_t t = num_shards; t < total_tasks; ++t) {
-                tasks[t].trace = trace;
-                tasks[t].span =
-                    trace->AllocateSpan(kSpanBufferScan, scatter_span);
-                // FillBufferTasks only wires profiles for collect_profile
-                // requests; traced queries want the buffer work counted
-                // too.
-                if (tasks[t].profile == nullptr) {
-                  tasks[t].profile = &profiles[t];
-                }
-              }
-            }
-          }
-          RunTaskBatch(&tasks, pool_, config_.num_threads);
-          if (trace != nullptr) {
-            trace->EndSpan(scatter_span);
-          }
-          if (profile != nullptr) {
-            for (const index::QueryProfile& task_profile : profiles) {
-              profile->Merge(task_profile);
-            }
-          }
-          std::vector<std::vector<Neighbor>> per_shard(
-              std::make_move_iterator(results.begin()),
-              std::make_move_iterator(
-                  results.begin() + static_cast<std::ptrdiff_t>(num_shards)));
-          std::vector<std::vector<Neighbor>> extras;
-          for (std::size_t t = num_shards; t < total_tasks; ++t) {
-            if (!results[t].empty()) {
-              extras.push_back(std::move(results[t]));
-            }
-          }
-          std::uint64_t filtered = 0;
-          const int merge_span =
-              trace != nullptr ? trace->BeginSpan(kSpanMerge) : -1;
-          responses[i].neighbors = sharded.MergeTopK(
-              per_shard, request.k, std::move(extras), tombstones.get(),
-              &filtered);
-          if (trace != nullptr) {
-            trace->EndSpan(merge_span);
-          }
-          if (profile != nullptr) {
-            profile->candidates_filtered += filtered;
-          }
-        } else {
-          const int search_span =
-              trace != nullptr ? trace->BeginSpan(kSpanSearch) : -1;
-          const index::QueryEngine engine(snapshot.tree);
-          responses[i].neighbors =
-              engine.Search(request.query.data(), request.k, request.epsilon,
-                            profile, config_.num_threads);
-          if (trace != nullptr) {
-            trace->EndSpan(search_span);
-          }
-        }
-      }
-    } else if (snapshot.is_sharded()) {
-      ExecuteShardedThroughput(snapshot, batch, runnable, &responses);
-    } else {
-      std::vector<QueryTask> tasks(runnable.size());
-      for (std::size_t t = 0; t < runnable.size(); ++t) {
-        const std::size_t i = runnable[t];
-        const SearchRequest& request = (*batch)[i].request;
-        obs::QueryTrace* trace = (*batch)[i].trace.get();
-        tasks[t].query = request.query.data();
-        tasks[t].k = request.k;
-        tasks[t].epsilon = request.epsilon;
-        tasks[t].deadline = request.deadline;
-        tasks[t].profile = request.collect_profile || trace != nullptr
-                               ? &responses[i].profile
-                               : nullptr;
-        tasks[t].result = &responses[i].neighbors;
-        if (trace != nullptr) {
-          tasks[t].trace = trace;
-          tasks[t].span = trace->AllocateSpan(kSpanSearch);
-        }
-      }
-      RunThroughputBatch(*snapshot.tree, &tasks, pool_, config_.num_threads);
-      metrics_.RecordThroughputBatch(runnable.size());
-      for (std::size_t t = 0; t < runnable.size(); ++t) {
-        if (tasks[t].expired) {
-          responses[runnable[t]].status = RequestStatus::kDeadlineExpired;
-          metrics_.RecordExpired();
-        }
-      }
-    }
+  while (running_ < max_running_ && QueuedCountLocked() > 0) {
+    auto pending = std::make_shared<PendingRequest>(PopNextLocked());
+    pending->snapshot = snapshot_;  // the generation this query runs on
+    pending->version = version_;
+    ++running_;
+    started->push_back(std::move(pending));
   }
-
-  FinishBatch(batch, &responses);
 }
 
-void SearchService::FinishBatch(std::vector<PendingRequest>* batch,
-                                std::vector<SearchResponse>* responses) {
+void SearchService::Launch(
+    std::vector<std::shared_ptr<PendingRequest>> started) {
+  for (std::shared_ptr<PendingRequest>& pending : started) {
+    pool_->Submit([this, pending] { RunQuery(pending.get()); });
+  }
+}
+
+void SearchService::RunQuery(PendingRequest* pending) {
+  const SearchRequest& request = pending->request;
+  obs::QueryTrace* trace = pending->trace.get();
+  if (trace != nullptr) {
+    trace->EndSpan(pending->admission_span);  // the wait ends here
+  }
+  SearchResponse response;
+  response.index_version = pending->version;
+  if (request.deadline < std::chrono::steady_clock::now()) {
+    response.status = RequestStatus::kDeadlineExpired;
+    metrics_.RecordExpired();
+  } else if (request.query.size() != pending->snapshot->series_length()) {
+    response.status = RequestStatus::kInvalidArgument;
+    metrics_.RecordInvalid();
+  } else if (trace == nullptr) {
+    response.neighbors = SearchGeneration(
+        *pending->snapshot, request,
+        request.collect_profile ? &response.profile : nullptr, nullptr, -1);
+  } else {
+    // A traced query always collects work counters (the trace attaches
+    // them) and runs under this worker's hardware counters (one
+    // thread_local perf group per worker), so the search span carries
+    // exact cycle/instruction/LLC-miss attribution.
+    obs::PerfCounters& perf = obs::PerfCounters::ForCurrentThread();
+    const int search_span = trace->BeginSpan(kSpanSearch);
+    perf.Start();
+    response.neighbors = SearchGeneration(*pending->snapshot, request,
+                                          &response.profile, trace,
+                                          search_span);
+    const obs::PerfSample sample = perf.Stop();
+    trace->EndSpan(search_span);
+    trace->StampSpanPerf(search_span, sample);
+  }
+  pending->snapshot.reset();  // let a retired generation go promptly
+
+  response.latency_ms = ElapsedMs(pending->submit_time);
+  if (response.status == RequestStatus::kOk) {
+    metrics_.RecordCompleted(
+        response.latency_ms,
+        request.collect_profile ? &response.profile : nullptr,
+        request.priority);
+  }
+  if (trace != nullptr) {
+    FinishTrace(pending, &response);
+  }
   if (config_.tenant_max_in_flight > 0) {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (PendingRequest& pending : *batch) {
-      ReleaseTenantLocked(pending.request.tenant);
+    ReleaseTenantLocked(request.tenant);
+  }
+  pending->promise.set_value(std::move(response));
+
+  // Free the slot and start what waits. Until running_ drops, Shutdown()
+  // keeps this object alive; queries started here hold slots of their
+  // own.
+  std::vector<std::shared_ptr<PendingRequest>> started;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    --running_;
+    StartQueriesLocked(&started);
+    if (running_ == 0) {
+      drain_cv_.notify_all();
     }
   }
-  for (std::size_t i = 0; i < batch->size(); ++i) {
-    PendingRequest& pending = (*batch)[i];
-    SearchResponse& response = (*responses)[i];
-    response.latency_ms = ElapsedMs(pending.submit_time);
-    if (response.status == RequestStatus::kOk) {
-      metrics_.RecordCompleted(
-          response.latency_ms,
-          pending.request.collect_profile ? &response.profile : nullptr,
-          pending.request.priority);
-    }
-    if (pending.trace != nullptr) {
-      FinishTrace(&pending, &response);
-    }
-    pending.promise.set_value(std::move(response));
+  if (!started.empty()) {
+    Launch(std::move(started));
   }
 }
 
 obs::Histogram* SearchService::StageHistogram(const char* span_name) {
   if (span_name == kSpanAdmission) return stage_admission_;
-  if (span_name == kSpanScatter) return stage_scatter_;
-  if (span_name == kSpanShardScan) return stage_shard_scan_;
-  if (span_name == kSpanBufferScan) return stage_buffer_scan_;
-  if (span_name == kSpanMerge) return stage_merge_;
   if (span_name == kSpanSearch) return stage_search_;
-  return nullptr;
-}
-
-const SearchService::StagePerfHistograms* SearchService::StagePerf(
-    const char* span_name) const {
-  if (span_name == kSpanShardScan) return &perf_shard_scan_;
-  if (span_name == kSpanBufferScan) return &perf_buffer_scan_;
-  if (span_name == kSpanSearch) return &perf_search_;
+  if (span_name == kSpanBufferScan) return stage_buffer_scan_;
   return nullptr;
 }
 
@@ -680,20 +476,17 @@ void SearchService::FinishTrace(PendingRequest* pending,
     if (histogram != nullptr) {
       histogram->Record(std::max(0.0, span.end_ms - span.start_ms));
     }
-    if (span.perf.Any()) {
-      const StagePerfHistograms* perf = StagePerf(span.name);
-      if (perf != nullptr) {
-        // Fallback samples (hardware == false) carry a meaningful tsc
-        // cycle delta but zeros elsewhere — the zeros stay out of the
-        // instruction/cache histograms so they never skew percentiles.
-        perf->cycles->Record(static_cast<double>(span.perf.cycles));
-        if (span.perf.hardware) {
-          perf->instructions->Record(
-              static_cast<double>(span.perf.instructions));
-          perf->llc_misses->Record(static_cast<double>(span.perf.llc_misses));
-          perf->stalled_cycles->Record(
-              static_cast<double>(span.perf.stalled_cycles));
-        }
+    if (span.name == kSpanSearch && span.perf.Any()) {
+      // Fallback samples (hardware == false) carry a meaningful tsc
+      // cycle delta but zeros elsewhere — the zeros stay out of the
+      // instruction/cache histograms so they never skew percentiles.
+      perf_cycles_->Record(static_cast<double>(span.perf.cycles));
+      if (span.perf.hardware) {
+        perf_instructions_->Record(
+            static_cast<double>(span.perf.instructions));
+        perf_llc_misses_->Record(static_cast<double>(span.perf.llc_misses));
+        perf_stalled_cycles_->Record(
+            static_cast<double>(span.perf.stalled_cycles));
       }
     }
   }
@@ -705,137 +498,6 @@ void SearchService::FinishTrace(PendingRequest* pending,
   if (pending->request.collect_trace) {
     response->trace =
         std::make_shared<const obs::TraceRecord>(std::move(record));
-  }
-}
-
-// Throughput mode over a sharded generation: the whole batch flattens to
-// (query × shard) single-threaded tasks — plus one (query × buffer) scan
-// task per non-null insert buffer when the generation is ingesting — so
-// the executor load-balances the scatter of all queries at once; then
-// each query's per-shard heaps and buffer answers are gathered into its
-// exact global top-k.
-void SearchService::ExecuteShardedThroughput(
-    const IndexSnapshot& snapshot, std::vector<PendingRequest>* batch,
-    const std::vector<std::size_t>& runnable,
-    std::vector<SearchResponse>* responses) {
-  const shard::ShardedIndex& sharded = *snapshot.sharded;
-  const std::size_t num_shards = sharded.num_shards();
-  // One tombstone snapshot for the whole batch (it runs against one
-  // generation); each shard task over-fetches by that shard's resident
-  // tombstone count so the per-query merges can filter without losing
-  // live candidates.
-  const auto tombstones = TombstoneViewOf(snapshot);
-  std::vector<std::size_t> k_extra;
-  if (tombstones != nullptr) {
-    k_extra = ShardKExtra(snapshot, *tombstones);
-  }
-  // Task layout: the (query × shard) tree block first, then one
-  // per-query buffer block — every slot of `results`/`profiles` lines up
-  // with its task index.
-  const std::size_t tree_tasks = runnable.size() * num_shards;
-  const std::size_t buffer_tasks = BufferTaskCount(snapshot);
-  const std::size_t total_tasks =
-      tree_tasks + runnable.size() * buffer_tasks;
-  std::vector<std::vector<Neighbor>> results(total_tasks);
-  std::vector<index::QueryProfile> profiles(total_tasks);
-  std::vector<QueryTask> tasks(total_tasks);
-  // One scatter span per traced query: it brackets the shared executor
-  // run, inside which the per-task shard/buffer spans get stamped.
-  std::vector<int> scatter_spans(runnable.size(), -1);
-  for (std::size_t q = 0; q < runnable.size(); ++q) {
-    const SearchRequest& request = (*batch)[runnable[q]].request;
-    obs::QueryTrace* trace = (*batch)[runnable[q]].trace.get();
-    const bool want_profile = request.collect_profile || trace != nullptr;
-    if (trace != nullptr) {
-      scatter_spans[q] = trace->BeginSpan(kSpanScatter);
-    }
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      QueryTask& task = tasks[q * num_shards + s];
-      task.index = sharded.shard(s).tree.get();
-      task.query = request.query.data();
-      task.k = request.k + (k_extra.empty() ? 0 : k_extra[s]);
-      task.epsilon = request.epsilon;
-      task.deadline = request.deadline;
-      task.result = &results[q * num_shards + s];
-      task.profile =
-          want_profile ? &profiles[q * num_shards + s] : nullptr;
-      if (trace != nullptr) {
-        task.trace = trace;
-        task.span = trace->AllocateSpan(kSpanShardScan, scatter_spans[q]);
-      }
-    }
-    if (buffer_tasks > 0) {
-      FillBufferTasks(snapshot, request, tombstones.get(),
-                      /*with_deadline=*/true, &tasks,
-                      tree_tasks + q * buffer_tasks, &results, &profiles);
-      if (trace != nullptr) {
-        for (std::size_t b = 0; b < buffer_tasks; ++b) {
-          QueryTask& task = tasks[tree_tasks + q * buffer_tasks + b];
-          task.trace = trace;
-          task.span = trace->AllocateSpan(kSpanBufferScan, scatter_spans[q]);
-          if (task.profile == nullptr) {
-            task.profile = &profiles[tree_tasks + q * buffer_tasks + b];
-          }
-        }
-      }
-    }
-  }
-  RunTaskBatch(&tasks, pool_, config_.num_threads);
-  for (std::size_t q = 0; q < runnable.size(); ++q) {
-    if ((*batch)[runnable[q]].trace != nullptr) {
-      (*batch)[runnable[q]].trace->EndSpan(scatter_spans[q]);
-    }
-  }
-  metrics_.RecordThroughputBatch(runnable.size());
-
-  for (std::size_t q = 0; q < runnable.size(); ++q) {
-    SearchResponse& response = (*responses)[runnable[q]];
-    const SearchRequest& request = (*batch)[runnable[q]].request;
-    obs::QueryTrace* trace = (*batch)[runnable[q]].trace.get();
-    const bool want_profile = request.collect_profile || trace != nullptr;
-    // A query whose scatter partially expired has no exact answer — fail
-    // it whole rather than merge a subset of its tree/buffer sources.
-    bool expired = false;
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      expired = expired || tasks[q * num_shards + s].expired;
-    }
-    for (std::size_t b = 0; b < buffer_tasks; ++b) {
-      expired = expired || tasks[tree_tasks + q * buffer_tasks + b].expired;
-    }
-    if (expired) {
-      response.status = RequestStatus::kDeadlineExpired;
-      metrics_.RecordExpired();
-      continue;
-    }
-    std::vector<std::vector<Neighbor>> per_shard(num_shards);
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      per_shard[s] = std::move(results[q * num_shards + s]);
-      if (want_profile) {
-        response.profile.Merge(profiles[q * num_shards + s]);
-      }
-    }
-    std::vector<std::vector<Neighbor>> extras;
-    for (std::size_t b = 0; b < buffer_tasks; ++b) {
-      const std::size_t t = tree_tasks + q * buffer_tasks + b;
-      if (want_profile) {
-        response.profile.Merge(profiles[t]);
-      }
-      if (!results[t].empty()) {
-        extras.push_back(std::move(results[t]));
-      }
-    }
-    std::uint64_t filtered = 0;
-    const int merge_span =
-        trace != nullptr ? trace->BeginSpan(kSpanMerge) : -1;
-    response.neighbors = sharded.MergeTopK(per_shard, request.k,
-                                           std::move(extras),
-                                           tombstones.get(), &filtered);
-    if (trace != nullptr) {
-      trace->EndSpan(merge_span);
-    }
-    if (want_profile) {
-      response.profile.candidates_filtered += filtered;
-    }
   }
 }
 

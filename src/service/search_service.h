@@ -2,37 +2,35 @@
 // engine (ROADMAP: "serves heavy traffic from millions of users").
 //
 // Clients Submit() k-NN requests from any number of threads; a bounded
-// admission queue sheds load beyond its capacity (kRejected). A dedicated
-// dispatcher thread drains the queue in batches and adapts parallelism to
-// load:
+// admission queue sheds load beyond its capacity (kRejected). Every
+// admitted query runs as one single-threaded task on the service's pool:
+// at most ServiceConfig::num_threads queries execute at once, and the
+// moment one finishes the next admitted query starts — no dispatcher
+// thread, no batches, no worker idling behind a batch's slowest query.
+// Cross-query parallelism fills the cores; each query is one
+// index::QueryEngine search over its whole generation.
 //
-//   * light load (batch ≤ latency_mode_threshold): each query runs with
-//     full intra-query parallelism — the paper's exploratory protocol,
-//     minimal latency;
-//   * heavy load: the batch runs through the cross-query executor, one
-//     worker thread per query — maximal throughput at the same total
-//     core count.
+// Answers are exact and deterministic: identical to a sequential
+// QueryEngine::Search, ascending by (distance, id). The service owns the
+// live index generation behind a std::shared_ptr<const IndexSnapshot>;
+// Publish() swaps it without stopping traffic (a query runs on the
+// generation that was live when it started). Serving metrics (QPS,
+// latency percentiles, admission counts, merged pruning profiles)
+// accumulate in a MetricsCollector.
 //
-// Both modes are exact: answers are identical to a sequential
-// QueryEngine::Search. The service owns the live index generation behind
-// a std::shared_ptr<const IndexSnapshot>; Publish() swaps it without
-// stopping traffic (in-flight batches finish on the generation they
-// started with). Serving metrics (QPS, latency percentiles, admission
-// counts, merged pruning profiles) accumulate in a MetricsCollector.
-//
-// A generation may be sharded (shard::ShardedIndex): queries then
-// scatter across the shards — in latency mode one query at a time with
-// one worker per shard, in throughput mode the whole batch flattened to
-// (query × shard) tasks — and gather through the exact tournament merge,
-// so sharded answers are identical to single-index answers over the same
+// A generation may be sharded (shard::ShardedIndex): a query then
+// searches all shard trees at once — one result set, one pruning bound —
+// plus, for an ingesting generation, the live insert buffers into the
+// same result set with tombstoned ids masked inside every scan, so
+// sharded answers are identical to single-index answers over the same
 // collection. Publishing a derived generation with a single shard
 // rebuilt/replaced is the per-shard republish path.
 //
 // Admission understands per-request priority classes (interactive >
 // batch > background): each class has its own FIFO inside the shared
-// admission bound, dispatch drains strictly by class with a small
-// per-round reserve for waiting lower classes (no total starvation), and
-// latency-mode batches execute interactive requests first. Requests are
+// admission bound, and queries start strictly by class, except that in
+// every round of max_batch starts a small reserve of slots goes to
+// waiting lower classes (no total starvation). Requests are
 // tenant-tagged; with ServiceConfig::tenant_max_in_flight set, each
 // tenant is capped to that many requests in flight (queued + executing)
 // and excess is shed as kQuotaExceeded without touching the queue.
@@ -59,7 +57,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -79,24 +76,21 @@ struct ServiceConfig {
   /// Admission bound: requests beyond this many pending are kRejected.
   std::size_t max_pending = 1024;
 
-  /// Most requests drained per dispatch round (one executor batch).
+  /// Query starts per scheduling round: the span over which
+  /// priority_reserve guarantees waiting lower classes their slots.
   std::size_t max_batch = 64;
 
-  /// Batches of at most this many requests run in latency mode (full
-  /// intra-query parallelism); larger batches run in throughput mode
-  /// (one thread per query). 0 forces throughput mode for everything.
-  std::size_t latency_mode_threshold = 1;
-
-  /// Worker threads used per dispatch round (0 = pool size).
+  /// Queries executing at once, one pool worker each (0 = pool size).
   std::size_t num_threads = 0;
 
-  /// Start with the dispatcher paused (requests queue up until Resume()).
+  /// Start paused (requests queue up until Resume()).
   bool start_paused = false;
 
-  /// Per dispatch round, the number of batch slots guaranteed to waiting
-  /// non-interactive requests (filled batch-before-background) while
-  /// interactive traffic floods the queue — the anti-starvation bound.
-  /// 0 = max(1, max_batch / 8). Priority order is otherwise strict.
+  /// Per round of max_batch starts, the number of slots guaranteed to
+  /// waiting non-interactive requests (filled batch-before-background)
+  /// while interactive traffic floods the queue — the anti-starvation
+  /// bound. 0 = max(1, max_batch / 8). Priority order is otherwise
+  /// strict.
   std::size_t priority_reserve = 0;
 
   /// Per-tenant cap on requests in flight (queued + executing); requests
@@ -122,7 +116,8 @@ class SearchService {
   SearchService(std::shared_ptr<const IndexSnapshot> snapshot,
                 ThreadPool* pool, ServiceConfig config = ServiceConfig{});
 
-  /// Stops the dispatcher; pending requests are answered kShutdown.
+  /// Shutdown(): queued requests are answered kShutdown, running ones
+  /// finish first.
   ~SearchService();
 
   SearchService(const SearchService&) = delete;
@@ -135,28 +130,29 @@ class SearchService {
   /// Synchronous convenience: Submit + wait.
   SearchResponse Search(SearchRequest request);
 
-  /// Publishes a new index generation; takes effect from the next
-  /// dispatch round, without interrupting in-flight queries. Returns the
-  /// new generation's version number.
+  /// Publishes a new index generation; queries started from now on run
+  /// against it, in-flight queries finish on theirs. Returns the new
+  /// generation's version number.
   std::uint64_t Publish(std::shared_ptr<const IndexSnapshot> snapshot);
 
   /// The currently live generation (and its version, if wanted).
   std::shared_ptr<const IndexSnapshot> snapshot() const;
   std::uint64_t version() const;
 
-  /// Pauses/resumes dispatch (admission stays open — useful to stage a
-  /// backlog or quiesce execution around maintenance).
+  /// Pauses/resumes query starts (admission stays open and running
+  /// queries finish — useful to stage a backlog or quiesce execution
+  /// around maintenance).
   void Pause();
   void Resume();
 
-  /// Blocks until the queue is empty and no batch is executing. With the
-  /// dispatcher paused and work queued this can only return after a
-  /// Resume() from another thread — call Resume() first when staging a
-  /// backlog single-threadedly.
+  /// Blocks until the queue is empty and no query is executing. While
+  /// paused with work queued this can only return after a Resume() from
+  /// another thread — call Resume() first when staging a backlog
+  /// single-threadedly.
   void Drain();
 
-  /// Stops accepting work and fails everything still queued with
-  /// kShutdown; idempotent.
+  /// Stops accepting work, fails everything still queued with kShutdown
+  /// and waits for the executing queries to finish; idempotent.
   void Shutdown();
 
   /// Point-in-time serving metrics.
@@ -170,7 +166,7 @@ class SearchService {
   /// their deadline) — dump on demand and at shutdown.
   const obs::SlowQueryLog& slow_query_log() const { return slow_log_; }
 
-  /// Current queue depth (pending, not yet dispatched).
+  /// Current queue depth (pending, not yet started).
   std::size_t PendingCount() const;
 
   const ServiceConfig& config() const { return config_; }
@@ -185,41 +181,34 @@ class SearchService {
     std::unique_ptr<obs::QueryTrace> trace;
     int admission_span = -1;
     std::uint64_t query_id = 0;
+
+    // Set when the query starts: the generation it runs against.
+    std::shared_ptr<const IndexSnapshot> snapshot;
+    std::uint64_t version = 0;
   };
 
-  void DispatcherLoop();
-  /// Pops up to max_batch requests in priority order (with the
-  /// anti-starvation reserve) into `batch`. Caller holds mutex_.
-  void FillBatchLocked(std::vector<PendingRequest>* batch);
+  /// Pops the next request to start: strict priority order, except for
+  /// the per-round reserve of lower-class slots. Caller holds mutex_ and
+  /// has checked that something is queued.
+  PendingRequest PopNextLocked();
   std::size_t QueuedCountLocked() const;
+  /// Pops as many queued requests as free execution slots allow (none
+  /// while paused or stopping) into `started`, counting them running.
+  /// Caller holds mutex_ and hands `started` to Launch() after unlocking.
+  void StartQueriesLocked(std::vector<std::shared_ptr<PendingRequest>>* started);
+  /// Submits one pool task per started request.
+  void Launch(std::vector<std::shared_ptr<PendingRequest>> started);
+  /// One query task: runs the search, resolves the promise, then frees
+  /// its slot and starts whatever is queued next.
+  void RunQuery(PendingRequest* pending);
   /// Drops one in-flight slot of `tenant` (no-op with quotas off). Caller
   /// holds mutex_.
   void ReleaseTenantLocked(const std::string& tenant);
-  /// Releases the tenant in-flight slots of a finished batch and resolves
-  /// every promise (outside the lock).
-  void FinishBatch(std::vector<PendingRequest>* batch,
-                   std::vector<SearchResponse>* responses);
-  void ExecuteBatch(std::vector<PendingRequest>* batch,
-                    const IndexSnapshot& snapshot, std::uint64_t version);
-  void ExecuteShardedThroughput(const IndexSnapshot& snapshot,
-                                std::vector<PendingRequest>* batch,
-                                const std::vector<std::size_t>& runnable,
-                                std::vector<SearchResponse>* responses);
   /// Seals a traced request: attaches profile counters, feeds the stage
   /// histograms, pushes to the slow log, hands the record to the caller
   /// when requested. Must run before the response promise resolves.
   void FinishTrace(PendingRequest* pending, SearchResponse* response);
   obs::Histogram* StageHistogram(const char* span_name);
-
-  /// Hardware-counter histograms of one executor-run stage
-  /// (sofa_query_stage_{cycles,instructions,llc_misses,stalled_cycles}).
-  struct StagePerfHistograms {
-    obs::Histogram* cycles = nullptr;
-    obs::Histogram* instructions = nullptr;
-    obs::Histogram* llc_misses = nullptr;
-    obs::Histogram* stalled_cycles = nullptr;
-  };
-  const StagePerfHistograms* StagePerf(const char* span_name) const;
 
   static double ElapsedMs(std::chrono::steady_clock::time_point since);
 
@@ -232,20 +221,17 @@ class SearchService {
   obs::Counter* traces_total_ = nullptr;
   obs::Counter* slow_queries_total_ = nullptr;
   obs::Histogram* stage_admission_ = nullptr;
-  obs::Histogram* stage_scatter_ = nullptr;
-  obs::Histogram* stage_shard_scan_ = nullptr;
   obs::Histogram* stage_buffer_scan_ = nullptr;
-  obs::Histogram* stage_merge_ = nullptr;
   obs::Histogram* stage_search_ = nullptr;
-  // Perf attribution of the executor-run scan stages (the spans the
-  // workers bracket with obs::PerfCounters).
-  StagePerfHistograms perf_shard_scan_;
-  StagePerfHistograms perf_buffer_scan_;
-  StagePerfHistograms perf_search_;
+  // Hardware-counter attribution of the search span, which the worker
+  // brackets with obs::PerfCounters
+  // (sofa_query_stage_{cycles,instructions,llc_misses,stalled_cycles}).
+  obs::Histogram* perf_cycles_ = nullptr;
+  obs::Histogram* perf_instructions_ = nullptr;
+  obs::Histogram* perf_llc_misses_ = nullptr;
+  obs::Histogram* perf_stalled_cycles_ = nullptr;
 
-  std::mutex shutdown_mutex_;  // serializes Shutdown() callers
   mutable std::mutex mutex_;
-  std::condition_variable work_cv_;   // dispatcher wakeups
   std::condition_variable drain_cv_;  // Drain()/Shutdown() waiters
   std::shared_ptr<const IndexSnapshot> snapshot_;
   std::uint64_t version_ = 1;
@@ -256,9 +242,12 @@ class SearchService {
   std::unordered_map<std::string, std::size_t> tenant_in_flight_;
   bool paused_ = false;
   bool stopping_ = false;
-  bool executing_ = false;  // a batch is running outside the lock
-
-  std::thread dispatcher_;
+  std::size_t max_running_;   // resolved num_threads
+  std::size_t running_ = 0;   // started, not yet answered
+  // Scheduling round: starts left in it, and how many of those are held
+  // for waiting lower classes.
+  std::size_t round_left_ = 0;
+  std::size_t round_reserved_ = 0;
 };
 
 }  // namespace service

@@ -2,34 +2,35 @@
 // published index generation needs to stay alive while queries run
 // against it.
 //
-// SearchService publishes snapshots behind a std::shared_ptr; every batch
-// of queries acquires the pointer once and holds it for the duration of
-// execution, so a Publish() of a rebuilt or freshly LoadIndex-ed index
-// never invalidates an in-flight query — the old generation is destroyed
-// when its last running query drops the reference.
+// SearchService publishes snapshots behind a std::shared_ptr; every query
+// acquires the pointer when it starts and holds it until it is answered,
+// so a Publish() of a rebuilt or freshly LoadIndex-ed index never
+// invalidates an in-flight query — the old generation is destroyed when
+// its last running query drops the reference.
 //
 // A generation is either a single TreeIndex (`tree`) or a sharded one
 // (`sharded`), never both: a sharded index is swappable exactly like a
 // single one, and a derived sharded generation (one shard rebuilt or
-// replaced) republishes through the same path.
+// replaced) republishes through the same path. Either way a query is one
+// index::QueryEngine search, over one tree or over all shard trees.
 //
 // An *ingesting* sharded generation additionally carries ShardBuffers:
 // live per-shard insert buffers plus, per shard, the first buffer row its
-// tree does NOT cover, plus the live tombstone set of deleted ids. A
-// query then merges each shard's tree answer with an exact flat scan of
-// that shard's buffer rows [start[s], live size), masking tombstoned
-// rows everywhere — so rows inserted after the generation was published
-// are visible immediately and rows deleted after it vanish immediately,
-// with no republish per mutation — and every live row is answered
-// exactly once (tree below the cut, buffer at or above it). Compaction
-// publishes a derived generation whose rebuilt shard covers the live
-// rows up to a new cut, with start[s] advanced to match; the tombstones
-// it folded away are purged once every older generation retires.
+// tree does NOT cover, plus the live tombstone set of deleted ids. The
+// query's search then also scans each shard's buffer rows
+// [start[s], live size) into the same result set as the trees, masking
+// tombstoned rows inside every scan — so rows inserted after the
+// generation was published are visible immediately and rows deleted
+// after it vanish immediately, with no republish per mutation — and every
+// live row is answered exactly once (tree below the cut, buffer at or
+// above it). Compaction publishes a derived generation whose rebuilt
+// shard covers the live rows up to a new cut, with start[s] advanced to
+// match; the tombstones it folded away are purged once every older
+// generation retires.
 
 #ifndef SOFA_SERVICE_SNAPSHOT_H_
 #define SOFA_SERVICE_SNAPSHOT_H_
 
-#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <utility>
@@ -50,29 +51,16 @@ namespace service {
 /// `buffers[s]` the generation's shard-s tree does not already cover.
 /// `tombstones` is the generation's view of deleted global ids: a query
 /// takes one immutable snapshot of it (TombstoneSet::view) and masks
-/// those ids out of the buffer scans and the gather merge. The struct
-/// itself is immutable per generation (compaction republishes with
-/// advanced starts); the buffers and tombstone set it points at are live
-/// and internally synchronized, which is what makes mutations visible
+/// those ids inside the tree and buffer scans. The struct itself is
+/// immutable per generation (compaction republishes with advanced
+/// starts); the buffers and tombstone set it points at are live and
+/// internally synchronized, which is what makes mutations visible
 /// between publishes. `tombstones` may be null (no delete path attached —
 /// treated as empty).
 struct ShardBuffers {
   std::vector<std::shared_ptr<const ingest::InsertBuffer>> buffers;
   std::vector<std::size_t> start;
   std::shared_ptr<const ingest::TombstoneSet> tombstones;
-
-  /// Live per-shard counts of un-purged tombstones routed to each shard
-  /// (maintained by the Compactor: incremented before the tombstone
-  /// becomes visible, decremented only when it is purged). A deleted row
-  /// can displace candidates only within its own shard, so the query
-  /// path widens shard s's tree search by counts[s] — not by the global
-  /// tombstone count, which over-fetches num_shards-fold under
-  /// delete-heavy load. Sample counts AFTER TombstoneSet::view(): every
-  /// view id still resident in a live generation's tree is then
-  /// guaranteed to be counted (purge ordering — see
-  /// ingest/tombstone_set.h). Null means "use |view|" (conservative).
-  std::shared_ptr<const std::vector<std::atomic<std::size_t>>>
-      tombstone_shard_counts;
 };
 
 /// One published index generation. Exactly one of `tree` and `sharded` is

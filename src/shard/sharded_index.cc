@@ -1,10 +1,8 @@
 #include "shard/sharded_index.h"
 
-#include <algorithm>
-#include <queue>
 #include <utility>
 
-#include "service/executor.h"
+#include "index/query_engine.h"
 #include "util/check.h"
 
 namespace sofa {
@@ -85,6 +83,7 @@ ShardedIndex::ShardedIndex(std::vector<Shard> shards,
     SOFA_CHECK(shard.data->length() == length_);
     SOFA_CHECK(shard.global_ids->size() == shard.data->size());
     total_size_ += shard.data->size();
+    parts_.push_back(index::TreePart{shard.tree.get(), shard.global_ids.get()});
   }
 }
 
@@ -146,148 +145,12 @@ std::vector<Neighbor> ShardedIndex::SearchKnn(const float* query,
                                               index::QueryProfile* profile,
                                               std::size_t num_workers,
                                               ThreadPool* pool) const {
-  if (total_size_ == 0 || k == 0) {
-    return {};
-  }
-  std::vector<std::vector<Neighbor>> per_shard;
-  std::vector<index::QueryProfile> profiles;
-  ScatterKnn(query, k, epsilon, &per_shard,
-             profile != nullptr ? &profiles : nullptr, num_workers, pool);
-  if (profile != nullptr) {
-    for (const index::QueryProfile& shard_profile : profiles) {
-      profile->Merge(shard_profile);
-    }
-  }
-  return MergeTopK(per_shard, k);
-}
-
-void ShardedIndex::ScatterKnn(const float* query, std::size_t k,
-                              double epsilon,
-                              std::vector<std::vector<Neighbor>>* per_shard,
-                              std::vector<index::QueryProfile>* profiles,
-                              std::size_t num_workers, ThreadPool* pool,
-                              const std::vector<std::size_t>* k_extra) const {
-  SOFA_CHECK(per_shard != nullptr);
-  SOFA_CHECK(k_extra == nullptr || k_extra->size() == shards_.size());
   if (pool == nullptr) {
     pool = pool_;
   }
-  per_shard->assign(shards_.size(), {});
-  if (profiles != nullptr) {
-    profiles->assign(shards_.size(), index::QueryProfile{});
-  }
-  if (k == 0) {
-    return;
-  }
-  std::vector<service::QueryTask> tasks(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    tasks[s].index = shards_[s].tree.get();
-    tasks[s].query = query;
-    tasks[s].k = k + (k_extra != nullptr ? (*k_extra)[s] : 0);
-    tasks[s].epsilon = epsilon;
-    tasks[s].result = &(*per_shard)[s];
-    tasks[s].profile = profiles != nullptr ? &(*profiles)[s] : nullptr;
-  }
-  service::RunTaskBatch(&tasks, pool, num_workers);
-}
-
-std::vector<Neighbor> MergeNeighborLists(
-    std::vector<std::vector<Neighbor>> lists, std::size_t k,
-    const std::unordered_set<std::uint32_t>* exclude,
-    std::uint64_t* filtered) {
-  // Tombstone filter first: a deleted row may still sit inside a tree
-  // until its shard compacts; dropping it here (the caller searched each
-  // source k + |exclude| deep) keeps the surviving per-source lists
-  // ascending and complete for the merge below.
-  if (exclude != nullptr && !exclude->empty()) {
-    for (std::vector<Neighbor>& list : lists) {
-      const auto is_deleted = [exclude](const Neighbor& nb) {
-        return exclude->count(nb.id) != 0;
-      };
-      const auto end = std::remove_if(list.begin(), list.end(), is_deleted);
-      if (filtered != nullptr) {
-        *filtered += static_cast<std::uint64_t>(list.end() - end);
-      }
-      list.erase(end, list.end());
-    }
-  }
-  // Per-source engines report ties in scan order; normalize each run of
-  // equal distances to ascending id so the cursor merge below emits the
-  // one total order (distance, id) — and a k boundary inside a tie run
-  // keeps the lowest global ids, deterministically.
-  std::size_t available = 0;
-  for (std::vector<Neighbor>& list : lists) {
-    available += list.size();
-    auto run = list.begin();
-    while (run != list.end()) {
-      auto end = run + 1;
-      while (end != list.end() && end->distance == run->distance) {
-        ++end;
-      }
-      if (end - run > 1) {
-        std::sort(run, end, [](const Neighbor& a, const Neighbor& b) {
-          return a.id < b.id;
-        });
-      }
-      run = end;
-    }
-  }
-  // Tournament merge: every list is ascending by (distance, id), so a
-  // min-heap of one cursor per list yields the global answer in order.
-  struct Cursor {
-    float distance;
-    std::uint32_t id;
-    std::uint32_t list;
-    std::uint32_t pos;
-    bool operator>(const Cursor& other) const {
-      if (distance != other.distance) {
-        return distance > other.distance;
-      }
-      return id > other.id;
-    }
-  };
-  std::priority_queue<Cursor, std::vector<Cursor>, std::greater<Cursor>> heap;
-  for (std::uint32_t s = 0; s < lists.size(); ++s) {
-    if (!lists[s].empty()) {
-      heap.push(Cursor{lists[s][0].distance, lists[s][0].id, s, 0});
-    }
-  }
-  std::vector<Neighbor> merged;
-  merged.reserve(std::min(k, available));
-  while (merged.size() < k && !heap.empty()) {
-    const Cursor top = heap.top();
-    heap.pop();
-    merged.push_back(Neighbor{top.id, top.distance});
-    const std::uint32_t next = top.pos + 1;
-    if (next < lists[top.list].size()) {
-      heap.push(Cursor{lists[top.list][next].distance,
-                       lists[top.list][next].id, top.list, next});
-    }
-  }
-  return merged;
-}
-
-std::vector<Neighbor> ShardedIndex::MergeTopK(
-    const std::vector<std::vector<Neighbor>>& per_shard, std::size_t k,
-    std::vector<std::vector<Neighbor>> extras,
-    const std::unordered_set<std::uint32_t>* exclude,
-    std::uint64_t* filtered) const {
-  SOFA_CHECK(per_shard.size() == shards_.size());
-  std::vector<std::vector<Neighbor>> lists;
-  lists.reserve(per_shard.size() + extras.size());
-  for (std::size_t s = 0; s < per_shard.size(); ++s) {
-    std::vector<Neighbor> mapped(per_shard[s].size());
-    const std::vector<std::uint32_t>& global_ids = *shards_[s].global_ids;
-    for (std::size_t i = 0; i < per_shard[s].size(); ++i) {
-      mapped[i] =
-          Neighbor{global_ids[per_shard[s][i].id], per_shard[s][i].distance};
-    }
-    lists.push_back(std::move(mapped));
-  }
-  for (std::vector<Neighbor>& extra : extras) {
-    lists.push_back(std::move(extra));
-  }
-  return MergeNeighborLists(std::move(lists), k, exclude, filtered);
+  const index::QueryEngine engine(&parts_, pool);
+  return engine.Search(query, k, epsilon, profile,
+                       num_workers == 0 ? pool->size() : num_workers);
 }
 
 }  // namespace shard

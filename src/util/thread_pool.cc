@@ -76,20 +76,23 @@ void ParallelRun(ThreadPool* pool, std::size_t num_workers,
     fn(0);  // inline fast path: no wakeup latency for serial execution
     return;
   }
-  std::atomic<std::size_t> remaining(num_workers);
+  // The count drops under the mutex: the caller can only see it reach
+  // zero once the last worker has let go of the mutex, so returning (and
+  // destroying these locals) never races a worker still touching them.
+  std::size_t remaining = num_workers;
   std::mutex done_mutex;
   std::condition_variable done_cv;
   for (std::size_t w = 0; w < num_workers; ++w) {
     pool->Submit([&, w] {
       fn(w);
-      if (remaining.fetch_sub(1) == 1) {
-        std::unique_lock<std::mutex> lock(done_mutex);
+      std::lock_guard<std::mutex> lock(done_mutex);
+      if (--remaining == 0) {
         done_cv.notify_all();
       }
     });
   }
   std::unique_lock<std::mutex> lock(done_mutex);
-  done_cv.wait(lock, [&] { return remaining.load() == 0; });
+  done_cv.wait(lock, [&] { return remaining == 0; });
 }
 
 void ParallelFor(ThreadPool* pool, std::size_t count,

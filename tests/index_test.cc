@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "index/query_engine.h"
 #include "index/tree_index.h"
 #include "sax/isax.h"
 #include "sax/sax_scheme.h"
@@ -375,6 +376,42 @@ TEST(IndexSearchTest, ThreadCountsAgree) {
       ASSERT_NEAR(distances_by_threads[v][i], distances_by_threads[0][i],
                   2e-3f);
     }
+  }
+}
+
+// A single-threaded search uses one leaf queue whatever the index was
+// configured with, so it pops leaves in LBD order: its work counters equal
+// those of the same tree built with num_queues = 1. (One build worker
+// keeps the two trees identical down to the row order inside leaves.)
+TEST(IndexSearchTest, SingleThreadedSearchUsesOneQueue) {
+  ThreadPool pool(1);
+  const Dataset data = Walk(6000, 96, 19);
+  const auto scheme = MakeSfaScheme(data, &pool);
+  IndexConfig config;
+  config.leaf_capacity = 100;
+  config.num_queues = 4;
+  const TreeIndex pool_queues(&data, scheme.get(), config, &pool);
+  config.num_queues = 1;
+  const TreeIndex one_queue(&data, scheme.get(), config, &pool);
+  const Dataset queries = Walk(12, 96, 20);
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    QueryProfile a, b;
+    const auto answer_a =
+        QueryEngine(&pool_queues).Search(queries.row(q), 10, 0.0, &a, 1);
+    const auto answer_b =
+        QueryEngine(&one_queue).Search(queries.row(q), 10, 0.0, &b, 1);
+    ASSERT_EQ(answer_a.size(), answer_b.size());
+    for (std::size_t i = 0; i < answer_a.size(); ++i) {
+      EXPECT_EQ(answer_a[i].id, answer_b[i].id);
+      EXPECT_EQ(answer_a[i].distance, answer_b[i].distance);
+    }
+    EXPECT_EQ(a.nodes_visited, b.nodes_visited) << "query " << q;
+    EXPECT_EQ(a.nodes_pruned, b.nodes_pruned) << "query " << q;
+    EXPECT_EQ(a.leaves_collected, b.leaves_collected) << "query " << q;
+    EXPECT_EQ(a.leaves_abandoned, b.leaves_abandoned) << "query " << q;
+    EXPECT_EQ(a.series_lbd_checked, b.series_lbd_checked) << "query " << q;
+    EXPECT_EQ(a.series_lbd_pruned, b.series_lbd_pruned) << "query " << q;
+    EXPECT_EQ(a.series_ed_computed, b.series_ed_computed) << "query " << q;
   }
 }
 

@@ -1,10 +1,10 @@
 // Tests for the incremental ingest path (insert buffer + tombstones →
 // shard compaction → republish, with a write-ahead log underneath): the
 // InsertBuffer's exact deterministic flat scan and tombstone masking,
-// the tree-∪-buffer merge determinism on cross-source distance ties,
-// the QueryProfile accounting of the sharded paths (merged counters
-// equal the per-shard + buffer sums exactly once, filtered candidates
-// included), the WAL's framing/corruption/rotation/checkpoint edge
+// the lowest-global-id rule on distance ties across shard trees and
+// insert buffers, the QueryProfile accounting of a sharded ingesting
+// query (one search over trees + buffers, masked rows counted, merged
+// into the service metrics exactly once), the WAL's framing/corruption/rotation/checkpoint edge
 // cases, and the headline exactness invariants — after N inserts and D
 // deletes, with compactions racing live query traffic, SearchService
 // answers are bit-identical to a from-scratch single-index build over
@@ -13,6 +13,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
@@ -189,27 +190,7 @@ TEST(InsertBufferTest, TrimBelowReclaimsOnlyWholeChunks) {
   EXPECT_EQ(buffer.size(), rows.size() + 1);
 }
 
-// ------------------------------------------------- merge determinism
-
-TEST(MergeNeighborListsTest, NormalizesTieRunsWithinAndAcrossLists) {
-  // List A emits a tie run in scan order (7 before 3); list B ties at the
-  // same distance with id 5. The merge must emit 3,5,7 and a k boundary
-  // inside the run must keep the lowest ids.
-  std::vector<std::vector<Neighbor>> lists;
-  lists.push_back({Neighbor{1, 0.5f}, Neighbor{7, 2.0f}, Neighbor{3, 2.0f}});
-  lists.push_back({Neighbor{5, 2.0f}, Neighbor{2, 9.0f}});
-  const auto all = shard::MergeNeighborLists(lists, 10);
-  ASSERT_EQ(all.size(), 5u);
-  EXPECT_EQ(all[0].id, 1u);
-  EXPECT_EQ(all[1].id, 3u);
-  EXPECT_EQ(all[2].id, 5u);
-  EXPECT_EQ(all[3].id, 7u);
-  EXPECT_EQ(all[4].id, 2u);
-  const auto cut = shard::MergeNeighborLists(lists, 2);
-  ASSERT_EQ(cut.size(), 2u);
-  EXPECT_EQ(cut[0].id, 1u);
-  EXPECT_EQ(cut[1].id, 3u);  // lowest id of the tie run crosses the boundary
-}
+// ------------------------------------------------- tie determinism
 
 // Cross-shard / cross-structure distance ties straddling the k boundary:
 // the documented lowest-global-id-first rule must hold with the duplicate
@@ -263,17 +244,110 @@ TEST(IngestTieTest, DuplicateStraddlingKBoundaryStaysDeterministic) {
   EXPECT_EQ(top[1].distance, 0.0f);
 }
 
+// Copies of one row in two shards' trees and in an insert buffer tie at
+// distance 0. Every k boundary inside the tie run keeps the lowest global
+// ids — from ShardedIndex::SearchKnn at one and at four threads, however
+// the workers race, and from the service over trees + buffer.
+TEST(IngestTieTest, CopiesInTwoTreesAndABufferKeepLowestIds) {
+  ThreadPool pool(4);
+  Dataset base = Walk(600, 64, 341);
+  // Row 100 lives in shard 0 of 3 (contiguous); its copy at 450 in shard 2.
+  std::copy(base.row(100), base.row(100) + base.length(),
+            base.mutable_row(450));
+  const auto scheme = testing_harness::TrainTestScheme(base, &pool);
+  const auto sharded = testing_harness::BuildTestSharded(
+      base, 3, shard::ShardAssignment::kContiguous, scheme, &pool);
+  ASSERT_EQ(shard::ShardedIndex::AssignShard(
+                shard::ShardAssignment::kContiguous, 100, 600, 3),
+            0u);
+  ASSERT_EQ(shard::ShardedIndex::AssignShard(
+                shard::ShardAssignment::kContiguous, 450, 600, 3),
+            2u);
+
+  // Ascending (distance, id), with the first `ties` ranks exactly the
+  // lowest ids of the tie run at distance 0.
+  const auto expect_lowest_ids = [](const std::vector<Neighbor>& top,
+                                    std::size_t k,
+                                    const std::vector<std::uint32_t>& ties) {
+    ASSERT_EQ(top.size(), k);
+    for (std::size_t i = 0; i < k; ++i) {
+      if (i < ties.size()) {
+        EXPECT_EQ(top[i].id, ties[i]) << "rank " << i << " of k=" << k;
+        EXPECT_EQ(top[i].distance, 0.0f);
+      } else {
+        EXPECT_GT(top[i].distance, 0.0f);
+      }
+      if (i > 0) {
+        EXPECT_TRUE(top[i - 1].distance < top[i].distance ||
+                    (top[i - 1].distance == top[i].distance &&
+                     top[i - 1].id < top[i].id));
+      }
+    }
+  };
+  for (std::size_t k = 1; k <= 4; ++k) {
+    for (const std::size_t threads : {1u, 4u}) {
+      for (int repeat = 0; repeat < 20; ++repeat) {
+        expect_lowest_ids(sharded->SearchKnn(base.row(100), k, 0.0, nullptr,
+                                             threads, &pool),
+                          k, {100, 450});
+      }
+    }
+  }
+
+  service::SearchService svc(service::WrapShardedIndex(sharded), &pool);
+  IngestConfig config;
+  config.auto_compact = false;
+  Compactor compactor(&svc, sharded, config);
+  for (int copy = 0; copy < 2; ++copy) {  // ids 600, 601 in shard 2's buffer
+    ASSERT_EQ(compactor.Insert(base.row(100), base.length()), StatusCode::kOk);
+  }
+  const Dataset probe = [&] {
+    Dataset rows(base.length());
+    rows.Append(base.row(100));
+    return rows;
+  }();
+  for (std::size_t k = 1; k <= 4; ++k) {
+    const service::SearchResponse response =
+        svc.Search(MakeSearchRequest(probe, 0, k));
+    ASSERT_EQ(response.status, service::RequestStatus::kOk);
+    expect_lowest_ids(response.neighbors, k, {100, 450, 600, 601});
+  }
+}
+
 // ------------------------------------------------- profile accounting
 
-// The sharded batched (throughput) path runs shard tasks itself and
-// merges counters per (query, shard) plus the buffer scans; the merged
-// counters must equal the per-shard + buffer sums exactly once — and the
-// service-level metrics must merge each profiled response exactly once.
-TEST(IngestProfileTest, BatchedShardedProfileMergesExactlyOnce) {
+// One single-threaded search over a published ingesting generation,
+// composed from the public pieces: the engine over every shard tree plus
+// the live insert buffers scanned into the same result set, `dead`
+// masked inside both — the oracle of the service's work counters.
+std::vector<Neighbor> OneSearch(const service::IndexSnapshot& snapshot,
+                                const float* query, std::size_t k,
+                                const std::unordered_set<std::uint32_t>* dead,
+                                index::QueryProfile* profile) {
+  const service::ShardBuffers& buffers = *snapshot.buffers;
+  const index::FlatScan scan = [&](index::ResultSet* results,
+                                   index::QueryProfile* scan_profile) {
+    InsertBuffer::ScanStats stats;
+    for (std::size_t s = 0; s < buffers.buffers.size(); ++s) {
+      buffers.buffers[s]->Scan(query, buffers.start[s], dead, results,
+                               &stats);
+    }
+    scan_profile->series_ed_computed += stats.ed_computed;
+    scan_profile->candidates_filtered += stats.masked;
+  };
+  const index::QueryEngine engine(&snapshot.sharded->parts());
+  return engine.Search(query, k, 0.0, profile, /*num_threads=*/1, dead,
+                       scan);
+}
+
+// A backlog of profiled queries runs concurrently on the pool; each
+// response's counters equal one single-threaded search over the trees
+// and buffers (so the buffer rows are counted once, inside the same
+// search), and the service metrics merge each response exactly once.
+TEST(IngestProfileTest, BackloggedShardedProfileMatchesOneSearch) {
   IngestFixture fx(1200, 60, 96, 3, shard::ShardAssignment::kContiguous, 98);
   service::ServiceConfig config;
-  config.latency_mode_threshold = 0;  // force the flattened scatter
-  config.start_paused = true;         // stage a backlog -> real batches
+  config.start_paused = true;  // stage a backlog, then run it concurrently
   service::SearchService svc(service::WrapShardedIndex(fx.sharded), &fx.pool,
                              config);
   IngestConfig ingest_config;
@@ -292,20 +366,17 @@ TEST(IngestProfileTest, BatchedShardedProfileMergesExactlyOnce) {
   }
   svc.Resume();
 
+  const auto snapshot = svc.snapshot();
   index::QueryProfile responses_total;
   for (std::size_t q = 0; q < queries.size(); ++q) {
     const service::SearchResponse response = futures[q].get();
     ASSERT_EQ(response.status, service::RequestStatus::kOk);
-    // Oracle: each shard tree searched single-threaded (like the scatter
-    // tasks) plus one buffer-row distance evaluation per pending row.
     index::QueryProfile expected;
-    const auto current = compactor.current();
-    for (std::size_t s = 0; s < current->num_shards(); ++s) {
-      const index::QueryEngine engine(current->shard(s).tree.get());
-      (void)engine.Search(queries.row(q), k, 0.0, &expected,
-                          /*num_threads=*/1);
-    }
-    expected.series_ed_computed += fx.inserts.size();  // buffered rows
+    EXPECT_TRUE(BitIdentical(
+        response.neighbors,
+        OneSearch(*snapshot, queries.row(q), k, nullptr, &expected)));
+    EXPECT_TRUE(BitIdentical(response.neighbors,
+                             fx.oracle->SearchKnn(queries.row(q), k)));
     EXPECT_EQ(response.profile.series_ed_computed,
               expected.series_ed_computed)
         << "query " << q;
@@ -313,6 +384,8 @@ TEST(IngestProfileTest, BatchedShardedProfileMergesExactlyOnce) {
               expected.series_lbd_checked);
     EXPECT_EQ(response.profile.nodes_visited, expected.nodes_visited);
     EXPECT_EQ(response.profile.leaves_collected, expected.leaves_collected);
+    // Every buffered row costs one distance evaluation (no LBD there).
+    EXPECT_GE(response.profile.series_ed_computed, fx.inserts.size());
     responses_total.Merge(response.profile);
   }
   // Metrics merge each profiled response exactly once — no double-merge.
@@ -324,8 +397,8 @@ TEST(IngestProfileTest, BatchedShardedProfileMergesExactlyOnce) {
             responses_total.series_lbd_checked);
 }
 
-// Same invariant on the latency-mode (per-query scatter) path.
-TEST(IngestProfileTest, LatencyModeShardedProfileMergesExactlyOnce) {
+// Same invariant one query at a time, over a hash-assigned generation.
+TEST(IngestProfileTest, SequentialShardedProfileMatchesOneSearch) {
   IngestFixture fx(900, 40, 64, 2, shard::ShardAssignment::kHash, 101,
                    /*threads=*/2);
   service::SearchService svc(service::WrapShardedIndex(fx.sharded), &fx.pool);
@@ -336,19 +409,14 @@ TEST(IngestProfileTest, LatencyModeShardedProfileMergesExactlyOnce) {
     ASSERT_EQ(compactor.Insert(fx.inserts.row(i), fx.inserts.length()),
               StatusCode::kOk);
   }
+  const auto snapshot = svc.snapshot();
   const Dataset queries = Walk(5, 64, 102);
   for (std::size_t q = 0; q < queries.size(); ++q) {
     const service::SearchResponse response =
         svc.Search(MakeSearchRequest(queries, q, 5, true));
     ASSERT_EQ(response.status, service::RequestStatus::kOk);
     index::QueryProfile expected;
-    const auto current = compactor.current();
-    for (std::size_t s = 0; s < current->num_shards(); ++s) {
-      const index::QueryEngine engine(current->shard(s).tree.get());
-      (void)engine.Search(queries.row(q), 5, 0.0, &expected,
-                          /*num_threads=*/1);
-    }
-    expected.series_ed_computed += fx.inserts.size();
+    (void)OneSearch(*snapshot, queries.row(q), 5, nullptr, &expected);
     EXPECT_EQ(response.profile.series_ed_computed,
               expected.series_ed_computed)
         << "query " << q;
@@ -448,7 +516,6 @@ void RunConcurrentTrafficSoak(bool enable_rowq) {
   IngestFixture fx(1200, 600, 64, 3, shard::ShardAssignment::kContiguous,
                    107, /*threads=*/4, enable_rowq);
   service::ServiceConfig service_config;
-  service_config.latency_mode_threshold = 2;  // mixed scheduling under load
   service_config.max_batch = 8;
   service::SearchService svc(service::WrapShardedIndex(fx.sharded), &fx.pool,
                              service_config);
@@ -815,15 +882,14 @@ TEST(IngestDeleteTest, DeleteOnlyWorkloadCompactsAndPurges) {
   }
 }
 
-// Filtered-candidate accounting on the batched (throughput) path: each
-// shard's tree is searched k + (tombstones routed to that shard) deep —
-// per-shard widening, not the global count — masked buffer rows are not
-// counted as scanned, and candidates_filtered equals exactly the number
-// of tombstoned ids the widened tree answers surfaced.
+// Filtered-candidate accounting: tombstoned rows are masked inside the
+// scans — the buffer scan masks every deleted buffered row, the tree scan
+// the deleted rows it reaches past the series LBD — and
+// candidates_filtered counts exactly those, as one single-threaded
+// search over the same generation does. Masked rows cost no distance.
 TEST(IngestDeleteTest, ProfileAccountsFilteredCandidates) {
   IngestFixture fx(900, 50, 96, 3, shard::ShardAssignment::kContiguous, 313);
   service::ServiceConfig service_config;
-  service_config.latency_mode_threshold = 0;  // force the flattened scatter
   service_config.start_paused = true;
   service::SearchService svc(service::WrapShardedIndex(fx.sharded), &fx.pool,
                              service_config);
@@ -846,12 +912,7 @@ TEST(IngestDeleteTest, ProfileAccountsFilteredCandidates) {
   ASSERT_EQ(compactor.Metrics().tombstones, deleted.size());
   const std::unordered_set<std::uint32_t> dead(deleted.begin(),
                                                deleted.end());
-  // The per-shard widening the service applies: tombstones routed to
-  // each shard (none are purged here — no compactions ran).
-  std::vector<std::size_t> shard_widening(3, 0);
-  for (const std::uint32_t id : deleted) {
-    ++shard_widening[compactor.RouteShard(id)];
-  }
+  const ExactOracle oracle(fx.combined, deleted, fx.scheme, &fx.pool);
 
   const Dataset queries = Walk(6, 96, 314);
   const std::size_t k = 7;
@@ -860,33 +921,78 @@ TEST(IngestDeleteTest, ProfileAccountsFilteredCandidates) {
     futures.push_back(svc.Submit(MakeSearchRequest(queries, q, k, true)));
   }
   svc.Resume();
+  const auto snapshot = svc.snapshot();
   for (std::size_t q = 0; q < queries.size(); ++q) {
     const service::SearchResponse response = futures[q].get();
     ASSERT_EQ(response.status, service::RequestStatus::kOk);
+    EXPECT_TRUE(BitIdentical(response.neighbors,
+                             oracle.SearchKnn(queries.row(q), k)));
     index::QueryProfile expected;
-    std::uint64_t expected_filtered = 0;
-    const auto current = compactor.current();
-    for (std::size_t s = 0; s < current->num_shards(); ++s) {
-      const index::QueryEngine engine(current->shard(s).tree.get());
-      const std::vector<Neighbor> shard_topk =
-          engine.Search(queries.row(q), k + shard_widening[s], 0.0, &expected,
-                        /*num_threads=*/1);
-      for (const Neighbor& nb : shard_topk) {
-        expected_filtered +=
-            dead.count((*current->shard(s).global_ids)[nb.id]) != 0 ? 1 : 0;
-      }
-    }
-    // Buffer scan: only live buffered rows cost a distance evaluation.
-    expected.series_ed_computed += fx.inserts.size() - 2;
+    (void)OneSearch(*snapshot, queries.row(q), k, &dead, &expected);
     EXPECT_EQ(response.profile.series_ed_computed,
               expected.series_ed_computed)
         << "query " << q;
     EXPECT_EQ(response.profile.nodes_visited, expected.nodes_visited);
     EXPECT_EQ(response.profile.series_lbd_checked,
               expected.series_lbd_checked);
-    EXPECT_EQ(response.profile.candidates_filtered, expected_filtered)
+    EXPECT_EQ(response.profile.candidates_filtered,
+              expected.candidates_filtered)
         << "query " << q;
+    // Both buffered deletes are always masked; tree rows only if reached.
+    EXPECT_GE(response.profile.candidates_filtered, 2u);
+    EXPECT_LE(response.profile.candidates_filtered, deleted.size());
   }
+}
+
+// Deleting all k nearest rows of a query where they sit in one shard's
+// tree: the next k live rows must come back, bit-identical to the oracle
+// — the masked rows never occupy result slots, so no per-shard
+// over-fetch is needed.
+TEST(IngestDeleteTest, DeletedTopKInOneShardYieldsTheNextLiveRows) {
+  constexpr std::size_t kLength = 64;
+  constexpr std::size_t kK = 5;
+  ThreadPool pool(2);
+  Dataset base = Walk(900, kLength, 331);
+  const Dataset probe = Walk(1, kLength, 332);
+  // Rows 300..309 (shard 1 of 3, contiguous) become near-copies of the
+  // probe, so its 2k nearest rows all sit in shard 1's tree.
+  for (std::size_t i = 0; i < 2 * kK; ++i) {
+    float* row = base.mutable_row(300 + i);
+    std::copy(probe.row(0), probe.row(0) + kLength, row);
+    row[i] += 0.01f * static_cast<float>(i + 1);
+  }
+  const auto scheme = testing_harness::TrainTestScheme(base, &pool);
+  const auto sharded = testing_harness::BuildTestSharded(
+      base, 3, shard::ShardAssignment::kContiguous, scheme, &pool);
+  service::SearchService svc(service::WrapShardedIndex(sharded), &pool);
+  IngestConfig config;
+  config.auto_compact = false;
+  Compactor compactor(&svc, sharded, config);
+
+  const service::SearchResponse before =
+      svc.Search(MakeSearchRequest(probe, 0, kK));
+  ASSERT_EQ(before.status, service::RequestStatus::kOk);
+  ASSERT_EQ(before.neighbors.size(), kK);
+  std::vector<std::uint32_t> deleted;
+  for (const Neighbor& nb : before.neighbors) {
+    ASSERT_GE(nb.id, 300u);
+    ASSERT_LT(nb.id, 310u);
+    ASSERT_EQ(compactor.RouteShard(nb.id), 1u);
+    deleted.push_back(nb.id);
+    ASSERT_EQ(compactor.Delete(nb.id), StatusCode::kOk);
+  }
+  const ExactOracle oracle(base, deleted, scheme, &pool);
+  const service::SearchResponse after =
+      svc.Search(MakeSearchRequest(probe, 0, kK, true));
+  ASSERT_EQ(after.status, service::RequestStatus::kOk);
+  EXPECT_TRUE(BitIdentical(after.neighbors, oracle.SearchKnn(probe.row(0), kK)));
+  const std::unordered_set<std::uint32_t> dead(deleted.begin(), deleted.end());
+  for (const Neighbor& nb : after.neighbors) {
+    EXPECT_EQ(dead.count(nb.id), 0u);
+    EXPECT_GE(nb.id, 300u);  // the remaining near-copies come next
+    EXPECT_LT(nb.id, 310u);
+  }
+  EXPECT_EQ(after.profile.candidates_filtered, kK);
 }
 
 // The deletes acceptance soak: inserts and deletes stream in while client
@@ -913,7 +1019,6 @@ void RunTrafficDeletesSoak(bool enable_rowq) {
   ExactOracle oracle(fx.combined, deleted, fx.scheme, &fx.pool);
 
   service::ServiceConfig service_config;
-  service_config.latency_mode_threshold = 2;  // mixed scheduling under load
   service_config.max_batch = 8;
   service::SearchService svc(service::WrapShardedIndex(fx.sharded), &fx.pool,
                              service_config);

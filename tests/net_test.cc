@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <optional>
@@ -389,6 +390,19 @@ struct ServerFixture {
     }
     return false;
   }
+
+  // Spin until at least `n` searches wait in the (paused) service's
+  // admission queue — framed AND submitted, so their submit times are
+  // fixed before the caller sends more.
+  bool WaitForQueued(std::size_t n) {
+    for (int spin = 0; spin < 2000; ++spin) {
+      if (service->PendingCount() >= n) {
+        return true;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return false;
+  }
 };
 
 TEST(NetServerTest, NetworkAnswersAreBitIdenticalUnderWireMutations) {
@@ -754,11 +768,14 @@ TEST(NetServerTest, UntracedSearchCarriesNoTraceOverTheWire) {
 }
 
 TEST(NetServerTest, PrioritySchedulingIsVisibleOverTheWire) {
-  // Stage everything while the dispatcher is paused so scheduling order
-  // (not arrival timing) decides completion order.
+  // Stage everything while the service is paused, each class fully
+  // queued before the next is sent, so scheduling order (not arrival
+  // timing across the two connections) decides completion order — and
+  // run one query at a time, so a worker the OS preempts mid-query cannot
+  // let later-started queries overtake it.
   service::ServiceConfig config;
   config.start_paused = true;
-  config.latency_mode_threshold = 0;  // throughput mode
+  config.num_threads = 1;
   config.max_batch = 4;
   config.priority_reserve = 1;
   ServerFixture fx(config);
@@ -777,13 +794,14 @@ TEST(NetServerTest, PrioritySchedulingIsVisibleOverTheWire) {
     request.priority = service::Priority::kBackground;
     ASSERT_TRUE(background_client.SendSearch(request, &request_id).ok());
   }
+  ASSERT_TRUE(fx.WaitForQueued(kBackground));
   constexpr std::size_t kInteractive = 2;
   for (std::size_t i = 0; i < kInteractive; ++i) {
     service::SearchRequest request = MakeSearchRequest(queries, i, 3);
     request.priority = service::Priority::kInteractive;
     ASSERT_TRUE(interactive_client.SendSearch(request, &request_id).ok());
   }
-  ASSERT_TRUE(fx.WaitForFrames(kBackground + kInteractive));
+  ASSERT_TRUE(fx.WaitForQueued(kBackground + kInteractive));
   fx.service->Resume();
 
   double max_interactive = 0.0, max_background = 0.0;
@@ -803,8 +821,8 @@ TEST(NetServerTest, PrioritySchedulingIsVisibleOverTheWire) {
     ASSERT_EQ(response.status, StatusCode::kOk);
     max_background = std::max(max_background, response.latency_ms);
   }
-  // The interactive pair ran in the first dispatch round; the background
-  // tail waited for ~kBackground/max_batch rounds behind it.
+  // The interactive pair started first; the background tail started
+  // only as workers freed up behind it.
   EXPECT_LT(max_interactive, max_background);
 
   const service::MetricsSnapshot metrics = fx.service->Metrics();
@@ -820,13 +838,14 @@ TEST(NetServerTest, PrioritySchedulingIsVisibleOverTheWire) {
     request.priority = service::Priority::kInteractive;
     ASSERT_TRUE(interactive_client.SendSearch(request, &request_id).ok());
   }
+  ASSERT_TRUE(fx.WaitForQueued(kFlood));
   constexpr std::size_t kStarved = 4;
   for (std::size_t i = 0; i < kStarved; ++i) {
     service::SearchRequest request = MakeSearchRequest(queries, i, 3);
     request.priority = service::Priority::kBackground;
     ASSERT_TRUE(background_client.SendSearch(request, &request_id).ok());
   }
-  ASSERT_TRUE(fx.WaitForFrames(kBackground + kInteractive + kFlood + kStarved));
+  ASSERT_TRUE(fx.WaitForQueued(kFlood + kStarved));
   fx.service->Resume();
   double starved_max = 0.0, flood_max = 0.0;
   for (std::size_t i = 0; i < kStarved; ++i) {
@@ -845,7 +864,7 @@ TEST(NetServerTest, PrioritySchedulingIsVisibleOverTheWire) {
     ASSERT_EQ(response.status, StatusCode::kOk);
     flood_max = std::max(flood_max, response.latency_ms);
   }
-  // One reserved slot per 4-query batch drains all 4 background queries
+  // One reserved slot per round of 4 starts drains all 4 background queries
   // within 4 rounds, while the 40-query interactive flood takes ~13 —
   // without the reserve the background max would exceed the flood max.
   EXPECT_LT(starved_max, flood_max);
@@ -1113,6 +1132,69 @@ TEST(NetServerTest, FramingErrorsCloseTheConnectionTypedErrorsDoNot) {
   fx.server->Shutdown();
 }
 
+// Resident set size of this process, in KiB (from /proc/self/status).
+std::size_t VmRssKib() {
+  std::FILE* status = std::fopen("/proc/self/status", "r");
+  if (status == nullptr) {
+    return 0;
+  }
+  char line[256];
+  std::size_t kib = 0;
+  while (std::fgets(line, sizeof(line), status) != nullptr) {
+    if (std::sscanf(line, "VmRSS: %zu kB", &kib) == 1) {
+      break;
+    }
+  }
+  std::fclose(status);
+  return kib;
+}
+
+// A header may claim a payload of up to kMaxPayloadSize, but the server
+// must hold memory only for the bytes that actually arrive: eight
+// connections each claiming 64 MiB and sending 16 bytes leave the
+// process well under 64 MiB larger, and the server keeps serving.
+TEST(NetServerTest, ClaimedPayloadSizeDoesNotReserveMemory) {
+  ServerFixture fx;
+  const std::uint16_t port = fx.Start();
+  SofaClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", port).ok());
+  const Dataset queries = Walk(2, 64, 331);
+  service::SearchResponse response;
+  ASSERT_TRUE(client.Search(MakeSearchRequest(queries, 0, 5), &response).ok());
+  ASSERT_EQ(response.status, StatusCode::kOk);
+
+  const std::size_t rss_before = VmRssKib();
+  ASSERT_GT(rss_before, 0u);
+  FrameHeader header;
+  header.type = static_cast<std::uint8_t>(MessageType::kSearch);
+  header.request_id = 1;
+  header.payload_size = kMaxPayloadSize;
+  std::vector<std::uint8_t> bytes(kHeaderSize + 16, 0x11);
+  EncodeHeader(header, bytes.data());
+  std::vector<int> fds;
+  for (int c = 0; c < 8; ++c) {
+    const int fd = RawConnect(port);
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(RawSend(fd, bytes));
+    fds.push_back(fd);
+  }
+  // Give every reader time to parse its header and take in the bytes.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const std::size_t rss_after = VmRssKib();
+  EXPECT_LT(rss_after, rss_before + 64 * 1024)
+      << "VmRSS grew from " << rss_before << " to " << rss_after << " KiB";
+
+  ASSERT_TRUE(client.Search(MakeSearchRequest(queries, 1, 5), &response).ok());
+  ASSERT_EQ(response.status, StatusCode::kOk);
+  EXPECT_TRUE(SameDistances(response.neighbors,
+                            BruteForceKnn(fx.base, queries.row(1), 5)));
+  for (const int fd : fds) {
+    ::close(fd);
+  }
+  client.Close();
+  fx.server->Shutdown();
+}
+
 TEST(NetServerTest, DeadlinesExpireOverTheWire) {
   service::ServiceConfig config;
   config.start_paused = true;
@@ -1122,7 +1204,7 @@ TEST(NetServerTest, DeadlinesExpireOverTheWire) {
   ASSERT_TRUE(client.Connect("127.0.0.1", port).ok());
   const Dataset queries = Walk(1, 64, 23);
   service::SearchRequest request = MakeSearchRequest(queries, 0, 3);
-  request.deadline_ms = 0.01;  // expires while the dispatcher is paused
+  request.deadline_ms = 0.01;  // expires while the service is paused
   std::uint64_t request_id = 0;
   ASSERT_TRUE(client.SendSearch(request, &request_id).ok());
   ASSERT_TRUE(fx.WaitForFrames(1));

