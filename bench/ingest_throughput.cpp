@@ -31,7 +31,7 @@
 // also persists the published generation to a GenerationStore and
 // truncates the WAL to the tail — the fully durable deployment. The
 // delta against the WAL-only rows is the price of crash-consistent
-// checkpointing (slice writing is O(changed shard) via hardlink reuse).
+// persistence (slice writing is O(changed shard) via hardlink reuse).
 //
 // Flags: --n_series=40000 --n_insert=8000 --n_queries=200 --length=256
 //        --k=10 --threads=4 --shards=2 --leaf_size=1000
@@ -317,7 +317,7 @@ int main(int argc, char** argv) {
   // interval when --wal-dir is given. Each configuration logs into its
   // own subdirectory, cleared first — the bench never recovers, and
   // stale segments from earlier runs would otherwise pile up
-  // indefinitely (nothing here checkpoints or truncates).
+  // indefinitely (a WAL-only run never truncates).
   const std::string persist_dir = flags.GetString("persist-dir", "");
   for (const std::size_t threshold : thresholds) {
     // Variants: no-WAL baseline, then per fsync interval a WAL-only run

@@ -31,16 +31,14 @@
 //                     [--listen=HOST:PORT] [--max-connections=64]
 //                     [--port-file=PATH] [--max-pending=4096]
 //                     [--priority-reserve=N] [--tenant-quota=N]
-//                     (`sofa_cli serve --help` documents every flag;
+//                     (`sofa_cli serve --help` documents every flag, and
+//                      serve refuses any flag it does not list;
 //                      --listen switches serve from file replay to a
 //                      long-running TCP server speaking the binary wire
 //                      protocol of docs/PROTOCOL.md, with graceful
 //                      drain on SIGTERM/SIGINT)
 //   sofa_cli stats    --stats-file=PATH [--format=pretty|prometheus|json]
 //                     (pretty-prints a JSON stats dump written by serve)
-//   sofa_cli stats    --diff BEFORE.json AFTER.json
-//                     (diffs two dumps: counters/gauges/histograms that
-//                      changed, plus instruments only in one side)
 //                     (streams the queries through the SearchService and
 //                      prints serving metrics: QPS, p50/p95/p99, pruning;
 //                      --shards reloads the per-shard files written by
@@ -445,28 +443,8 @@ bool LoadStatsDump(const std::string& path,
 }
 
 // `sofa_cli stats` — pretty-prints (or re-renders) a JSON stats dump
-// written by `serve --stats-file`, or diffs two of them:
-//   sofa_cli stats --diff BEFORE.json AFTER.json
+// written by `serve --stats-file`.
 int StatsCommand(const Flags& flags) {
-  if (flags.Has("diff")) {
-    // The greedy space form binds the first file to --diff; the second
-    // arrives as a positional argument after the subcommand.
-    const std::string before_path = flags.GetString("diff", "");
-    const std::string after_path =
-        flags.positional().size() > 1 ? flags.positional()[1] : "";
-    if (before_path.empty() || after_path.empty()) {
-      std::fprintf(stderr, "usage: sofa_cli stats --diff BEFORE.json AFTER.json\n");
-      return 1;
-    }
-    std::vector<obs::InstrumentSnapshot> before;
-    std::vector<obs::InstrumentSnapshot> after;
-    if (!LoadStatsDump(before_path, &before) ||
-        !LoadStatsDump(after_path, &after)) {
-      return 1;
-    }
-    std::fputs(obs::RenderStatsDiff(before, after).c_str(), stdout);
-    return 0;
-  }
   const std::string path = flags.GetString("stats-file", "");
   if (path.empty()) {
     std::fprintf(stderr, "missing --stats-file\n");
@@ -493,9 +471,10 @@ int StatsCommand(const Flags& flags) {
 // `serve` options.
 //
 // The X-macro below is the single source of truth for every serve flag:
-// it declares the ServeOptions fields, drives the one parse pass, and
-// generates `sofa_cli serve --help` — a flag cannot exist without
-// documentation, and nothing outside ParseServeOptions reads raw flags.
+// it declares the ServeOptions fields, drives the one parse pass (which
+// refuses any flag it does not name), and generates `sofa_cli serve
+// --help` — a flag cannot exist without documentation, and nothing
+// outside ParseServeOptions reads raw flags.
 //   X(field, "flag-name", Type, default, "help")
 #define SOFA_SERVE_FLAG_LIST(X)                                               \
   X(data, "data", String, "",                                                 \
@@ -620,6 +599,19 @@ bool ParseListenAddress(const std::string& listen, std::string* host,
 
 bool ParseServeOptions(const Flags& flags, ServeOptions* opts,
                        std::string* error) {
+  // A flag the list does not name (besides `help` and main's `threads`)
+  // is refused, not ignored: a misspelt or retired flag would otherwise
+  // run with its default without a word.
+  for (const std::string& name : flags.names()) {
+#define SOFA_SERVE_KNOWN(field, flag, type, default_value, help) \
+  name == flag ||
+    if (!(SOFA_SERVE_FLAG_LIST(SOFA_SERVE_KNOWN) name == "help" ||
+          name == "threads")) {
+      *error = "unknown flag --" + name;
+      return false;
+    }
+#undef SOFA_SERVE_KNOWN
+  }
 #define SOFA_SERVE_PARSE(field, flag, type, default_value, help) \
   opts->field = flags.Get##type(flag, opts->field);
   SOFA_SERVE_FLAG_LIST(SOFA_SERVE_PARSE)

@@ -87,7 +87,6 @@ Compactor::Compactor(service::SearchService* service,
                assignment_ == shard::ShardAssignment::kHash);
     next_id_ = recovered->next_id;
     id_base_ = recovered->next_id;
-    from_recovered_ = true;
     publish_seq_ = recovered->generation_seq;
     wal_skip_seqno_ = recovered->wal_last_seqno;
     for (std::size_t s = 0; s < num_shards_; ++s) {
@@ -417,16 +416,13 @@ RecoverStats Compactor::Recover() {
   // Replay in log order under the mutation lock. Application is
   // idempotent against the base: records at or below the recovered fold
   // point are skipped outright (the generation directory already holds
-  // them — the crash-between-commit-and-truncate case), ids the base
-  // already covers are skipped, so a log whose prefix predates a
-  // checkpointed base replays cleanly; a genuine gap or contradiction
-  // flips ok and ignores the rest (the log belongs to a different base,
-  // or acknowledged records are gone).
-  // Manifest-recovered logs must start no later than the fold point + 1;
-  // classic logs may legitimately start anywhere (a checkpoint record
-  // truncation reset the front), so no expectation is imposed there.
-  const std::uint64_t expected_first =
-      from_recovered_ ? wal_skip_seqno_ + 1 : 0;
+  // them — the crash-between-commit-and-truncate case) and ids the base
+  // already covers are skipped; a genuine gap or contradiction flips ok
+  // and ignores the rest (the log belongs to a different base, or
+  // acknowledged records are gone). Only a persist truncates the log, so
+  // it must start no later than the fold point + 1 — seqno 1 when there
+  // is no manifest.
+  const std::uint64_t expected_first = wal_skip_seqno_ + 1;
   const WalReplayStats replayed = WriteAheadLog::Replay(
       config_.wal_dir, length_,
       [&](const WalRecord& record) {
@@ -469,26 +465,6 @@ RecoverStats Compactor::Recover() {
             }
             return;
           }
-          case WalRecordType::kCheckpoint: {
-            // The checkpoint asserts the base holds rows [0, next_id);
-            // anything else means base and log disagree.
-            if (record.next_id > id_base_ || stats.inserts_applied != 0) {
-              stats.ok = false;
-              return;
-            }
-            shard_tombstoned_.assign(num_shards_, 0);
-            for (const std::uint32_t id : record.tombstones) {
-              ++shard_tombstoned_[RouteShard(id)];
-            }
-            tombstones_->ResetTo(record.tombstones);
-            deleted_ever_.clear();
-            deleted_ever_.insert(record.tombstones.begin(),
-                                 record.tombstones.end());
-            deleted_ = record.tombstones.size();
-            stats.deletes_applied = record.tombstones.size();
-            ++stats.checkpoints;
-            return;
-          }
         }
       },
       expected_first);
@@ -507,22 +483,6 @@ RecoverStats Compactor::Recover() {
     work_cv_.notify_one();  // replayed buffers may already cross thresholds
   }
   return stats;
-}
-
-Status Compactor::Checkpoint() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (wal_ == nullptr) {
-    return UnavailableError("no WAL attached");
-  }
-  // The checkpoint must capture a state no in-flight batch can skew, and
-  // the WAL writer admits one writer at a time — barrier + drain, like
-  // the persist fold point.
-  persist_barrier_ = true;
-  DrainCommitQueueLocked(&lock);
-  const bool ok = wal_->AppendCheckpoint(next_id_, tombstones_->SortedIds());
-  persist_barrier_ = false;
-  commit_cv_.notify_all();
-  return ok ? OkStatus() : IoError("checkpoint append failed");
 }
 
 Status Compactor::PersistNow() {
@@ -873,12 +833,13 @@ void Compactor::CompactShard(std::size_t s) {
   if (exclude != nullptr) {
     // Phantom tombstones: sampled ids routed to this shard whose row
     // exists in none of its structures and that no earlier compaction
-    // already queued — e.g. an id re-deleted after its tombstone was
-    // purged following a checkpointed recovery. Nothing will ever
-    // exclude them again, so queue them for purge alongside the rows
-    // removed here; every sampled tombstone of this shard is provably
-    // either in the slice, in buffer [start, cut), already queued, or
-    // phantom.
+    // already queued — e.g. a tombstone a recovered manifest carried for
+    // a row its generation had already compacted out (the purge was
+    // still waiting on in-flight generations at persist). Nothing will
+    // ever exclude them again, so queue them for purge alongside the
+    // rows removed here; every sampled tombstone of this shard is
+    // provably either in the slice, in buffer [start, cut), already
+    // queued, or phantom.
     const std::unordered_set<std::uint32_t> removed(purgeable.begin(),
                                                     purgeable.end());
     for (const std::uint32_t id : *tomb) {
@@ -904,14 +865,6 @@ void Compactor::CompactShard(std::size_t s) {
     // mutations since the last compaction" in the default deployment. A
     // failure keeps serving from memory with the full log retained.
     PersistLocked(&lock);
-  } else if (config_.checkpoint_on_compact && wal_ != nullptr) {
-    // Opt-in only: sound solely when the embedder persists the full
-    // collection state by publish time (see IngestConfig).
-    persist_barrier_ = true;
-    DrainCommitQueueLocked(&lock);
-    wal_->AppendCheckpoint(next_id_, tombstones_->SortedIds());
-    persist_barrier_ = false;
-    commit_cv_.notify_all();
   }
 }
 

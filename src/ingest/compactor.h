@@ -145,13 +145,6 @@ struct IngestConfig {
   /// survive a crash.
   persist::GenerationStore* store = nullptr;
 
-  /// When true (and `store` is null), every compaction also writes a
-  /// WAL checkpoint *record* and truncates older segments. ONLY sound
-  /// when the embedder durably persists the full collection state out
-  /// of band no later than each publish. With `store` set this flag is
-  /// ignored — the store's fold-point truncation supersedes it.
-  bool checkpoint_on_compact = false;
-
   /// Metrics registry the compactor mirrors its counters into (as
   /// sofa_ingest_* instruments, refreshed on every Collect). Also passed
   /// through to the WAL (WalConfig::registry) unless that is set
@@ -178,16 +171,16 @@ struct IngestMetrics {
 
 /// What Recover() replayed. `ok == false` means the log does not fit the
 /// supplied base generation — a gap in the id sequence, a broken record
-/// seqno chain (interior segment loss), a delete of an unknown id, or a
-/// checkpoint claiming rows the base lacks; everything applied up to the
-/// first inconsistency stays applied, records after it are ignored, and
-/// the embedder must refuse to serve.
+/// seqno chain (interior segment loss, or a log whose first record comes
+/// after seqno 1 / the manifest's fold point + 1), or a delete of an
+/// unknown id; everything applied up to the first inconsistency stays
+/// applied, records after it are ignored, and the embedder must refuse
+/// to serve.
 struct RecoverStats {
   bool ok = true;
   std::uint64_t inserts_applied = 0;  // rows appended to buffers
   std::uint64_t inserts_skipped = 0;  // ids the base already covers
   std::uint64_t deletes_applied = 0;  // tombstones restored
-  std::uint64_t checkpoints = 0;      // state resets replayed
   std::uint64_t records_skipped = 0;  // records at or below the recovered
                                       // fold point (already in the base)
   std::uint64_t last_seqno = 0;       // highest record seqno on disk
@@ -266,26 +259,15 @@ class Compactor {
   /// Replays the WAL into buffers + tombstones. Must be called before
   /// the first Insert/Delete (SOFA_CHECK-enforced) and, for coherent
   /// answers, before queries are admitted. `base` must be exactly the
-  /// generation the log was written against. When the Compactor was
-  /// constructed with a RecoveredBase, records at or below the fold
-  /// point are skipped and the retained tail must start no later than
-  /// fold+1 (a hole there flips `sequence_gap` and fails the recovery).
-  /// No-op (ok, zero counts) without a WAL. Replayed records are NOT
-  /// re-appended — the segments that hold them are retained until a
-  /// persist (or checkpoint) truncates them.
+  /// generation the log was written against. Only a persist truncates
+  /// the log, so its retained records must start no later than seqno 1
+  /// — or, when the Compactor was constructed with a RecoveredBase, the
+  /// manifest's fold point + 1, with records at or below the fold point
+  /// skipped. A later start (a lost segment) flips `sequence_gap` and
+  /// fails the recovery. No-op (ok, zero counts) without a WAL. Replayed
+  /// records are NOT re-appended — the segments that hold them are
+  /// retained until a persist truncates them.
   RecoverStats Recover();
-
-  /// Writes a WAL checkpoint (current id watermark + live tombstones)
-  /// and truncates every older segment. Contract: the caller has durably
-  /// persisted the full collection state — every row in [0, next id) and
-  /// the tombstone set — somewhere the next recovery will rebuild its
-  /// base generation from; after truncation the log can no longer
-  /// re-create mutations from before the checkpoint. Returns kIoError
-  /// (log unchanged or partially rotated, never truncated) on I/O
-  /// failure, kUnavailable without a WAL. Embedders with
-  /// IngestConfig::store use PersistNow() instead — the store IS that
-  /// durable copy.
-  Status Checkpoint();
 
   /// Persists the current collection state to IngestConfig::store right
   /// now (same fold-point protocol as the per-compaction persist) and
@@ -368,7 +350,7 @@ class Compactor {
   std::shared_ptr<TombstoneSet> tombstones_;  // live, shared with snapshots
   // Every id ever deleted, purged or not — Delete() statuses must tell
   // "already deleted" from "never existed" even after the tombstone was
-  // purged. Never shrinks (except to a checkpoint's set on recovery).
+  // purged. Never shrinks.
   std::unordered_set<std::uint32_t> deleted_ever_;
   std::unique_ptr<WriteAheadLog> wal_;        // null without wal_dir
   std::vector<std::size_t> tree_covered_;  // per shard: buffer rows in tree
@@ -393,8 +375,7 @@ class Compactor {
   std::uint64_t persisted_seq_ = 0;
   std::uint64_t persisted_wal_seqno_ = 0;
   std::uint32_t next_id_;
-  std::uint32_t id_base_;          // initial next_id (metrics, checkpoints)
-  bool from_recovered_ = false;    // bootstrapped from a RecoveredBase
+  std::uint32_t id_base_;          // initial next_id (metrics)
   std::uint64_t wal_skip_seqno_ = 0;  // Recover() skips records ≤ this
   std::size_t pending_ = 0;
   std::uint64_t inserted_ = 0;
@@ -435,9 +416,10 @@ class Compactor {
   std::unordered_set<std::uint32_t> pending_purge_ids_;
 
   // sofa_ingest_* instruments (null without IngestConfig::registry).
-  // Counters are Set(), not Add()ed, from the locked counters above —
-  // checkpoint replay *assigns* (e.g. deleted_ = tombstones.size()), so
-  // mirroring is the only faithful mapping.
+  // Counters are Set(), not Add()ed, from the locked counters above:
+  // those are the one source of truth (seeded from the manifest when
+  // resuming), mirrored on each Collect so mutations never touch the
+  // registry.
   obs::Counter* ing_counters_[8] = {nullptr, nullptr, nullptr, nullptr,
                                     nullptr, nullptr, nullptr, nullptr};
   obs::Gauge* ing_pending_ = nullptr;

@@ -33,13 +33,6 @@ void TombstoneSet::Erase(const std::vector<std::uint32_t>& ids) {
   }
 }
 
-void TombstoneSet::ResetTo(const std::vector<std::uint32_t>& ids) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ids_.clear();
-  ids_.insert(ids.begin(), ids.end());
-  cache_.reset();
-}
-
 std::size_t TombstoneSet::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return ids_.size();

@@ -57,14 +57,10 @@ class TombstoneSet {
   /// ignored.
   void Erase(const std::vector<std::uint32_t>& ids);
 
-  /// Replaces the whole set — the WAL-recovery path restoring the
-  /// tombstone state a checkpoint record captured.
-  void ResetTo(const std::vector<std::uint32_t>& ids);
-
   /// Current number of tombstoned ids.
   std::size_t size() const;
 
-  /// The tombstoned ids, ascending (checkpoint serialization).
+  /// The tombstoned ids, ascending (the persisted manifest's set).
   std::vector<std::uint32_t> SortedIds() const;
 
   /// An immutable point-in-time snapshot of the set; never null. The

@@ -408,8 +408,6 @@ bool WriteAheadLog::AppendBatch(const std::vector<WalAppend>& batch) {
         PutU32(&payload, record.id);
         break;
       }
-      case WalRecordType::kCheckpoint:
-        return false;  // checkpoints go through AppendCheckpoint only
     }
     payloads.push_back(std::move(payload));
   }
@@ -422,39 +420,6 @@ bool WriteAheadLog::AppendInsert(std::uint32_t id, const float* row) {
 
 bool WriteAheadLog::AppendDelete(std::uint32_t id) {
   return AppendBatch({WalAppend{WalRecordType::kDelete, id, nullptr}});
-}
-
-bool WriteAheadLog::AppendCheckpoint(
-    std::uint64_t next_id, const std::vector<std::uint32_t>& tombstones) {
-  // The checkpoint always heads its own fresh segment: truncation then
-  // reduces to "delete every segment with a lower sequence number", and
-  // replay meeting the checkpoint first discards any stale prefix a
-  // crash may have left behind. A failed close is tolerated (the
-  // checkpoint supersedes that segment's records anyway); a failed open
-  // leaves the log reopenable by the next append.
-  CloseSegment(/*sync=*/true);
-  if (!OpenSegment(seq_ + 1)) {
-    return false;
-  }
-  std::vector<unsigned char> payload;
-  payload.reserve(1 + 2 * sizeof(std::uint64_t) +
-                  tombstones.size() * sizeof(std::uint32_t));
-  payload.push_back(static_cast<unsigned char>(WalRecordType::kCheckpoint));
-  PutU64(&payload, next_id);
-  PutU64(&payload, tombstones.size());
-  for (const std::uint32_t id : tombstones) {
-    PutU32(&payload, id);
-  }
-  if (!AppendFrames({payload}) || !Sync()) {
-    return false;
-  }
-  // Only after the checkpoint is durable may its predecessors go.
-  for (const SegmentEntry& entry : ListSegmentEntries(dir_)) {
-    if (entry.seq < seq_) {
-      ::unlink(entry.path.c_str());
-    }
-  }
-  return true;
 }
 
 bool WriteAheadLog::Rotate(std::uint64_t* new_segment_seq) {
@@ -579,27 +544,6 @@ WalReplayStats WriteAheadLog::Replay(
           }
           std::memcpy(&record.id, body, sizeof(record.id));
           ++stats.deletes;
-          break;
-        }
-        case WalRecordType::kCheckpoint: {
-          record.type = WalRecordType::kCheckpoint;
-          std::uint64_t count = 0;
-          if (body_size < sizeof(record.next_id) + sizeof(count)) {
-            valid = false;
-            break;
-          }
-          std::memcpy(&record.next_id, body, sizeof(record.next_id));
-          std::memcpy(&count, body + sizeof(record.next_id), sizeof(count));
-          if (body_size != sizeof(record.next_id) + sizeof(count) +
-                               count * sizeof(std::uint32_t)) {
-            valid = false;
-            break;
-          }
-          record.tombstones.resize(count);
-          std::memcpy(record.tombstones.data(),
-                      body + sizeof(record.next_id) + sizeof(count),
-                      count * sizeof(std::uint32_t));
-          ++stats.checkpoints;
           break;
         }
         default:

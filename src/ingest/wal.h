@@ -17,7 +17,7 @@
 //             | u64 first_seqno
 //   record   := u32 payload_size | u32 crc32(seqno | payload)
 //             | u64 seqno | payload
-//   payload  := u8 type | body          (insert / delete / checkpoint)
+//   payload  := u8 type | body          (insert / delete)
 //
 // Every record carries a global sequence number, contiguous from 1
 // across segments and record types. The CRC framing makes a torn tail
@@ -32,30 +32,23 @@
 // fresh segment after the highest retained one, continuing the seqno
 // chain from the last valid record on disk.
 //
-// Checkpoints and truncation — two mechanisms, two callers:
-//
-//   * AppendCheckpoint (embedder-driven, Compactor::Checkpoint): a
-//     checkpoint *record* carries the collection row count and live
-//     tombstone set at a moment the caller guarantees is durable
-//     elsewhere; it heads a fresh segment and every older segment is
-//     deleted. Replay resets its accumulated state at a checkpoint
-//     record, which keeps recovery idempotent when a crash lands
-//     between the checkpoint write and the old-segment unlink.
-//   * Rotate + TruncateBelow (the persist::GenerationStore path): the
-//     Compactor captures the full collection state at sequence number L,
-//     rotates so that records ≤ L live strictly below the returned
-//     segment, persists the generation directory, and only after that
-//     commit truncates the segments below the rotation point. The
-//     manifest records L; recovery replays only records with seqno > L —
-//     the "WAL tail". A crash between commit and truncation merely
-//     leaves stale segments whose records replay idempotently.
+// Truncation — the persist::GenerationStore fold point is the only way
+// segments are removed: the Compactor captures the full collection state
+// at sequence number L, rotates so that records ≤ L live strictly below
+// the returned segment, persists the generation directory, and only
+// after that commit truncates the segments below the rotation point
+// (Rotate + TruncateBelow). The manifest records L; recovery replays
+// only records with seqno > L — the "WAL tail". A crash between commit
+// and truncation merely leaves stale segments whose records are skipped
+// as already folded in. So a log's first retained record is seqno 1, or
+// at most one past its manifest's fold point; a later start is a gap.
 //
 // Fsync policy: appends are buffered and fflush()ed per batch (visible
 // to a reader immediately), but fsync()ed only every `sync_every`
 // records — classic group-commit batching, one fsync covering a whole
 // concurrent batch (see Compactor's staged commit queue). A power
 // failure can lose at most the records since the last sync; Sync(),
-// AppendCheckpoint, Rotate and the destructor always force one.
+// Rotate and the destructor always force one.
 //
 // Thread-safety: the writer methods are NOT internally synchronized —
 // the Compactor guarantees one writer at a time (the group-commit
@@ -86,7 +79,7 @@ struct WalConfig {
   std::size_t segment_bytes = 64ull << 20;
 
   /// fsync after this many appended records (1 = every record — maximal
-  /// durability, minimal throughput; 0 = only on Sync()/checkpoint/
+  /// durability, minimal throughput; 0 = only on Sync()/rotation/
   /// close). The unsynced window is what a power failure can lose.
   std::size_t sync_every = 64;
 
@@ -97,22 +90,20 @@ struct WalConfig {
   obs::Registry* registry = nullptr;
 };
 
-/// Record kinds in the stream (the on-disk u8 tag).
+/// Record kinds in the stream (the on-disk u8 tag). Tag 3 stays
+/// unassigned: older logs may hold it, and replay must keep stopping at
+/// it like at any unknown tag (docs/FILE_FORMATS.md).
 enum class WalRecordType : std::uint8_t {
-  kInsert = 1,      // id + row payload
-  kDelete = 2,      // id
-  kCheckpoint = 3,  // next_id + tombstone ids; resets replay state
+  kInsert = 1,  // id + row payload
+  kDelete = 2,  // id
 };
 
-/// One decoded record, as handed to the replay callback. Only the fields
-/// of the record's type are meaningful (seqno always is).
+/// One decoded record, as handed to the replay callback.
 struct WalRecord {
   WalRecordType type = WalRecordType::kInsert;
-  std::uint64_t seqno = 0;                 // global, contiguous from 1
-  std::uint32_t id = 0;                    // kInsert / kDelete
-  std::vector<float> row;                  // kInsert
-  std::uint64_t next_id = 0;               // kCheckpoint
-  std::vector<std::uint32_t> tombstones;   // kCheckpoint
+  std::uint64_t seqno = 0;  // global, contiguous from 1
+  std::uint32_t id = 0;
+  std::vector<float> row;   // kInsert only
 };
 
 /// One staged record of a group-commit batch (see AppendBatch). `row`
@@ -129,7 +120,6 @@ struct WalReplayStats {
   std::uint64_t segments = 0;     // segment files visited
   std::uint64_t inserts = 0;      // insert records delivered
   std::uint64_t deletes = 0;      // delete records delivered
-  std::uint64_t checkpoints = 0;  // checkpoint records delivered
   std::uint64_t first_seqno = 0;  // seqno of the first delivered record
   std::uint64_t last_seqno = 0;   // seqno of the last delivered record
   /// True when replay stopped at a torn or corrupt record instead of a
@@ -157,21 +147,22 @@ class WriteAheadLog {
                                              WalConfig config = WalConfig{});
 
   /// Replays every retained record in segment order, invoking `apply`
-  /// per record. A checkpoint record is delivered like any other —
-  /// callers reset their accumulated state on it (Compactor::Recover
-  /// does). A torn or corrupt record stops the current *segment* cleanly
-  /// (flagged via WalReplayStats::tail_truncated) and replay continues
-  /// with the next segment — the crash-then-reopen pattern. The per-
-  /// record seqno chain is validated across segments: a discontinuity
-  /// flips `sequence_gap` (interior loss — refuse) instead of being
-  /// mistaken for the benign torn tail. `expected_first_seqno`, when
-  /// nonzero, additionally requires the first delivered record's seqno
-  /// to be at most that value — the persist path passes (manifest
-  /// last_seqno + 1) so a WAL whose retained tail starts *after* the
-  /// manifest's fold point (a deleted or lost segment) is refused
-  /// rather than silently replayed with a hole. A missing or empty
-  /// directory replays nothing; segments whose header does not match
-  /// `length` are skipped as foreign and flagged tail_truncated.
+  /// per record. A torn, corrupt or unknown-type record stops the
+  /// current *segment* cleanly (flagged via
+  /// WalReplayStats::tail_truncated) and replay continues with the next
+  /// segment — the crash-then-reopen pattern. The per-record seqno chain
+  /// is validated across segments: a discontinuity flips `sequence_gap`
+  /// (interior loss — refuse) instead of being mistaken for the benign
+  /// torn tail; records skipped behind an unknown-type record show up
+  /// that way too, as the next segment's header lies past them.
+  /// `expected_first_seqno`, when nonzero, additionally requires the
+  /// first delivered record's seqno to be at most that value —
+  /// Compactor::Recover passes (manifest last_seqno + 1), or 1 for a log
+  /// without a manifest, so a WAL whose retained records start *after*
+  /// that point (a deleted or lost segment) is refused rather than
+  /// silently replayed with a hole. A missing or empty directory replays
+  /// nothing; segments whose header does not match `length` are skipped
+  /// as foreign and flagged tail_truncated.
   static WalReplayStats Replay(
       const std::string& dir, std::size_t length,
       const std::function<void(const WalRecord&)>& apply,
@@ -207,14 +198,6 @@ class WriteAheadLog {
   /// rolls back to the batch's start boundary, no record of the batch
   /// replays, and every staged id/seqno may be reused.
   bool AppendBatch(const std::vector<WalAppend>& batch);
-
-  /// Rotates to a fresh segment, writes a checkpoint record carrying
-  /// `next_id` and `tombstones`, fsyncs it, and deletes every older
-  /// segment. Contract: call only when rows [0, next_id) and the given
-  /// tombstone set are durably recoverable WITHOUT this log — the
-  /// deleted segments held the only other copy of those mutations.
-  bool AppendCheckpoint(std::uint64_t next_id,
-                        const std::vector<std::uint32_t>& tombstones);
 
   /// Syncs and closes the current segment and opens a fresh one, whose
   /// sequence number is returned in `new_segment_seq`. Every record

@@ -12,6 +12,7 @@
 #include <memory>
 #include <utility>
 
+#include "obs/trace.h"
 #include "obs/trace_serde.h"
 
 namespace sofa {
@@ -298,6 +299,10 @@ Status SofaClient::ReceiveSearchResponse(std::uint64_t* request_id,
   if (has_server_trace) {
     out->trace =
         std::make_shared<const obs::TraceRecord>(server_record);
+    // A v2 server sends the trace as the blob only; render the text here.
+    if (trace_text != nullptr) {
+      *trace_text = obs::FormatTrace(server_record);
+    }
   }
 
   if (wire_trace != nullptr) {

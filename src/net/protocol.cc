@@ -515,7 +515,7 @@ Status DecodeAdminRequest(const std::uint8_t* data, std::size_t size,
   if (!reader.U8(&raw) || !reader.AtEnd()) {
     return Malformed();
   }
-  if (raw < static_cast<std::uint8_t>(AdminOp::kCheckpoint) ||
+  if (raw < static_cast<std::uint8_t>(AdminOp::kPersist) ||
       raw > static_cast<std::uint8_t>(AdminOp::kSwap)) {
     return ProtocolError("unknown admin op");
   }

@@ -64,12 +64,13 @@ enum class MessageType : std::uint8_t {
 
 constexpr std::uint8_t kResponseBit = 0x80;
 
-/// Admin surface operations (ADMIN request payload).
+/// Admin surface operations (ADMIN request payload). Value 1 stays
+/// unassigned: older clients may still send it, and it must keep
+/// decoding as "unknown admin op" like any value outside 2–4.
 enum class AdminOp : std::uint8_t {
-  kCheckpoint = 1,  // Compactor::Checkpoint() — WAL checkpoint + truncate
-  kPersist = 2,     // Compactor::PersistNow() — generation store commit
-  kCompact = 3,     // Compactor::Flush() — fold pending mutations in
-  kSwap = 4,        // republish the current generation (version bump)
+  kPersist = 2,  // Compactor::PersistNow() — generation store commit
+  kCompact = 3,  // Compactor::Flush() — fold pending mutations in
+  kSwap = 4,     // republish the current generation (version bump)
 };
 
 /// STATS dump formats.
@@ -174,9 +175,11 @@ Status DecodeSearchRequest(const std::uint8_t* data, std::size_t size,
 /// neighbors, profile, rendered trace text. At `version` >= 2 the
 /// profile includes the rowq tier counters and the payload ends with a
 /// structured trace section: `trace_blob` is a SerializeTraceRecord
-/// blob, or empty for "no trace" (obs/trace_serde.h). At version 1 the
-/// layout is byte-identical to the original protocol — the rowq
-/// counters and the blob never reach a v1 peer.
+/// blob, or empty for "no trace" (obs/trace_serde.h); the server then
+/// leaves the text field empty and the client renders it from the
+/// blob. At version 1 the layout is byte-identical to the original
+/// protocol — the rowq counters and the blob never reach a v1 peer,
+/// which gets the rendered text.
 std::vector<std::uint8_t> EncodeSearchResponse(
     const service::SearchResponse& response, const Status& status,
     const std::string& trace_text, const std::string& trace_blob = std::string(),

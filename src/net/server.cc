@@ -236,12 +236,15 @@ void SofaServer::WriterLoop(Connection* conn) {
       // Blocking on the future here (in queue order) is what keeps
       // responses ordered per connection while requests pipeline.
       service::SearchResponse response = reply.future.get();
+      // The trace travels once: as the structured blob at v2 (the
+      // client renders the text from it), as rendered text at v1.
       std::string trace_text;
       std::string trace_blob;
       if (reply.collect_trace && response.trace != nullptr) {
-        trace_text = obs::FormatTrace(*response.trace);
         if (reply.version >= 2) {
           trace_blob = obs::SerializeTraceRecord(*response.trace);
+        } else {
+          trace_text = obs::FormatTrace(*response.trace);
         }
       }
       reply.payload =
@@ -412,11 +415,6 @@ SofaServer::PendingReply SofaServer::HandleAdmin(
   Status status;
   std::uint64_t version = 0;
   switch (op) {
-    case AdminOp::kCheckpoint:
-      status = compactor_ != nullptr
-                   ? compactor_->Checkpoint()
-                   : UnavailableError("no ingest attached");
-      break;
     case AdminOp::kPersist:
       status = compactor_ != nullptr
                    ? compactor_->PersistNow()

@@ -9,7 +9,7 @@
 //     deadlines all honored by the service, exactly as in-process),
 //     INSERT/DELETE into the attached Compactor, STATS renders the
 //     shared obs::Registry, ADMIN drives the maintenance surface
-//     (checkpoint / persist / compact / hot-swap republish);
+//     (persist / compact / hot-swap republish);
 //   * the writer drains a per-connection FIFO of pending replies —
 //     SEARCH replies wait on the service future in queue order, the
 //     rest are encoded inline by the reader — so responses always come

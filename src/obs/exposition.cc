@@ -523,104 +523,5 @@ std::string RenderPretty(const std::vector<InstrumentSnapshot>& snapshot) {
   return out;
 }
 
-namespace {
-
-// "(+5, +12.5%)" — the relative part is dropped when the base is zero
-// (a new counter has no meaningful percentage).
-std::string FormatChange(double before, double after) {
-  const double delta = after - before;
-  std::string signed_delta = FormatNumber(delta);
-  if (delta >= 0.0) {
-    signed_delta.insert(signed_delta.begin(), '+');
-  }
-  char buffer[96];
-  if (before != 0.0) {
-    std::snprintf(buffer, sizeof(buffer), "(%s, %+.1f%%)",
-                  signed_delta.c_str(), 100.0 * delta / before);
-  } else {
-    std::snprintf(buffer, sizeof(buffer), "(%s)", signed_delta.c_str());
-  }
-  return buffer;
-}
-
-const InstrumentSnapshot* FindByDisplay(
-    const std::vector<InstrumentSnapshot>& snapshot,
-    const std::string& display) {
-  for (const InstrumentSnapshot& snap : snapshot) {
-    if (DisplayName(snap) == display) {
-      return &snap;
-    }
-  }
-  return nullptr;
-}
-
-}  // namespace
-
-std::string RenderStatsDiff(const std::vector<InstrumentSnapshot>& before,
-                            const std::vector<InstrumentSnapshot>& after) {
-  std::string counters, gauges, histograms, removed, added;
-  char line[512];
-  for (const InstrumentSnapshot& b : after) {
-    const std::string display = DisplayName(b);
-    const InstrumentSnapshot* a = FindByDisplay(before, display);
-    if (a == nullptr || a->kind != b.kind) {
-      added += "  " + display + "\n";
-      continue;
-    }
-    switch (b.kind) {
-      case InstrumentKind::kCounter:
-        if (a->counter == b.counter) {
-          continue;  // unchanged counters stay out of the diff
-        }
-        std::snprintf(line, sizeof(line), "  %-56s %s -> %s  %s\n",
-                      display.c_str(), FormatCount(a->counter).c_str(),
-                      FormatCount(b.counter).c_str(),
-                      FormatChange(static_cast<double>(a->counter),
-                                   static_cast<double>(b.counter))
-                          .c_str());
-        counters += line;
-        break;
-      case InstrumentKind::kGauge:
-        if (a->gauge == b.gauge) {
-          continue;
-        }
-        std::snprintf(line, sizeof(line), "  %-56s %s -> %s  %s\n",
-                      display.c_str(), FormatNumber(a->gauge).c_str(),
-                      FormatNumber(b.gauge).c_str(),
-                      FormatChange(a->gauge, b.gauge).c_str());
-        gauges += line;
-        break;
-      case InstrumentKind::kHistogram:
-        if (a->count == b.count && a->p50 == b.p50 && a->p95 == b.p95 &&
-            a->p99 == b.p99) {
-          continue;
-        }
-        std::snprintf(line, sizeof(line),
-                      "  %-56s count %s -> %s  p50 %.4g -> %.4g  "
-                      "p95 %.4g -> %.4g  p99 %.4g -> %.4g\n",
-                      display.c_str(), FormatCount(a->count).c_str(),
-                      FormatCount(b.count).c_str(), a->p50, b.p50, a->p95,
-                      b.p95, a->p99, b.p99);
-        histograms += line;
-        break;
-    }
-  }
-  for (const InstrumentSnapshot& a : before) {
-    const std::string display = DisplayName(a);
-    const InstrumentSnapshot* b = FindByDisplay(after, display);
-    if (b == nullptr || b->kind != a.kind) {
-      removed += "  " + display + "\n";
-    }
-  }
-  std::string out;
-  if (!counters.empty()) out += "counters:\n" + counters;
-  if (!gauges.empty()) out += "gauges:\n" + gauges;
-  if (!histograms.empty()) out += "histograms:\n" + histograms;
-  if (!added.empty()) out += "only in after:\n" + added;
-  if (!removed.empty()) out += "only in before:\n" + removed;
-  if (out.empty()) out = "(no differences)\n";
-  return out;
-}
-
 }  // namespace obs
 }  // namespace sofa

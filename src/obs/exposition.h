@@ -39,15 +39,6 @@ bool ParseStatsJson(const std::string& text,
 /// gauge, a count/mean/p50/p95/p99/max line per histogram.
 std::string RenderPretty(const std::vector<InstrumentSnapshot>& snapshot);
 
-/// Side-by-side diff of two snapshots (`sofa_cli stats --diff A B`, with
-/// A and B two ParseStatsJson results — e.g. stats dumps taken before
-/// and after a change). Counters show before → after with absolute and
-/// relative change, gauges before → after, histograms the count change
-/// plus the p50/p95/p99 movement. Instruments present on only one side
-/// are listed under their own headings. Deterministic for given inputs.
-std::string RenderStatsDiff(const std::vector<InstrumentSnapshot>& before,
-                            const std::vector<InstrumentSnapshot>& after);
-
 }  // namespace obs
 }  // namespace sofa
 

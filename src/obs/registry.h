@@ -36,7 +36,7 @@ using Labels = std::vector<std::pair<std::string, std::string>>;
 
 /// Monotonic counter. Add() is the normal path; Set() exists for collect
 /// hooks that mirror an external source of truth (which may itself be
-/// reset or assigned, e.g. on checkpoint replay).
+/// seeded, e.g. from a recovered manifest).
 class Counter {
  public:
   void Add(std::uint64_t delta = 1) {

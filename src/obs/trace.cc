@@ -49,15 +49,6 @@ int QueryTrace::AllocateSpan(const char* name, int parent) {
   return static_cast<int>(slot);
 }
 
-void QueryTrace::StampSpan(int span, double start_ms, double end_ms) {
-  if (span < 0) {
-    return;
-  }
-  TraceSpan& slot = spans_[static_cast<std::size_t>(span)];
-  slot.start_ms = start_ms;
-  slot.end_ms = end_ms;
-}
-
 void QueryTrace::StampSpanPerf(int span, const SpanPerf& perf) {
   if (span < 0) {
     return;

@@ -7,10 +7,7 @@
 //
 // Threading model: one thread at a time records spans (a query is handed
 // from the submitting thread to the pool worker that runs it, with the
-// queue's lock ordering the two). Work fanned out to other threads gets
-// pre-AllocateSpan()ed slots that each worker stamps alone (StampSpan),
-// so slot writes never race; Finish() must happen after those workers
-// have been joined.
+// queue's lock ordering the two).
 
 #ifndef SOFA_OBS_TRACE_H_
 #define SOFA_OBS_TRACE_H_
@@ -89,16 +86,7 @@ class QueryTrace {
   /// Closes a span opened by BeginSpan. Ignores -1.
   void EndSpan(int span);
 
-  /// Reserves a slot for a fanned-out task; a worker later fills it with
-  /// StampSpan. Returns -1 if full (the worker must tolerate it).
-  int AllocateSpan(const char* name, int parent = -1);
-
-  /// Fills a reserved slot. Each slot must be stamped by exactly one
-  /// thread; times are NowMs()-relative milliseconds.
-  void StampSpan(int span, double start_ms, double end_ms);
-
-  /// Attaches a hardware-counter sample to a reserved slot. Same
-  /// ownership rule as StampSpan: one thread per slot, never races.
+  /// Attaches a hardware-counter sample to a span. Ignores -1.
   void StampSpanPerf(int span, const SpanPerf& perf);
 
   /// Attaches a named work counter (e.g. QueryProfile fields).
@@ -110,6 +98,9 @@ class QueryTrace {
                      bool deadline_expired);
 
  private:
+  // Claims the next slot (name + parent, zero times); -1 if full.
+  int AllocateSpan(const char* name, int parent);
+
   std::chrono::steady_clock::time_point origin_;
   std::vector<TraceSpan> spans_;  // fixed capacity, never reallocated
   std::atomic<std::size_t> used_{0};

@@ -1,7 +1,7 @@
 // Durable generation store — the crash-consistent persistence layer that
 // turns the ingest path's in-memory generations into an operable,
-// restartable deployment (ROADMAP: "persist compacted generations so
-// Checkpoint() can truncate the WAL in the default deployment").
+// restartable deployment — and the only thing that truncates the WAL:
+// a segment is removed only once a committed generation covers it.
 //
 // A *generation* on disk is one directory holding everything needed to
 // restart a serving process into the exact answer set it was publishing:

@@ -34,6 +34,14 @@ bool Flags::Has(const std::string& name) const {
   return values_.count(name) > 0;
 }
 
+std::vector<std::string> Flags::names() const {
+  std::vector<std::string> names;
+  for (const auto& entry : values_) {
+    names.push_back(entry.first);
+  }
+  return names;
+}
+
 std::int64_t Flags::GetInt(const std::string& name,
                            std::int64_t default_value) const {
   const auto it = values_.find(name);

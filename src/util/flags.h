@@ -21,6 +21,9 @@ class Flags {
   /// True if the flag was present on the command line.
   bool Has(const std::string& name) const;
 
+  /// Every flag name present on the command line, sorted.
+  std::vector<std::string> names() const;
+
   std::int64_t GetInt(const std::string& name, std::int64_t default_value) const;
   double GetDouble(const std::string& name, double default_value) const;
   std::string GetString(const std::string& name,

@@ -4,10 +4,11 @@
 // the lowest-global-id rule on distance ties across shard trees and
 // insert buffers, the QueryProfile accounting of a sharded ingesting
 // query (one search over trees + buffers, masked rows counted, merged
-// into the service metrics exactly once), the WAL's framing/corruption/rotation/checkpoint edge
-// cases, and the headline exactness invariants — after N inserts and D
-// deletes, with compactions racing live query traffic, SearchService
-// answers are bit-identical to a from-scratch single-index build over
+// into the service metrics exactly once), the WAL's framing/corruption/
+// rotation edge cases (a log missing its first segment is refused), and
+// the headline exactness invariants — after N inserts and D deletes,
+// with compactions racing live query traffic, SearchService answers are
+// bit-identical to a from-scratch single-index build over
 // base ∪ inserts \ deletes; and after a simulated crash, WAL replay
 // (Compactor::Recover) restores bit-identical answers.
 
@@ -669,8 +670,6 @@ TEST(TombstoneSetTest, ViewsAreImmutableSnapshots) {
   EXPECT_EQ(after->count(7u), 0u);
   EXPECT_EQ(after->count(9u), 1u);
   EXPECT_EQ(set.size(), 1u);
-  set.ResetTo({1, 2, 3});
-  EXPECT_EQ(set.SortedIds(), (std::vector<std::uint32_t>{1, 2, 3}));
 }
 
 TEST(InsertBufferTest, SearchAndCopyRangeMaskExcludedIds) {
@@ -1238,59 +1237,6 @@ TEST(WalTest, EmptySegmentsReplayClean) {
   RemoveWalDir(dir);
 }
 
-TEST(WalTest, CheckpointTruncatesAndResetsReplay) {
-  const std::string dir = WalTestDir("checkpoint");
-  RemoveWalDir(dir);
-  const std::size_t length = 8;
-  const Dataset rows = Walk(6, length, 407);
-  auto wal = WriteAheadLog::Open(dir, length);
-  ASSERT_NE(wal, nullptr);
-  for (std::size_t i = 0; i < 4; ++i) {
-    ASSERT_TRUE(
-        wal->AppendInsert(static_cast<std::uint32_t>(i), rows.row(i)));
-  }
-  ASSERT_TRUE(wal->Sync());
-  // Keep a copy of the pre-checkpoint segment so we can simulate a crash
-  // between the checkpoint write and the old-segment unlink.
-  const std::vector<std::string> before = WriteAheadLog::ListSegments(dir);
-  ASSERT_EQ(before.size(), 1u);
-  const std::vector<unsigned char> stale = ReadFileBytes(before[0]);
-
-  ASSERT_TRUE(wal->AppendCheckpoint(/*next_id=*/4, /*tombstones=*/{1, 3}));
-  // Truncation: only the checkpoint-headed segment survives.
-  const std::vector<std::string> after = WriteAheadLog::ListSegments(dir);
-  ASSERT_EQ(after.size(), 1u);
-  EXPECT_NE(after[0], before[0]);
-  ASSERT_TRUE(wal->AppendInsert(4, rows.row(4)));
-  ASSERT_TRUE(wal->AppendInsert(5, rows.row(5)));
-  wal.reset();
-
-  // Replay of the truncated log: checkpoint first, then the tail.
-  std::vector<WalRecord> records;
-  WalReplayStats stats = WriteAheadLog::Replay(
-      dir, length, [&](const WalRecord& r) { records.push_back(r); });
-  EXPECT_FALSE(stats.tail_truncated);
-  ASSERT_EQ(records.size(), 3u);
-  EXPECT_EQ(records[0].type, WalRecordType::kCheckpoint);
-  EXPECT_EQ(records[0].next_id, 4u);
-  EXPECT_EQ(records[0].tombstones, (std::vector<std::uint32_t>{1, 3}));
-  EXPECT_EQ(records[1].id, 4u);
-  EXPECT_EQ(records[2].id, 5u);
-
-  // Crash-before-unlink: resurrect the stale prefix segment. Replay now
-  // sees the old inserts first, then the checkpoint — consumers that
-  // reset at checkpoints (Compactor::Recover) end in the identical
-  // state, which is what makes checkpoint-truncation idempotent.
-  WriteFileBytes(before[0], stale);
-  records.clear();
-  stats = WriteAheadLog::Replay(
-      dir, length, [&](const WalRecord& r) { records.push_back(r); });
-  EXPECT_FALSE(stats.tail_truncated);
-  ASSERT_EQ(records.size(), 7u);  // 4 stale inserts + checkpoint + 2 tail
-  EXPECT_EQ(records[4].type, WalRecordType::kCheckpoint);
-  RemoveWalDir(dir);
-}
-
 // ------------------------------------------------------------- recovery
 
 // The durability acceptance test: a mid-stream "crash" (Compactor and
@@ -1392,57 +1338,41 @@ TEST(IngestRecoveryTest, CrashReplayBitIdentical) {
   RemoveWalDir(dir);
 }
 
-// Checkpoint → truncate → more mutations → crash → Recover: replay
-// starts from the checkpoint state (tombstones restored, log prefix
-// gone) and applies only the tail — and doing so twice (the stale-prefix
-// case is covered at the WAL level) ends in the same state.
-TEST(IngestRecoveryTest, CheckpointTruncationLeavesReplayIdempotent) {
-  const std::string dir = WalTestDir("cp_recover");
+// Only a persist truncates the log, so a log without a manifest must
+// start at seqno 1. Here the first segment of a WAL-only deployment is
+// lost: the deletes it held would come back to life if the rest replayed,
+// so recovery refuses with a sequence gap instead.
+TEST(IngestRecoveryTest, LostFirstSegmentIsRefused) {
+  const std::string dir = WalTestDir("lost_first");
   RemoveWalDir(dir);
   IngestFixture fx(300, 0, 32, 2, shard::ShardAssignment::kContiguous, 417,
                    /*threads=*/2);
-  std::vector<std::uint32_t> first_deletes = {3, 250, 77};
-  std::vector<std::uint32_t> second_deletes = {10, 120};
   IngestConfig config;
   config.wal_dir = dir;
   config.auto_compact = false;
-  {
-    service::SearchService svc(service::WrapShardedIndex(fx.sharded),
-                               &fx.pool);
-    Compactor compactor(&svc, fx.sharded, config);
-    for (const std::uint32_t id : first_deletes) {
-      ASSERT_EQ(compactor.Delete(id), StatusCode::kOk);
-    }
-    // The caller's durable store here is the unchanged base collection
-    // (no inserts happened), so checkpointing is sound: rows [0, 300)
-    // are recoverable without the log, tombstones ride in the record.
-    ASSERT_TRUE(compactor.Checkpoint().ok());
-    EXPECT_EQ(WriteAheadLog::ListSegments(dir).size(), 1u);
-    for (const std::uint32_t id : second_deletes) {
-      ASSERT_EQ(compactor.Delete(id), StatusCode::kOk);
-    }
-  }
-  std::vector<std::uint32_t> all_deleted = first_deletes;
-  all_deleted.insert(all_deleted.end(), second_deletes.begin(),
-                     second_deletes.end());
-  ExactOracle oracle(fx.combined, all_deleted, fx.scheme, &fx.pool);
-  const Dataset queries = Walk(5, 32, 418);
-  {
+  for (std::uint32_t round = 0; round < 2; ++round) {
+    // Each run opens a fresh segment: round 0's deletes land in the
+    // first one, round 1's in the second.
     service::SearchService svc(service::WrapShardedIndex(fx.sharded),
                                &fx.pool);
     Compactor compactor(&svc, fx.sharded, config);
     const RecoverStats stats = compactor.Recover();
-    EXPECT_TRUE(stats.ok);
-    EXPECT_EQ(stats.checkpoints, 1u);
-    EXPECT_EQ(compactor.Metrics().tombstones, all_deleted.size());
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      const service::SearchResponse response =
-          svc.Search(MakeSearchRequest(queries, q, 8));
-      ASSERT_EQ(response.status, service::RequestStatus::kOk);
-      EXPECT_TRUE(BitIdentical(response.neighbors,
-                               oracle.SearchKnn(queries.row(q), 8)));
+    ASSERT_TRUE(stats.ok);
+    EXPECT_EQ(stats.deletes_applied, 5u * round);
+    for (std::uint32_t i = 0; i < 5; ++i) {
+      ASSERT_EQ(compactor.Delete(10 * (5 * round + i)), StatusCode::kOk);
     }
   }
+  const std::vector<std::string> segments = WriteAheadLog::ListSegments(dir);
+  ASSERT_EQ(segments.size(), 2u);
+  ASSERT_EQ(::unlink(segments[0].c_str()), 0);
+
+  service::SearchService svc(service::WrapShardedIndex(fx.sharded),
+                             &fx.pool);
+  Compactor compactor(&svc, fx.sharded, config);
+  const RecoverStats stats = compactor.Recover();
+  EXPECT_FALSE(stats.ok);
+  EXPECT_TRUE(stats.sequence_gap);
   RemoveWalDir(dir);
 }
 

@@ -34,6 +34,7 @@
 #include "net/server.h"
 #include "obs/exposition.h"
 #include "obs/registry.h"
+#include "obs/trace_serde.h"
 #include "service/search_service.h"
 #include "service/snapshot.h"
 #include "shard/sharded_index.h"
@@ -241,10 +242,17 @@ TEST(WireProtocolTest, SideChannelCodecsRoundTrip) {
   EXPECT_EQ(text, "{\"x\": 1}");
 
   // ADMIN
-  AdminOp op = AdminOp::kCheckpoint;
+  AdminOp op = AdminOp::kPersist;
   bytes = EncodeAdminRequest(AdminOp::kSwap);
   ASSERT_TRUE(DecodeAdminRequest(bytes.data(), bytes.size(), &op).ok());
   EXPECT_EQ(op, AdminOp::kSwap);
+  // Ops outside 2–4 are unknown, the retired op 1 included.
+  for (const int raw : {0, 1, 5}) {
+    const std::uint8_t unknown = static_cast<std::uint8_t>(raw);
+    EXPECT_EQ(DecodeAdminRequest(&unknown, 1, &op).code(),
+              StatusCode::kProtocolError)
+        << "op " << raw;
+  }
   std::uint64_t version = 0;
   bytes = EncodeAdminResponse(UnavailableError("no WAL attached"), 5);
   ASSERT_TRUE(
@@ -926,12 +934,14 @@ TEST(NetServerTest, AdminAndStatsSurface) {
   EXPECT_EQ(after.index_version, before.index_version + 1);
   EXPECT_TRUE(BitIdentical(after.neighbors, before.neighbors));
 
+  // Op 1 is retired: a typed PROTOCOL_ERROR on a connection that stays
+  // open, so the next request on it succeeds.
+  EXPECT_EQ(client.Admin(static_cast<AdminOp>(1)).code(),
+            StatusCode::kProtocolError);
   // kCompact folds pending mutations (a no-op backlog here).
   EXPECT_TRUE(client.Admin(AdminOp::kCompact).ok());
-  // Checkpoint/persist need a WAL / generation store this fixture does
-  // not attach; the taxonomy crosses the wire intact.
-  EXPECT_EQ(client.Admin(AdminOp::kCheckpoint).code(),
-            StatusCode::kUnavailable);
+  // Persist needs a generation store this fixture does not attach; the
+  // taxonomy crosses the wire intact.
   EXPECT_EQ(client.Admin(AdminOp::kPersist).code(), StatusCode::kUnavailable);
 
   // STATS: the JSON dump parses and carries the serving-tier instruments.
@@ -1059,6 +1069,30 @@ std::size_t RawDrain(int fd) {
   }
 }
 
+bool RawRecvAll(int fd, std::uint8_t* out, std::size_t size) {
+  std::size_t got = 0;
+  while (got < size) {
+    const ssize_t n = ::recv(fd, out + got, size - got, 0);
+    if (n <= 0) {
+      return false;
+    }
+    got += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+// Reads one whole response frame: its header and payload.
+bool RawReadFrame(int fd, FrameHeader* header,
+                  std::vector<std::uint8_t>* payload) {
+  std::uint8_t header_bytes[kHeaderSize];
+  if (!RawRecvAll(fd, header_bytes, kHeaderSize) ||
+      !DecodeHeader(header_bytes, kHeaderSize, header).ok()) {
+    return false;
+  }
+  payload->resize(header->payload_size);
+  return RawRecvAll(fd, payload->data(), payload->size());
+}
+
 TEST(NetServerTest, FramingErrorsCloseTheConnectionTypedErrorsDoNot) {
   ServerFixture fx;
   const std::uint16_t port = fx.Start();
@@ -1098,26 +1132,12 @@ TEST(NetServerTest, FramingErrorsCloseTheConnectionTypedErrorsDoNot) {
     ASSERT_GE(fd, 0);
     ASSERT_TRUE(RawSend(fd, EncodeFrame(
         static_cast<std::uint8_t>(MessageType::kSearch), 77, {0x01})));
-    std::uint8_t header_bytes[kHeaderSize];
-    std::size_t got = 0;
-    while (got < kHeaderSize) {
-      const ssize_t n = ::recv(fd, header_bytes + got, kHeaderSize - got, 0);
-      ASSERT_GT(n, 0);
-      got += static_cast<std::size_t>(n);
-    }
     FrameHeader header;
-    ASSERT_TRUE(DecodeHeader(header_bytes, kHeaderSize, &header).ok());
+    std::vector<std::uint8_t> payload;
+    ASSERT_TRUE(RawReadFrame(fd, &header, &payload));
     EXPECT_EQ(header.type, static_cast<std::uint8_t>(MessageType::kSearch) |
                                kResponseBit);
     EXPECT_EQ(header.request_id, 77u);
-    std::vector<std::uint8_t> payload(header.payload_size);
-    got = 0;
-    while (got < payload.size()) {
-      const ssize_t n =
-          ::recv(fd, payload.data() + got, payload.size() - got, 0);
-      ASSERT_GT(n, 0);
-      got += static_cast<std::size_t>(n);
-    }
     std::string message, trace;
     ASSERT_TRUE(DecodeSearchResponse(payload.data(), payload.size(),
                                      &response, &message, &trace)
@@ -1129,6 +1149,46 @@ TEST(NetServerTest, FramingErrorsCloseTheConnectionTypedErrorsDoNot) {
     EXPECT_EQ(client.Delete(1).code(), StatusCode::kOk);
     (void)request_id;
   }
+  fx.server->Shutdown();
+}
+
+// A traced SEARCH carries its trace once: a v2 response holds the
+// structured blob and an empty text field (the client renders the text),
+// while a v1 peer, which has no blob, still gets the rendered text.
+TEST(NetServerTest, TracedV2ResponseCarriesTheTraceOnce) {
+  ServerFixture fx;
+  const std::uint16_t port = fx.Start();
+  const int fd = RawConnect(port);
+  ASSERT_GE(fd, 0);
+  const Dataset queries = Walk(1, 64, 304);
+  service::SearchRequest request = MakeSearchRequest(queries, 0, 3);
+  request.collect_trace = true;
+  for (const std::uint8_t version : {kProtocolVersion, std::uint8_t{1}}) {
+    ASSERT_TRUE(RawSend(
+        fd, EncodeFrame(static_cast<std::uint8_t>(MessageType::kSearch), 5,
+                        EncodeSearchRequest(request), version)));
+    FrameHeader header;
+    std::vector<std::uint8_t> payload;
+    ASSERT_TRUE(RawReadFrame(fd, &header, &payload));
+    ASSERT_EQ(header.version, version);
+    service::SearchResponse response;
+    std::string message, trace_text, trace_blob;
+    ASSERT_TRUE(DecodeSearchResponse(payload.data(), payload.size(),
+                                     &response, &message, &trace_text,
+                                     &trace_blob, version)
+                    .ok());
+    ASSERT_EQ(response.status, StatusCode::kOk);
+    if (version >= 2) {
+      EXPECT_TRUE(trace_text.empty()) << "v2 sent the trace twice";
+      obs::TraceRecord record;
+      ASSERT_TRUE(obs::DeserializeTraceRecord(trace_blob, &record));
+      EXPECT_FALSE(record.spans.empty());
+    } else {
+      EXPECT_FALSE(trace_text.empty());
+      EXPECT_TRUE(trace_blob.empty());
+    }
+  }
+  ::close(fd);
   fx.server->Shutdown();
 }
 

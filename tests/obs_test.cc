@@ -310,9 +310,6 @@ TEST(TraceTest, SpanNestingAndOrdering) {
   const int inner = trace.BeginSpan("inner", outer);
   ASSERT_EQ(inner, 1);
   trace.EndSpan(inner);
-  const int stamped = trace.AllocateSpan("stamped", outer);
-  ASSERT_EQ(stamped, 2);
-  trace.StampSpan(stamped, 0.25, 0.5);
   trace.EndSpan(outer);
   trace.AddCounter("work", 17);
 
@@ -320,16 +317,12 @@ TEST(TraceTest, SpanNestingAndOrdering) {
   EXPECT_EQ(record.query_id, 9u);
   EXPECT_DOUBLE_EQ(record.total_ms, 3.5);
   EXPECT_FALSE(record.deadline_expired);
-  ASSERT_EQ(record.spans.size(), 3u);
+  ASSERT_EQ(record.spans.size(), 2u);
   // Allocation order is preserved; parents link the nesting.
   EXPECT_STREQ(record.spans[0].name, "outer");
   EXPECT_EQ(record.spans[0].parent, -1);
   EXPECT_STREQ(record.spans[1].name, "inner");
   EXPECT_EQ(record.spans[1].parent, outer);
-  EXPECT_STREQ(record.spans[2].name, "stamped");
-  EXPECT_EQ(record.spans[2].parent, outer);
-  EXPECT_DOUBLE_EQ(record.spans[2].start_ms, 0.25);
-  EXPECT_DOUBLE_EQ(record.spans[2].end_ms, 0.5);
   // Timed spans are well-formed and the inner span nests in the outer.
   EXPECT_LE(record.spans[0].start_ms, record.spans[1].start_ms);
   EXPECT_LE(record.spans[1].start_ms, record.spans[1].end_ms);
@@ -344,9 +337,7 @@ TEST(TraceTest, SpanOverflowDropsExtraSpans) {
   EXPECT_EQ(trace.BeginSpan("a"), 0);
   EXPECT_EQ(trace.BeginSpan("b"), 1);
   EXPECT_EQ(trace.BeginSpan("c"), -1);  // full — dropped, not resized
-  EXPECT_EQ(trace.AllocateSpan("d"), -1);
-  trace.EndSpan(-1);            // must be tolerated
-  trace.StampSpan(-1, 0., 1.);  // likewise
+  trace.EndSpan(-1);  // must be tolerated
   const TraceRecord record = trace.Finish(1, 0.1, true);
   EXPECT_TRUE(record.deadline_expired);
   EXPECT_EQ(record.spans.size(), 2u);
@@ -653,48 +644,6 @@ TEST(ServiceTraceTest, SharedRegistryCoversServiceAndIngest) {
   std::string error;
   ASSERT_TRUE(ParseStatsJson(RenderJson(snapshot), &parsed, &error)) << error;
   EXPECT_EQ(parsed.size(), snapshot.size());
-}
-
-TEST(ExpositionTest, StatsDiffShowsChangesAdditionsAndRemovals) {
-  Registry before_registry, after_registry;
-  before_registry.GetCounter("diff_requests_total")->Add(100);
-  before_registry.GetCounter("diff_unchanged_total")->Add(7);
-  before_registry.GetCounter("diff_gone_total")->Add(1);
-  before_registry.GetGauge("diff_depth")->Set(4.0);
-  Histogram* before_hist =
-      before_registry.GetHistogram("diff_latency_ms", HistogramOptions{});
-  before_hist->Record(1.0);
-
-  after_registry.GetCounter("diff_requests_total")->Add(150);
-  after_registry.GetCounter("diff_unchanged_total")->Add(7);
-  after_registry.GetCounter("diff_new_total")->Add(3);
-  after_registry.GetGauge("diff_depth")->Set(6.0);
-  Histogram* after_hist =
-      after_registry.GetHistogram("diff_latency_ms", HistogramOptions{});
-  after_hist->Record(1.0);
-  after_hist->Record(10.0);
-
-  const std::string diff = RenderStatsDiff(before_registry.Collect(),
-                                           after_registry.Collect());
-  // Changed counter: before -> after with absolute + relative change.
-  EXPECT_NE(diff.find("diff_requests_total"), std::string::npos);
-  EXPECT_NE(diff.find("100 -> 150"), std::string::npos);
-  EXPECT_NE(diff.find("(+50, +50.0%)"), std::string::npos);
-  // Unchanged counters stay out.
-  EXPECT_EQ(diff.find("diff_unchanged_total"), std::string::npos);
-  // Gauge movement.
-  EXPECT_NE(diff.find("4 -> 6"), std::string::npos);
-  // Histogram count movement.
-  EXPECT_NE(diff.find("count 1 -> 2"), std::string::npos);
-  // Added/removed instruments land under their own headings.
-  EXPECT_NE(diff.find("only in after:\n  diff_new_total"), std::string::npos);
-  EXPECT_NE(diff.find("only in before:\n  diff_gone_total"),
-            std::string::npos);
-
-  // Two identical snapshots diff to nothing.
-  EXPECT_EQ(RenderStatsDiff(after_registry.Collect(),
-                            after_registry.Collect()),
-            "(no differences)\n");
 }
 
 // ---------------------------------------------------------- trace serde

@@ -34,6 +34,9 @@
 #include "harness/workload.h"
 #include "ingest/compactor.h"
 #include "ingest/wal.h"
+#include "net/client.h"
+#include "net/protocol.h"
+#include "net/server.h"
 #include "persist/generation_store.h"
 #include "service/search_service.h"
 #include "service/snapshot.h"
@@ -443,6 +446,79 @@ TEST(GenerationStoreTest, LostWalDirectoryIsRefused) {
   const ingest::RecoverStats stats = compactor.Recover();
   EXPECT_FALSE(stats.ok);
   EXPECT_TRUE(stats.sequence_gap);
+  RemoveTree(root);
+}
+
+// Wired like `serve --data-dir` (WAL + generation store, the base
+// persisted at bootstrap), every insert the server acknowledged over TCP
+// survives a restart, even after a client sent the retired ADMIN op 1
+// (once a WAL truncation no generation covered): the op is refused and
+// leaves the log alone.
+TEST(GenerationStoreTest, AcknowledgedNetworkInsertsSurviveRetiredAdminOp) {
+  const std::string root = TestDir("admin_op1");
+  RemoveTree(root);
+  Workload w;
+  ThreadPool pool(2);
+  auto store = GenerationStore::Open(root + "/generations");
+  ASSERT_NE(store, nullptr);
+  constexpr std::size_t kInserts = 50;
+  {
+    const auto sharded = w.BuildSharded(&pool);
+    service::SearchService svc(service::WrapShardedIndex(sharded), &pool);
+    ingest::Compactor compactor(
+        &svc, sharded,
+        DurableConfig(root, store.get(), 60, /*auto_compact=*/false));
+    ASSERT_TRUE(compactor.Recover().ok);
+    ASSERT_TRUE(compactor.PersistNow().ok());  // the bootstrap persist
+    net::SofaServer server(&svc, &compactor);
+    ASSERT_TRUE(server.Start().ok());
+    net::SofaClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+    for (std::size_t i = 0; i < kInserts; ++i) {
+      const StatusOr<std::uint32_t> id = client.Insert(std::vector<float>(
+          w.inserts.row(i), w.inserts.row(i) + Workload::kLength));
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      EXPECT_EQ(id.value(), Workload::kBase + i);
+    }
+    EXPECT_EQ(client.Admin(static_cast<net::AdminOp>(1)).code(),
+              StatusCode::kProtocolError);
+    client.Close();
+    server.Shutdown();
+  }  // the server process goes away
+
+  const std::optional<LoadedGeneration> loaded = store->LoadLatest(&pool);
+  ASSERT_TRUE(loaded.has_value());
+  const ingest::RecoveredBase recovered_base =
+      ingest::MakeRecoveredBase(*loaded);
+  service::SearchService svc(service::WrapShardedIndex(loaded->sharded),
+                             &pool);
+  ingest::Compactor compactor(
+      &svc, loaded->sharded,
+      DurableConfig(root, store.get(), 60, /*auto_compact=*/false),
+      &recovered_base);
+  const ingest::RecoverStats stats = compactor.Recover();
+  EXPECT_TRUE(stats.ok);
+  EXPECT_FALSE(stats.sequence_gap);
+  EXPECT_EQ(stats.inserts_applied, kInserts);
+
+  Dataset combined(Workload::kLength);
+  for (std::size_t i = 0; i < Workload::kBase; ++i) {
+    combined.Append(w.base.row(i));
+  }
+  for (std::size_t i = 0; i < kInserts; ++i) {
+    combined.Append(w.inserts.row(i));
+  }
+  const testing_harness::ExactOracle oracle(
+      combined, {}, testing_harness::TrainTestScheme(w.base, &pool), &pool);
+  const Dataset queries = Walk(6, Workload::kLength, 79);
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    const service::SearchResponse response =
+        svc.Search(MakeSearchRequest(queries, q, 10));
+    ASSERT_EQ(response.status, service::RequestStatus::kOk);
+    EXPECT_TRUE(BitIdentical(response.neighbors,
+                             oracle.SearchKnn(queries.row(q), 10)))
+        << "query " << q;
+  }
   RemoveTree(root);
 }
 
@@ -873,7 +949,7 @@ void CrashVictim(const std::string& root, const std::string& marker) {
 // manifest + WAL tail) must answer bit-identically to a from-scratch
 // build over base ∪ applied-inserts \ applied-deletes — across several
 // kill-resume rounds, with a clean final round proving the on-disk WAL
-// was truncated to the post-checkpoint tail.
+// was truncated to the post-fold tail.
 TEST(CrashRecoveryTest, KillAtRandomPointRecoversBitIdentical) {
   const std::string root = TestDir("crash");
   RemoveTree(root);
@@ -992,7 +1068,7 @@ TEST(CrashRecoveryTest, KillAtRandomPointRecoversBitIdentical) {
           root + "/wal", Workload::kLength,
           [&](const ingest::WalRecord&) { ++tail_records; });
       EXPECT_EQ(tail_records, 0u)
-          << "WAL not truncated to the post-checkpoint tail";
+          << "WAL not truncated to the post-fold tail";
     }
 
     const Workload::Oracle oracle(w, position, &pool);

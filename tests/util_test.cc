@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <numeric>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -444,6 +445,8 @@ TEST(FlagsTest, ParsesEqualsAndSpaceForms) {
   EXPECT_TRUE(flags.GetBool("verbose", false));
   ASSERT_EQ(flags.positional().size(), 1u);
   EXPECT_EQ(flags.positional()[0], "positional");
+  EXPECT_EQ(flags.names(),
+            (std::vector<std::string>{"n", "name", "verbose"}));
 }
 
 TEST(FlagsTest, DefaultsApplyWhenAbsent) {
