@@ -1,29 +1,25 @@
-// Serving-layer throughput: QPS of the SearchService / cross-query
-// executor versus the paper's sequential one-query-at-a-time protocol, at
-// matched total thread counts, on a synthetic random-walk (RW) collection.
+// Serving-layer throughput: QPS of the SearchService versus the paper's
+// sequential one-query-at-a-time protocol, at matched total thread
+// counts, on a synthetic random-walk (RW) collection.
 //
-// Four execution styles per thread count T:
+// Per thread count T:
 //   sequential  — the paper's protocol: one query at a time, each with
-//                 T-way intra-query parallelism (QueryEngine::Search);
-//   executor    — raw cross-query fan-out: T workers, one thread per
-//                 query (service::RunThroughputBatch);
-//   service     — end-to-end SearchService (admission queue + one
+//                 T-way intra-query parallelism (QueryEngine::Search over
+//                 one tree);
+//   shardS      — the end-to-end SearchService (admission queue + one
 //                 single-threaded pool task per query, at most T running,
-//                 + metrics);
-//   shardS      — the same service over a shard::ShardedIndex of S shards
-//                 (one search over all shard trees per query), swept over
-//                 --shards, so QPS and p99 are comparable shard count by
-//                 shard count against the single-index rows above.
+//                 + metrics) over a shard::ShardedIndex of S shards, swept
+//                 over --shards; shard1 serves one tree, as every
+//                 single-index server does.
 //
 // Expected shape: under cross-query parallelism QPS scales with T while
 // per-query sync overhead (queue locks, worker handoffs) is amortized
-// away, so `executor`/`service` clear the sequential baseline — the
-// FAISS/FLASH batching result. A sharded query walks S smaller trees
-// under one pruning bound, so it costs a little more than one tree (one
-// root fan-out per shard); its payoff is per-shard rebuild/republish and
-// collections too large for one index. The final verdict lines compare
-// the best cross-query and the best sharded QPS against the sequential
-// baseline at the same T.
+// away, so the service clears the sequential baseline — the FAISS/FLASH
+// batching result. A query over S > 1 shards walks S smaller trees under
+// one pruning bound, so it costs a little more than one tree (one root
+// fan-out per shard); its payoff is per-shard rebuild/republish and
+// collections too large for one index. The final verdict line compares
+// the best service QPS against the sequential baseline at the same T.
 //
 // Flags: --n_series=50000 --n_queries=400 --length=256 --k=10
 //        --threads=1,2,4 --shards=1,2,4 --leaf_size=1000 --seed=7
@@ -47,7 +43,6 @@
 #include "index/tree_index.h"
 #include "obs/exposition.h"
 #include "obs/registry.h"
-#include "service/executor.h"
 #include "service/search_service.h"
 #include "service/snapshot.h"
 #include "sfa/mcb.h"
@@ -166,8 +161,6 @@ int main(int argc, char** argv) {
 
   TablePrinter table({"Threads", "Mode", "QPS", "p50 (ms)", "p99 (ms)",
                       "vs sequential"});
-  double best_speedup = 0.0;
-  std::size_t best_threads = 0;
   std::vector<double> seq_qps_at(thread_counts.size(), 0.0);
 
   for (std::size_t ti = 0; ti < thread_counts.size(); ++ti) {
@@ -191,67 +184,11 @@ int main(int argc, char** argv) {
                   FormatDouble(stats::Percentile(latencies, 50.0), 3),
                   FormatDouble(stats::Percentile(latencies, 99.0), 3),
                   "1.00x"});
-
-    // --- raw executor: one thread per query, T workers.
-    {
-      std::vector<std::vector<Neighbor>> results(queries.size());
-      std::vector<service::QueryTask> tasks(queries.size());
-      for (std::size_t q = 0; q < queries.size(); ++q) {
-        tasks[q].query = queries.row(q);
-        tasks[q].k = k;
-        tasks[q].result = &results[q];
-      }
-      timer.Reset();
-      service::RunThroughputBatch(tree, &tasks, &pool, threads);
-      const double qps = static_cast<double>(n_queries) / timer.Seconds();
-      const double speedup = qps / seq_qps;
-      table.AddRow({std::to_string(threads), "executor",
-                    FormatDouble(qps, 1), "-", "-",
-                    FormatDouble(speedup, 2) + "x"});
-      if (speedup > best_speedup) {
-        best_speedup = speedup;
-        best_threads = threads;
-      }
-    }
-
-    // --- end-to-end service: one pool task per query, T at a time.
-    {
-      service::ServiceConfig config;
-      config.max_pending = queries.size();
-      config.num_threads = threads;
-      config.start_paused = true;  // stage the backlog, then go
-      config.registry = &registry;
-      service::SearchService svc(service::WrapIndex(&tree), &pool, config);
-      std::vector<std::future<service::SearchResponse>> futures;
-      futures.reserve(queries.size());
-      for (std::size_t q = 0; q < queries.size(); ++q) {
-        service::SearchRequest request;
-        request.query.assign(queries.row(q), queries.row(q) + length);
-        request.k = k;
-        futures.push_back(svc.Submit(std::move(request)));
-      }
-      timer.Reset();
-      svc.Resume();
-      for (auto& future : futures) {
-        (void)future.get();
-      }
-      const double qps = static_cast<double>(n_queries) / timer.Seconds();
-      const double speedup = qps / seq_qps;
-      const service::MetricsSnapshot metrics = svc.Metrics();
-      table.AddRow({std::to_string(threads), "service", FormatDouble(qps, 1),
-                    FormatDouble(metrics.latency_p50_ms, 3),
-                    FormatDouble(metrics.latency_p99_ms, 3),
-                    FormatDouble(speedup, 2) + "x"});
-      if (speedup > best_speedup) {
-        best_speedup = speedup;
-        best_threads = threads;
-      }
-    }
   }
 
-  // --- sharded service: one search over all S shard trees per query.
-  double best_shard_speedup = 0.0;
-  std::size_t best_shard_count = 0, best_shard_threads = 0;
+  // --- the service: one search over all S shard trees per query.
+  double best_speedup = 0.0;
+  std::size_t best_shards = 0, best_threads = 0;
   for (const std::size_t shards : shard_counts) {
     shard::ShardingConfig shard_config;
     shard_config.num_shards = shards;
@@ -291,22 +228,19 @@ int main(int argc, char** argv) {
                     FormatDouble(metrics.latency_p50_ms, 3),
                     FormatDouble(metrics.latency_p99_ms, 3),
                     FormatDouble(speedup, 2) + "x"});
-      if (speedup > best_shard_speedup) {
-        best_shard_speedup = speedup;
-        best_shard_count = shards;
-        best_shard_threads = threads;
+      if (speedup > best_speedup) {
+        best_speedup = speedup;
+        best_shards = shards;
+        best_threads = threads;
       }
     }
   }
   std::printf("\n");
 
   table.Print(std::cout);
-  std::printf("\nbest cross-query speedup vs sequential at matched "
-              "thread count: %.2fx (T=%zu) — target >= 2x\n",
-              best_speedup, best_threads);
-  std::printf("best sharded speedup vs sequential at matched "
-              "thread count: %.2fx (S=%zu, T=%zu)\n",
-              best_shard_speedup, best_shard_count, best_shard_threads);
+  std::printf("\nbest service speedup vs sequential at matched thread "
+              "count: %.2fx (S=%zu, T=%zu) — target >= 2x\n",
+              best_speedup, best_shards, best_threads);
   std::size_t max_threads_requested = 0;
   for (const std::size_t t : thread_counts) {
     max_threads_requested = std::max(max_threads_requested, t);

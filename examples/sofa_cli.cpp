@@ -163,10 +163,6 @@ std::optional<Dataset> LoadData(const Flags& flags, const std::string& flag) {
                       flag.c_str());
 }
 
-std::string ShardPath(const std::string& index_path, std::size_t s) {
-  return index_path + ".shard" + std::to_string(s);
-}
-
 // --delete-file format: one decimal global id per line (blank lines and
 // lines starting with '#' are skipped). Malformed or out-of-range lines
 // fail the whole file with a diagnostic rather than aborting the
@@ -208,47 +204,9 @@ bool ReadDeleteIds(const std::string& path,
   return true;
 }
 
-shard::ShardAssignment ParseAssignment(const Flags& flags) {
-  return flags.GetString("assignment", "contiguous") == "hash"
-             ? shard::ShardAssignment::kHash
-             : shard::ShardAssignment::kContiguous;
-}
-
-// Re-creates the build-time partition and reloads one index file per
-// shard; build and serve must be run with the same --shards/--assignment.
-// num_shards == 1 wraps the plain single-index file as a one-shard
-// generation (the ingest path always serves shards).
-std::shared_ptr<const shard::ShardedIndex> LoadShardedIndex(
-    const Flags& flags, const std::string& index_path, const Dataset& data,
-    std::size_t num_shards, bool enable_rowq, ThreadPool* pool) {
-  shard::ShardingConfig config;
-  config.num_shards = num_shards;
-  config.assignment = ParseAssignment(flags);
-  config.enable_rowq = enable_rowq;  // compactions keep the tier
-  const shard::ShardPartition partition =
-      shard::ShardedIndex::Partition(data, num_shards, config.assignment);
-  std::vector<shard::Shard> shards(num_shards);
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    const std::string path =
-        num_shards > 1 ? ShardPath(index_path, s) : index_path;
-    auto loaded = index::LoadIndex(path, partition.data[s].get(), pool);
-    if (!loaded.has_value()) {
-      std::fprintf(stderr,
-                   "failed to load %s (wrong dataset, --shards or "
-                   "--assignment?)\n",
-                   path.c_str());
-      return nullptr;
-    }
-    if (enable_rowq) {
-      loaded->tree->AttachRowQuant(quant::RowQuant::Build(*partition.data[s]));
-    }
-    shards[s].data = partition.data[s];
-    shards[s].scheme = std::move(loaded->scheme);
-    shards[s].tree = std::move(loaded->tree);
-    shards[s].global_ids = partition.global_ids[s];
-  }
-  return shard::ShardedIndex::FromShards(std::move(shards), config,
-                                         data.length(), pool);
+shard::ShardAssignment ParseAssignment(const std::string& name) {
+  return name == "hash" ? shard::ShardAssignment::kHash
+                        : shard::ShardAssignment::kContiguous;
 }
 
 int Generate(const Flags& flags, ThreadPool* pool) {
@@ -302,44 +260,32 @@ int Build(const Flags& flags, ThreadPool* pool) {
   config.leaf_capacity =
       static_cast<std::size_t>(flags.GetInt("leaf_size", 2000));
 
-  const std::size_t num_shards =
+  shard::ShardingConfig shard_config;
+  shard_config.num_shards =
       static_cast<std::size_t>(flags.GetInt("shards", 1));
-  if (num_shards > 1) {
-    shard::ShardingConfig shard_config;
-    shard_config.num_shards = num_shards;
-    shard_config.assignment = ParseAssignment(flags);
-    shard_config.index = config;
-    const std::shared_ptr<const quant::SummaryScheme> shared_scheme =
-        std::move(scheme);
-    const auto sharded =
-        shard::ShardedIndex::Build(*data, shard_config, shared_scheme, pool);
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      if (!index::SaveIndex(*sharded->shard(s).tree, ShardPath(index_path, s))) {
-        std::fprintf(stderr, "failed to save shard %zu\n", s);
-        return 1;
-      }
-    }
-    std::printf("built %s index over %zu series in %.2f s, sharded %zux "
-                "(%s) -> %s.shard0..%zu\n",
-                shared_scheme->name().c_str(), data->size(), timer.Seconds(),
-                num_shards,
-                shard_config.assignment == shard::ShardAssignment::kHash
-                    ? "hash"
-                    : "contiguous",
-                index_path.c_str(), num_shards - 1);
-    return 0;
-  }
-
-  const index::TreeIndex index(&*data, scheme.get(), config, pool);
-  if (!index::SaveIndex(index, index_path)) {
+  shard_config.assignment =
+      ParseAssignment(flags.GetString("assignment", "contiguous"));
+  shard_config.index = config;
+  const std::shared_ptr<const quant::SummaryScheme> shared_scheme =
+      std::move(scheme);
+  const auto sharded =
+      shard::ShardedIndex::Build(*data, shard_config, shared_scheme, pool);
+  if (!shard::SaveShardedIndex(*sharded, index_path)) {
     std::fprintf(stderr, "failed to save index\n");
     return 1;
   }
-  const auto stats = index.ComputeStats();
-  std::printf("built %s index over %zu series in %.2f s "
-              "(%zu subtrees, %zu leaves) -> %s\n",
-              scheme->name().c_str(), data->size(), timer.Seconds(),
-              stats.num_subtrees, stats.num_leaves, index_path.c_str());
+  const std::size_t num_shards = shard_config.num_shards;
+  std::printf("built %s index over %zu series in %.2f s, %zu shard%s (%s) "
+              "-> %s%s\n",
+              shared_scheme->name().c_str(), data->size(), timer.Seconds(),
+              num_shards, num_shards == 1 ? "" : "s",
+              shard_config.assignment == shard::ShardAssignment::kHash
+                  ? "hash"
+                  : "contiguous",
+              index_path.c_str(),
+              num_shards == 1
+                  ? ""
+                  : (".shard0.." + std::to_string(num_shards - 1)).c_str());
   return 0;
 }
 
@@ -784,7 +730,6 @@ int Serve(const Flags& flags, ThreadPool* pool) {
       return 1;
     }
   }
-  const std::string index_path = opts.index;
   const std::string insert_path = opts.insert_file;
   const std::string delete_path = opts.delete_file;
   const std::size_t series_length =
@@ -812,47 +757,39 @@ int Serve(const Flags& flags, ThreadPool* pool) {
     }
   }
   // Any mutation source — inserts, deletes, a WAL to recover, or a
-  // generation store — runs through the ingest path, which always serves
-  // a (possibly one-shard) sharded generation: that is the unit of
-  // per-shard compaction and persistence.
-  // A network server is always mutable when it can be (INSERT/DELETE
-  // arrive over the wire), so --listen runs through the ingest path even
-  // with no file-based mutation source.
+  // generation store — runs through the ingest path. A network server is
+  // always mutable when it can be (INSERT/DELETE arrive over the wire),
+  // so --listen runs through the ingest path even with no file-based
+  // mutation source.
   const bool ingesting = network || insert_rows.has_value() ||
                          !delete_ids.empty() || !wal_dir.empty() ||
                          store != nullptr;
-  std::optional<index::LoadedIndex> loaded;  // single-index keep-alive
+  // Every generation served is sharded — one shard for a single index
+  // file — so replay, network and ingest all run the same query path.
   std::shared_ptr<const shard::ShardedIndex> sharded;
-  std::shared_ptr<const service::IndexSnapshot> snapshot;
-  std::size_t num_shards = static_cast<std::size_t>(opts.shards);
   if (restored.has_value()) {
     sharded = restored->sharded;
-    num_shards = sharded->num_shards();
-    snapshot = service::WrapShardedIndex(sharded);
     std::printf("restored generation %llu from %s: %zu series x %zu, "
                 "%zu shards, %zu tombstones\n",
                 static_cast<unsigned long long>(
                     restored->manifest.generation_seq),
                 data_dir.c_str(), sharded->size(), sharded->length(),
-                num_shards, restored->manifest.tombstones.size());
-  } else if (num_shards > 1 || ingesting) {
-    sharded =
-        LoadShardedIndex(flags, index_path, *data, num_shards, opts.rowq, pool);
-    if (sharded == nullptr) {
-      return 1;
-    }
-    snapshot = service::WrapShardedIndex(sharded);
+                sharded->num_shards(), restored->manifest.tombstones.size());
   } else {
-    loaded = index::LoadIndex(index_path, &*data, pool);
-    if (!loaded.has_value()) {
-      std::fprintf(stderr, "failed to load index (wrong dataset?)\n");
+    shard::ShardingConfig shard_config;
+    shard_config.num_shards = static_cast<std::size_t>(opts.shards);
+    shard_config.assignment = ParseAssignment(opts.assignment);
+    shard_config.enable_rowq = opts.rowq;  // compactions keep the tier
+    sharded = shard::LoadShardedIndex(opts.index, *data, shard_config, pool);
+    if (sharded == nullptr) {
+      std::fprintf(stderr,
+                   "failed to load %s (wrong dataset, --shards or "
+                   "--assignment?)\n",
+                   opts.index.c_str());
       return 1;
     }
-    if (opts.rowq) {
-      loaded->tree->AttachRowQuant(quant::RowQuant::Build(*data));
-    }
-    snapshot = service::WrapIndex(loaded->tree.get());
   }
+  const std::size_t num_shards = sharded->num_shards();
   const std::size_t k = static_cast<std::size_t>(opts.k);
   const double epsilon = opts.epsilon;
   const double deadline_ms = opts.deadline_ms;
@@ -870,7 +807,8 @@ int Serve(const Flags& flags, ThreadPool* pool) {
   config.trace.sample_every = static_cast<std::uint32_t>(opts.trace_sample);
   config.trace.slow_query_ms = opts.slow_query_ms;
   config.trace.slow_log_capacity = static_cast<std::size_t>(opts.slow_log);
-  service::SearchService svc(std::move(snapshot), pool, config);
+  service::SearchService svc(service::WrapShardedIndex(sharded), pool,
+                             config);
 
   // With any mutation source, attach the incremental ingest path and
   // stream the mutations from a side thread while the query traffic

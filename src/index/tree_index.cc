@@ -4,7 +4,6 @@
 
 #include "index/index_builder.h"
 #include "index/query_engine.h"
-#include "service/executor.h"
 #include "util/check.h"
 
 namespace sofa {
@@ -119,23 +118,6 @@ std::vector<Neighbor> TreeIndex::SearchKnnApproximate(
 std::vector<Neighbor> TreeIndex::SearchKnnLeafOnly(const float* query,
                                                    std::size_t k) const {
   return QueryEngine(this).SearchLeafOnly(query, k);
-}
-
-std::vector<std::vector<Neighbor>> TreeIndex::SearchKnnBatch(
-    const Dataset& queries, std::size_t k) const {
-  SOFA_CHECK_EQ(queries.length(), data_->length());
-  // Cross-query parallelism is the serving layer's job; this entry point
-  // is a thin convenience over its executor.
-  std::vector<std::vector<Neighbor>> results(queries.size());
-  std::vector<service::QueryTask> tasks(queries.size());
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    tasks[q].query = queries.row(q);
-    tasks[q].k = k;
-    tasks[q].result = &results[q];
-  }
-  service::RunThroughputBatch(*this, &tasks, pool_,
-                              config_.num_threads);
-  return results;
 }
 
 TreeStats TreeIndex::ComputeStats() const {

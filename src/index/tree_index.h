@@ -127,13 +127,6 @@ class TreeIndex {
   std::vector<Neighbor> SearchKnnLeafOnly(const float* query,
                                           std::size_t k) const;
 
-  /// Throughput mode: answers a batch of queries in parallel *across*
-  /// queries (each query runs single-threaded), complementing the paper's
-  /// sequential latency-oriented protocol. result[i] answers
-  /// queries.row(i); exact.
-  std::vector<std::vector<Neighbor>> SearchKnnBatch(const Dataset& queries,
-                                                    std::size_t k) const;
-
   /// Structural statistics (Fig. 8).
   TreeStats ComputeStats() const;
 

@@ -109,6 +109,28 @@ Compactor::Compactor(service::SearchService* service,
         ++deleted_;
       }
     }
+    // At a fold point every id below next_id is live (in a shard slice or
+    // a buffered tail), tombstoned, or purged: the commit queue is drained
+    // and a refused batch rolls next_id back, so no id is merely unused.
+    // A purged id is in none of the manifest's structures — remember it,
+    // so deleting it again still answers kAlreadyDeleted.
+    std::vector<bool> present(next_id_, false);
+    const auto mark = [&present](const std::vector<std::uint32_t>& ids) {
+      for (const std::uint32_t id : ids) {
+        if (id < present.size()) {
+          present[id] = true;
+        }
+      }
+    };
+    for (std::size_t s = 0; s < num_shards_; ++s) {
+      mark(*sharded_->shard(s).global_ids);
+      mark(recovered->buffer_ids[s]);
+    }
+    for (std::uint32_t id = 0; id < next_id_; ++id) {
+      if (!present[id]) {
+        deleted_ever_.insert(id);
+      }
+    }
   } else {
     next_id_ = static_cast<std::uint32_t>(base_total_);
     id_base_ = next_id_;
@@ -217,29 +239,32 @@ void Compactor::LeaderCommitLocked(std::unique_lock<std::mutex>* lock) {
   std::vector<std::shared_ptr<StagedMutation>> batch(commit_queue_.begin(),
                                                      commit_queue_.end());
   commit_queue_.clear();
-  std::vector<WalAppend> appends;
-  appends.reserve(batch.size());
-  for (const std::shared_ptr<StagedMutation>& staged : batch) {
-    WalAppend record;
-    record.type = staged->is_insert ? WalRecordType::kInsert
-                                    : WalRecordType::kDelete;
-    record.id = staged->id;
-    record.row = staged->is_insert ? staged->row.data() : nullptr;
-    appends.push_back(record);
+  bool ok = true;
+  if (wal_ != nullptr) {
+    std::vector<WalAppend> appends;
+    appends.reserve(batch.size());
+    for (const std::shared_ptr<StagedMutation>& staged : batch) {
+      WalAppend record;
+      record.type = staged->is_insert ? WalRecordType::kInsert
+                                      : WalRecordType::kDelete;
+      record.id = staged->id;
+      record.row = staged->row;
+      appends.push_back(record);
+    }
+    // The one unlocked window of a mutation: the leader writes the whole
+    // batch as consecutive frames (one fwrite + fflush, at most one
+    // fsync). Mutations arriving meanwhile stage behind the queue and are
+    // picked up by the next leader.
+    lock->unlock();
+    ok = wal_->AppendBatch(appends);
+    lock->lock();
   }
-  // The one unlocked window of a mutation: the leader writes the whole
-  // batch as consecutive frames (one fwrite + fflush, at most one
-  // fsync). Mutations arriving meanwhile stage behind the queue and are
-  // picked up by the next leader.
-  lock->unlock();
-  const bool ok = wal_->AppendBatch(appends);
-  lock->lock();
   if (ok) {
     // Visibility, in staged (= id = log) order, exactly as if each
     // mutation had applied under the lock it was staged under.
     for (const std::shared_ptr<StagedMutation>& staged : batch) {
       if (staged->is_insert) {
-        buffers_[staged->shard]->Append(staged->row.data(), staged->id);
+        buffers_[staged->shard]->Append(staged->row, staged->id);
         --staged_inserts_;
         ++pending_;
         ++inserted_;
@@ -334,37 +359,20 @@ StatusOr<std::uint32_t> Compactor::Insert(const float* row,
     ++invalid_;
     return InvalidArgumentError("global id space exhausted");
   }
-  const std::uint32_t id = next_id_;
-  const std::size_t s = RouteShard(id);
-  if (wal_ == nullptr) {
-    // In-memory path: id assignment and append share the lock so each
-    // buffer sees strictly ascending global ids (compacted shards keep
-    // their global ids ascending).
-    ++next_id_;
-    buffers_[s]->Append(row, id);
-    ++pending_;
-    ++inserted_;
-    if (config_.auto_compact &&
-        ShardWorkLocked(s) >= config_.compact_threshold) {
-      work_cv_.notify_one();
-    }
-    return id;
-  }
-  // Write-ahead via group commit: the id is consumed at stage time (the
-  // staged order IS the id and log order), the row becomes visible only
-  // after its batch is on the log, and a refused batch returns the ids.
-  ++next_id_;
+  // Group commit: the id is consumed at stage time (the staged order IS
+  // the id and log order), the row becomes visible only when its batch is
+  // applied, and a refused batch returns the ids.
   auto staged = std::make_shared<StagedMutation>();
   staged->is_insert = true;
-  staged->id = id;
-  staged->shard = s;
-  staged->row.assign(row, row + length_);
+  staged->id = next_id_++;
+  staged->shard = RouteShard(staged->id);
+  staged->row = row;
   commit_queue_.push_back(staged);
   ++staged_inserts_;
   if (!CommitStaged(&lock, staged)) {
     return IoError("WAL append failed");
   }
-  return id;
+  return staged->id;
 }
 
 Status Compactor::Delete(std::uint32_t id) {
@@ -386,19 +394,10 @@ Status Compactor::Delete(std::uint32_t id) {
   if (deleted_ever_.count(id) != 0) {
     return AlreadyDeletedError();
   }
-  const std::size_t s = RouteShard(id);
-  if (wal_ == nullptr) {
-    ApplyDeleteLocked(id, s);
-    if (config_.auto_compact &&
-        ShardWorkLocked(s) >= config_.compact_threshold) {
-      work_cv_.notify_one();
-    }
-    return OkStatus();
-  }
   auto staged = std::make_shared<StagedMutation>();
   staged->is_insert = false;
   staged->id = id;
-  staged->shard = s;
+  staged->shard = RouteShard(id);
   commit_queue_.push_back(staged);
   return CommitStaged(&lock, staged) ? OkStatus()
                                      : IoError("WAL append failed");

@@ -37,17 +37,20 @@
 // the new tree; they stay masked and are removed by that shard's next
 // compaction.
 //
-// Durability (IngestConfig::wal_dir): every mutation is appended to the
-// WAL *before* it becomes visible (see wal.h for framing and the
-// crash-safety contract). Concurrent mutations group-commit: each
-// staged mutation joins a commit queue under the mutation lock, and one
-// caller — the leader — writes every queued record as a single frame
-// batch with one fflush and at most one fsync, then applies the whole
-// batch to buffers + tombstones in staged (id) order. Followers just
-// wait for their record's fate. A failed batch rolls the log back to
-// the last durable boundary, refuses every staged-but-unwritten
-// mutation behind it and releases their ids for reuse, so a refused
-// record can never replay.
+// The write path: every Insert/Delete stages into one commit queue under
+// the mutation lock, and one caller — the leader — applies every queued
+// mutation to buffers + tombstones in staged (id) order; followers just
+// wait for their record's fate. That queue is the only way a mutation
+// becomes visible, with or without a log.
+//
+// Durability (IngestConfig::wal_dir): the leader first writes the queued
+// records to the WAL as a single frame batch with one fflush and at most
+// one fsync, so every mutation is logged *before* it becomes visible
+// (see wal.h for framing and the crash-safety contract) and concurrent
+// mutations group-commit. A failed batch rolls the log back to the last
+// durable boundary, refuses every staged-but-unwritten mutation behind
+// it and releases their ids for reuse, so a refused record can never
+// replay.
 //
 // Persistence (IngestConfig::store): after each compaction publish the
 // Compactor snapshots the full collection state — the published sharded
@@ -130,7 +133,7 @@ struct IngestConfig {
   /// When non-empty, open (or create) a write-ahead log in this
   /// directory; every accepted Insert/Delete is appended there before it
   /// becomes visible, and Recover() replays any records already present.
-  /// Empty (default): mutations are in-memory only, as in PR 3.
+  /// Empty (default): mutations are in-memory only.
   std::string wal_dir;
 
   /// WAL tuning (fsync batching, segment rotation); used only when
@@ -174,8 +177,8 @@ struct IngestMetrics {
 /// seqno chain (interior segment loss, or a log whose first record comes
 /// after seqno 1 / the manifest's fold point + 1), or a delete of an
 /// unknown id; everything applied up to the first inconsistency stays
-/// applied, records after it are ignored, and the embedder must refuse
-/// to serve.
+/// applied, records after it are never applied, and the embedder must
+/// refuse to serve.
 struct RecoverStats {
   bool ok = true;
   std::uint64_t inserts_applied = 0;  // rows appended to buffers
@@ -183,7 +186,7 @@ struct RecoverStats {
   std::uint64_t deletes_applied = 0;  // tombstones restored
   std::uint64_t records_skipped = 0;  // records at or below the recovered
                                       // fold point (already in the base)
-  std::uint64_t last_seqno = 0;       // highest record seqno on disk
+  std::uint64_t last_seqno = 0;       // seqno of the last record replayed
   bool tail_truncated = false;        // replay stopped at a torn/corrupt
                                       // record (see WalReplayStats)
   bool sequence_gap = false;          // interior records are gone (ok is
@@ -296,14 +299,16 @@ class Compactor {
   std::size_t RouteShard(std::uint32_t id) const;
 
  private:
-  // One mutation staged for group commit: its WAL payload source, its
-  // routing, and the caller's result slot (the commit leader resolves
-  // `done`/`ok` for every record of its batch).
+  // One mutation staged for group commit: its record, its routing, and
+  // the caller's result slot (the commit leader resolves `done`/`ok` for
+  // every record of its batch).
   struct StagedMutation {
     bool is_insert = true;
     std::uint32_t id = 0;
     std::size_t shard = 0;
-    std::vector<float> row;  // inserts only
+    // Inserts only: the caller's row, which stays valid because the
+    // caller waits until its mutation is resolved.
+    const float* row = nullptr;
     bool done = false;
     bool ok = false;
   };
@@ -350,7 +355,8 @@ class Compactor {
   std::shared_ptr<TombstoneSet> tombstones_;  // live, shared with snapshots
   // Every id ever deleted, purged or not — Delete() statuses must tell
   // "already deleted" from "never existed" even after the tombstone was
-  // purged. Never shrinks.
+  // purged. Never shrinks; a resumed Compactor rebuilds it from the
+  // manifest (its tombstones plus every id it no longer holds).
   std::unordered_set<std::uint32_t> deleted_ever_;
   std::unique_ptr<WriteAheadLog> wal_;        // null without wal_dir
   std::vector<std::size_t> tree_covered_;  // per shard: buffer rows in tree

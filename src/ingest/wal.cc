@@ -491,6 +491,8 @@ WalReplayStats WriteAheadLog::Replay(
         stats.last_seqno != 0 ? stats.last_seqno + 1 : expected_first_seqno;
     if (chain_next != 0 && header_first_seqno > chain_next) {
       stats.sequence_gap = true;
+      std::fclose(file);
+      break;  // nothing past a break in the chain is delivered
     }
     max_position = std::max(max_position, header_first_seqno);
     while (true) {
@@ -507,14 +509,18 @@ WalReplayStats WriteAheadLog::Replay(
       // seqnos. The first delivered record anchors the chain (and must
       // not start past the caller's expected fold point); after that,
       // any jump or repeat means interior records are gone or the log
-      // was tampered with — either way, not a state to serve from.
+      // was tampered with — either way, not a state to serve from, so
+      // replay ends here without delivering the record.
+      const bool breaks_chain =
+          stats.last_seqno == 0
+              ? expected_first_seqno != 0 && seqno > expected_first_seqno
+              : seqno != stats.last_seqno + 1;
+      if (breaks_chain) {
+        stats.sequence_gap = true;
+        break;
+      }
       if (stats.last_seqno == 0) {
         stats.first_seqno = seqno;
-        if (expected_first_seqno != 0 && seqno > expected_first_seqno) {
-          stats.sequence_gap = true;
-        }
-      } else if (seqno != stats.last_seqno + 1) {
-        stats.sequence_gap = true;
       }
       stats.last_seqno = seqno;
       WalRecord record;
@@ -557,6 +563,9 @@ WalReplayStats WriteAheadLog::Replay(
       apply(record);
     }
     std::fclose(file);
+    if (stats.sequence_gap) {
+      break;
+    }
   }
   if (expected_first_seqno != 0 && max_position < expected_first_seqno) {
     // The retained log never even reached the fold point the caller

@@ -26,11 +26,11 @@
 // replay tracks the expected next seqno across segment boundaries, and a
 // retained segment whose first record does not continue the chain means
 // a whole segment (or its trusted prefix) went missing — flagged as
-// `sequence_gap`, which consumers must treat as refuse-to-serve, unlike
-// the benign `tail_truncated` crash pattern. A writer never appends to
-// an existing segment (the tail may be torn) — Open always starts a
-// fresh segment after the highest retained one, continuing the seqno
-// chain from the last valid record on disk.
+// `sequence_gap`, where replay stops and which consumers must treat as
+// refuse-to-serve, unlike the benign `tail_truncated` crash pattern. A
+// writer never appends to an existing segment (the tail may be torn) —
+// Open always starts a fresh segment after the highest retained one,
+// continuing the seqno chain from the last valid record on disk.
 //
 // Truncation — the persist::GenerationStore fold point is the only way
 // segments are removed: the Compactor captures the full collection state
@@ -129,8 +129,9 @@ struct WalReplayStats {
   /// does not continue where the previous segment's trusted prefix
   /// ended (or where `expected_first_seqno` said the stream must
   /// start). Unlike tail_truncated this means interior records are
-  /// GONE — acknowledged mutations may be lost — and consumers must
-  /// refuse to serve from this log (Compactor::Recover does).
+  /// GONE — acknowledged mutations may be lost — so replay delivers no
+  /// record past the break, and consumers must refuse to serve from this
+  /// log (Compactor::Recover does).
   bool sequence_gap = false;
 };
 
@@ -151,10 +152,11 @@ class WriteAheadLog {
   /// current *segment* cleanly (flagged via
   /// WalReplayStats::tail_truncated) and replay continues with the next
   /// segment — the crash-then-reopen pattern. The per-record seqno chain
-  /// is validated across segments: a discontinuity flips `sequence_gap`
-  /// (interior loss — refuse) instead of being mistaken for the benign
-  /// torn tail; records skipped behind an unknown-type record show up
-  /// that way too, as the next segment's header lies past them.
+  /// is validated across segments: a discontinuity, at a segment header
+  /// or at a record, flips `sequence_gap` (interior loss — refuse) and
+  /// ends the replay, instead of being mistaken for the benign torn
+  /// tail; records skipped behind an unknown-type record show up that
+  /// way too, as the next segment's header lies past them.
   /// `expected_first_seqno`, when nonzero, additionally requires the
   /// first delivered record's seqno to be at most that value —
   /// Compactor::Recover passes (manifest last_seqno + 1), or 1 for a log

@@ -1,7 +1,7 @@
 // Hardware-counter sampling for stage attribution: cycles, retired
 // instructions, last-level-cache misses and backend-stalled cycles read
 // through perf_event_open(2), scoped to the calling thread so a sample
-// taken around one executor task charges exactly that task's work.
+// taken around one query task charges exactly that task's work.
 //
 // The paper's bottleneck story is memory traffic — the SFA summaries
 // exist to keep scans out of DRAM — so "how many LLC misses did this
@@ -18,7 +18,7 @@
 //
 // Threading: a PerfCounters instance is bound to the thread that
 // constructed it (perf events are opened with pid=0/cpu=-1, i.e. "this
-// thread, any CPU"). Use ForCurrentThread() for the executor hot path —
+// thread, any CPU"). Use ForCurrentThread() for the query hot path —
 // one thread_local instance per worker, opened once, reused for every
 // traced task.
 

@@ -14,11 +14,11 @@ namespace {
 
 // One consistent tombstone snapshot for a query: the live set can grow
 // concurrently, and the tree and buffer scans must mask the same ids.
-// Null when the generation has no delete path or nothing is tombstoned —
-// the fast path skips all masking.
+// Null when the generation is read-only or nothing is tombstoned — the
+// fast path skips all masking.
 std::shared_ptr<const std::unordered_set<std::uint32_t>> TombstoneViewOf(
     const IndexSnapshot& snapshot) {
-  if (!snapshot.is_ingesting() || snapshot.buffers->tombstones == nullptr) {
+  if (!snapshot.is_ingesting()) {
     return nullptr;
   }
   auto view = snapshot.buffers->tombstones->view();
@@ -36,9 +36,9 @@ constexpr char kSpanSearch[] = "search";
 constexpr char kSpanBufferScan[] = "buffer_scan";
 
 // One query over a whole generation: one single-threaded engine search
-// over its tree(s) and, when the generation is ingesting, its live insert
-// buffers scanned into the same result set. The query's tombstone view
-// is masked inside both scans, so the engine's answer is final.
+// over its shard trees and, when the generation is ingesting, its live
+// insert buffers scanned into the same result set. The query's tombstone
+// view is masked inside both scans, so the engine's answer is final.
 std::vector<Neighbor> SearchGeneration(const IndexSnapshot& snapshot,
                                        const SearchRequest& request,
                                        index::QueryProfile* profile,
@@ -69,9 +69,7 @@ std::vector<Neighbor> SearchGeneration(const IndexSnapshot& snapshot,
       }
     };
   }
-  const index::QueryEngine engine =
-      snapshot.is_sharded() ? index::QueryEngine(&snapshot.sharded->parts())
-                            : index::QueryEngine(snapshot.tree);
+  const index::QueryEngine engine(&snapshot.sharded->parts());
   return engine.Search(request.query.data(), request.k, request.epsilon,
                        profile, /*num_threads=*/1, tombstones.get(),
                        buffer_scan);
@@ -86,8 +84,7 @@ SearchService::SearchService(std::shared_ptr<const IndexSnapshot> snapshot,
       slow_log_(config.trace.slow_log_capacity),
       snapshot_(std::move(snapshot)), paused_(config.start_paused) {
   SOFA_CHECK(pool_ != nullptr);
-  SOFA_CHECK(snapshot_ != nullptr &&
-             (snapshot_->tree != nullptr || snapshot_->sharded != nullptr));
+  SOFA_CHECK(snapshot_ != nullptr && snapshot_->sharded != nullptr);
   SOFA_CHECK(config_.max_pending > 0);
   if (config_.max_batch == 0) {
     config_.max_batch = 1;
@@ -216,8 +213,7 @@ SearchResponse SearchService::Search(SearchRequest request) {
 
 std::uint64_t SearchService::Publish(
     std::shared_ptr<const IndexSnapshot> snapshot) {
-  SOFA_CHECK(snapshot != nullptr &&
-             (snapshot->tree != nullptr || snapshot->sharded != nullptr));
+  SOFA_CHECK(snapshot != nullptr && snapshot->sharded != nullptr);
   std::uint64_t version;
   {
     std::lock_guard<std::mutex> lock(mutex_);

@@ -18,13 +18,13 @@
 // latency percentiles, admission counts, merged pruning profiles)
 // accumulate in a MetricsCollector.
 //
-// A generation may be sharded (shard::ShardedIndex): a query then
-// searches all shard trees at once — one result set, one pruning bound —
-// plus, for an ingesting generation, the live insert buffers into the
-// same result set with tombstoned ids masked inside every scan, so
-// sharded answers are identical to single-index answers over the same
-// collection. Publishing a derived generation with a single shard
-// rebuilt/replaced is the per-shard republish path.
+// Every generation is a shard::ShardedIndex (one shard for a single
+// tree): a query searches all its shard trees at once — one result set,
+// one pruning bound — plus, for an ingesting generation, the live insert
+// buffers into the same result set with tombstoned ids masked inside
+// every scan, so answers are identical to one tree's over the same
+// collection whatever the shard count. Publishing a derived generation
+// with a single shard rebuilt/replaced is the per-shard republish path.
 //
 // Admission understands per-request priority classes (interactive >
 // batch > background): each class has its own FIFO inside the shared

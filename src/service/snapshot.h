@@ -4,19 +4,20 @@
 //
 // SearchService publishes snapshots behind a std::shared_ptr; every query
 // acquires the pointer when it starts and holds it until it is answered,
-// so a Publish() of a rebuilt or freshly LoadIndex-ed index never
-// invalidates an in-flight query — the old generation is destroyed when
-// its last running query drops the reference.
+// so a Publish() of a rebuilt or freshly loaded generation
+// (shard::LoadShardedIndex) never invalidates an in-flight query — the
+// old generation is destroyed when its last running query drops the
+// reference.
 //
-// A generation is either a single TreeIndex (`tree`) or a sharded one
-// (`sharded`), never both: a sharded index is swappable exactly like a
-// single one, and a derived sharded generation (one shard rebuilt or
-// replaced) republishes through the same path. Either way a query is one
-// index::QueryEngine search, over one tree or over all shard trees.
+// A generation is always a shard::ShardedIndex — one shard for a single
+// tree, N for a partitioned collection — so a query is one
+// index::QueryEngine search over all shard trees, and a derived
+// generation (one shard rebuilt or replaced) republishes through the
+// same path.
 //
-// An *ingesting* sharded generation additionally carries ShardBuffers:
-// live per-shard insert buffers plus, per shard, the first buffer row its
-// tree does NOT cover, plus the live tombstone set of deleted ids. The
+// An *ingesting* generation additionally carries ShardBuffers: live
+// per-shard insert buffers plus, per shard, the first buffer row its tree
+// does NOT cover, plus the live tombstone set of deleted ids. The
 // query's search then also scans each shard's buffer rows
 // [start[s], live size) into the same result set as the trees, masking
 // tombstoned rows inside every scan — so rows inserted after the
@@ -36,9 +37,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/dataset.h"
-#include "index/serialization.h"
-#include "index/tree_index.h"
 #include "ingest/insert_buffer.h"
 #include "ingest/tombstone_set.h"
 #include "shard/sharded_index.h"
@@ -46,8 +44,8 @@
 namespace sofa {
 namespace service {
 
-/// The mutable delta sets of an ingesting sharded generation. `buffers`
-/// and `start` are indexed by shard id; `start[s]` is the first row of
+/// The mutable delta sets of an ingesting generation. `buffers` and
+/// `start` are indexed by shard id; `start[s]` is the first row of
 /// `buffers[s]` the generation's shard-s tree does not already cover.
 /// `tombstones` is the generation's view of deleted global ids: a query
 /// takes one immutable snapshot of it (TombstoneSet::view) and masks
@@ -55,49 +53,30 @@ namespace service {
 /// immutable per generation (compaction republishes with advanced
 /// starts); the buffers and tombstone set it points at are live and
 /// internally synchronized, which is what makes mutations visible
-/// between publishes. `tombstones` may be null (no delete path attached —
-/// treated as empty).
+/// between publishes.
 struct ShardBuffers {
   std::vector<std::shared_ptr<const ingest::InsertBuffer>> buffers;
   std::vector<std::size_t> start;
   std::shared_ptr<const ingest::TombstoneSet> tombstones;
 };
 
-/// One published index generation. Exactly one of `tree` and `sharded` is
-/// set; the remaining members are optional keep-alive handles for
-/// whatever parts of the generation the snapshot owns (a borrowed index
-/// leaves them empty — the caller then guarantees the lifetime instead;
-/// a ShardedIndex always keeps its own parts alive).
+/// One published index generation: the shard trees, plus the live
+/// buffers and tombstones when the generation is ingesting. The
+/// ShardedIndex shares ownership of its shards, so the snapshot keeps the
+/// whole generation alive.
 struct IndexSnapshot {
-  std::shared_ptr<const Dataset> data;
-  std::unique_ptr<quant::SummaryScheme> scheme;
-  std::unique_ptr<index::TreeIndex> owned_tree;
-  const index::TreeIndex* tree = nullptr;
   std::shared_ptr<const shard::ShardedIndex> sharded;
 
-  /// Set only on an ingesting sharded generation (see header comment).
+  /// Set only on an ingesting generation (see header comment).
   std::shared_ptr<const ShardBuffers> buffers;
 
-  bool is_sharded() const { return sharded != nullptr; }
   bool is_ingesting() const { return buffers != nullptr; }
 
   /// Series length queries against this generation must have.
-  std::size_t series_length() const {
-    return sharded != nullptr ? sharded->length() : tree->data().length();
-  }
+  std::size_t series_length() const { return sharded->length(); }
 };
 
-/// Wraps an externally owned index (the common case for benches and tests:
-/// index, scheme and dataset outlive the service).
-inline std::shared_ptr<const IndexSnapshot> WrapIndex(
-    const index::TreeIndex* tree) {
-  auto snapshot = std::make_shared<IndexSnapshot>();
-  snapshot->tree = tree;
-  return snapshot;
-}
-
-/// Wraps a sharded index; the ShardedIndex shares ownership of its shards,
-/// so the snapshot needs no further keep-alive handles.
+/// Wraps a read-only generation.
 inline std::shared_ptr<const IndexSnapshot> WrapShardedIndex(
     std::shared_ptr<const shard::ShardedIndex> sharded) {
   auto snapshot = std::make_shared<IndexSnapshot>();
@@ -105,7 +84,7 @@ inline std::shared_ptr<const IndexSnapshot> WrapShardedIndex(
   return snapshot;
 }
 
-/// Wraps an ingesting sharded generation: the trees of `sharded` plus the
+/// Wraps an ingesting generation: the trees of `sharded` plus the
 /// live per-shard insert buffers and tombstone set (the
 /// ingest::Compactor's publish path).
 inline std::shared_ptr<const IndexSnapshot> WrapIngestingIndex(
@@ -115,29 +94,6 @@ inline std::shared_ptr<const IndexSnapshot> WrapIngestingIndex(
   snapshot->sharded = std::move(sharded);
   snapshot->buffers = std::move(buffers);
   return snapshot;
-}
-
-/// Takes ownership of a snapshot's parts — e.g. a freshly built index
-/// generation. Any handle may be null except `tree`.
-inline std::shared_ptr<const IndexSnapshot> MakeSnapshot(
-    std::shared_ptr<const Dataset> data,
-    std::unique_ptr<quant::SummaryScheme> scheme,
-    std::unique_ptr<index::TreeIndex> tree) {
-  auto snapshot = std::make_shared<IndexSnapshot>();
-  snapshot->data = std::move(data);
-  snapshot->scheme = std::move(scheme);
-  snapshot->owned_tree = std::move(tree);
-  snapshot->tree = snapshot->owned_tree.get();
-  return snapshot;
-}
-
-/// Adopts the result of index::LoadIndex (scheme + tree), optionally with
-/// a keep-alive handle on the collection it was loaded against — the
-/// serialization → hot-swap path.
-inline std::shared_ptr<const IndexSnapshot> AdoptLoadedIndex(
-    index::LoadedIndex loaded, std::shared_ptr<const Dataset> data = nullptr) {
-  return MakeSnapshot(std::move(data), std::move(loaded.scheme),
-                      std::move(loaded.tree));
 }
 
 }  // namespace service

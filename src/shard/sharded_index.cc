@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "index/query_engine.h"
+#include "index/serialization.h"
 #include "util/check.h"
 
 namespace sofa {
@@ -151,6 +152,48 @@ std::vector<Neighbor> ShardedIndex::SearchKnn(const float* query,
   const index::QueryEngine engine(&parts_, pool);
   return engine.Search(query, k, epsilon, profile,
                        num_workers == 0 ? pool->size() : num_workers);
+}
+
+std::string ShardPath(const std::string& index_path, std::size_t shard,
+                      std::size_t num_shards) {
+  return num_shards == 1 ? index_path
+                         : index_path + ".shard" + std::to_string(shard);
+}
+
+bool SaveShardedIndex(const ShardedIndex& index,
+                      const std::string& index_path) {
+  for (std::size_t s = 0; s < index.num_shards(); ++s) {
+    if (!index::SaveIndex(*index.shard(s).tree,
+                          ShardPath(index_path, s, index.num_shards()))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+std::shared_ptr<const ShardedIndex> LoadShardedIndex(
+    const std::string& index_path, const Dataset& data,
+    const ShardingConfig& config, ThreadPool* pool) {
+  const ShardPartition partition =
+      ShardedIndex::Partition(data, config.num_shards, config.assignment);
+  std::vector<Shard> shards(config.num_shards);
+  for (std::size_t s = 0; s < config.num_shards; ++s) {
+    auto loaded =
+        index::LoadIndex(ShardPath(index_path, s, config.num_shards),
+                         partition.data[s].get(), pool);
+    if (!loaded.has_value()) {
+      return nullptr;
+    }
+    if (config.enable_rowq) {
+      loaded->tree->AttachRowQuant(quant::RowQuant::Build(*partition.data[s]));
+    }
+    shards[s].data = partition.data[s];
+    shards[s].scheme = std::move(loaded->scheme);
+    shards[s].tree = std::move(loaded->tree);
+    shards[s].global_ids = partition.global_ids[s];
+  }
+  return ShardedIndex::FromShards(std::move(shards), config, data.length(),
+                                  pool);
 }
 
 }  // namespace shard

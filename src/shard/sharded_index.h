@@ -16,6 +16,10 @@
 // shards and replaces one — WithShardRebuilt / WithShardReplaced — and
 // publishing the derived index. That per-shard republish is the first
 // step toward index updates between generations.
+//
+// A single tree is served as a one-shard generation, so this is the only
+// index type the serving layer knows. On disk a generation is one index
+// file per shard (ShardPath); LoadShardedIndex reassembles it.
 
 #ifndef SOFA_SHARD_SHARDED_INDEX_H_
 #define SOFA_SHARD_SHARDED_INDEX_H_
@@ -23,6 +27,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/dataset.h"
@@ -153,6 +158,27 @@ class ShardedIndex {
   std::size_t total_size_ = 0;
   ThreadPool* pool_;
 };
+
+/// Index file of shard `shard` of a `num_shards`-shard generation saved
+/// under `index_path`: `index_path` itself for one shard (a plain
+/// single-tree file), `index_path.shard<s>` otherwise.
+std::string ShardPath(const std::string& index_path, std::size_t shard,
+                      std::size_t num_shards);
+
+/// Saves every shard tree of `index` to its ShardPath; false on the first
+/// failed write.
+bool SaveShardedIndex(const ShardedIndex& index, const std::string& index_path);
+
+/// Reloads a generation SaveShardedIndex wrote over `data`: re-creates the
+/// build-time partition under config.num_shards / config.assignment, loads
+/// each shard's file against its slice and, with config.enable_rowq,
+/// attaches the compressed tier. config.index configures later rebuilds
+/// (WithShardRebuilt, compaction); the loaded trees keep the configuration
+/// saved in their files. Null when a file is missing or does not match
+/// its slice (wrong dataset, shard count or assignment).
+std::shared_ptr<const ShardedIndex> LoadShardedIndex(
+    const std::string& index_path, const Dataset& data,
+    const ShardingConfig& config, ThreadPool* pool);
 
 }  // namespace shard
 }  // namespace sofa

@@ -385,51 +385,6 @@ TEST(ApproximateSearchTest, LeafOnlyAnswersAreValidCandidates) {
   }
 }
 
-// ----------------------------------------------------------- batch mode
-
-TEST(BatchSearchTest, BatchEqualsSequentialQueries) {
-  ThreadPool pool(4);
-  const Dataset data = Noise(3000, 128, 40);
-  sfa::SfaConfig config;
-  config.sampling_ratio = 0.2;
-  const auto scheme = sfa::TrainSfa(data, config, &pool);
-  const index::TreeIndex index(&data, scheme.get(), index::IndexConfig{},
-                               &pool);
-  const Dataset queries = Noise(12, 128, 41);
-  const auto batch = index.SearchKnnBatch(queries, 5);
-  ASSERT_EQ(batch.size(), queries.size());
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    const auto sequential = index.SearchKnn(queries.row(q), 5);
-    ASSERT_EQ(batch[q].size(), sequential.size());
-    for (std::size_t i = 0; i < sequential.size(); ++i) {
-      ASSERT_EQ(batch[q][i].distance, sequential[i].distance)
-          << "query " << q << " rank " << i;
-    }
-  }
-}
-
-TEST(BatchSearchTest, BatchIsExact) {
-  ThreadPool pool(2);
-  const Dataset data = Walk(2000, 96, 42);
-  sax::SaxScheme scheme(96, 16, 256);
-  const index::TreeIndex index(&data, &scheme, index::IndexConfig{}, &pool);
-  const Dataset queries = Walk(8, 96, 43);
-  const auto batch = index.SearchKnnBatch(queries, 3);
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    const auto expected = BruteForceKnn(data, queries.row(q), 3);
-    ASSERT_TRUE(SameDistances(batch[q], expected)) << "query " << q;
-  }
-}
-
-TEST(BatchSearchTest, EmptyBatch) {
-  ThreadPool pool(2);
-  const Dataset data = Noise(100, 64, 44);
-  sax::SaxScheme scheme(64, 16, 256);
-  const index::TreeIndex index(&data, &scheme, index::IndexConfig{}, &pool);
-  Dataset queries(64);
-  EXPECT_TRUE(index.SearchKnnBatch(queries, 3).empty());
-}
-
 // ------------------------------------------------------- pruning power
 
 TEST(PruningPowerTest, WithinUnitInterval) {

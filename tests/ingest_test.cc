@@ -1341,7 +1341,9 @@ TEST(IngestRecoveryTest, CrashReplayBitIdentical) {
 // Only a persist truncates the log, so a log without a manifest must
 // start at seqno 1. Here the first segment of a WAL-only deployment is
 // lost: the deletes it held would come back to life if the rest replayed,
-// so recovery refuses with a sequence gap instead.
+// so recovery refuses with a sequence gap instead — and applies none of
+// the records behind the gap, which queries racing the recovery would
+// otherwise already see.
 TEST(IngestRecoveryTest, LostFirstSegmentIsRefused) {
   const std::string dir = WalTestDir("lost_first");
   RemoveWalDir(dir);
@@ -1373,6 +1375,8 @@ TEST(IngestRecoveryTest, LostFirstSegmentIsRefused) {
   const RecoverStats stats = compactor.Recover();
   EXPECT_FALSE(stats.ok);
   EXPECT_TRUE(stats.sequence_gap);
+  EXPECT_EQ(stats.deletes_applied, 0u);
+  EXPECT_EQ(compactor.Metrics().tombstones, 0u);
   RemoveWalDir(dir);
 }
 

@@ -258,6 +258,47 @@ TEST(GenerationStoreTest, RestartReplaysOnlyTheWalTail) {
   RemoveTree(root);
 }
 
+// A purged tombstone leaves no trace in the manifest, yet its id stays
+// deleted: a resumed Compactor must still answer kAlreadyDeleted, not
+// log a new delete and keep a phantom tombstone.
+TEST(GenerationStoreTest, PurgedIdStaysDeletedAcrossARestart) {
+  const std::string root = TestDir("purged");
+  RemoveTree(root);
+  Workload w;
+  ThreadPool pool(2);
+  auto store = GenerationStore::Open(root + "/generations");
+  ASSERT_NE(store, nullptr);
+  {
+    const auto sharded = w.BuildSharded(&pool);
+    service::SearchService svc(service::WrapShardedIndex(sharded), &pool);
+    ingest::Compactor compactor(
+        &svc, sharded,
+        DurableConfig(root, store.get(), /*threshold=*/60,
+                      /*auto_compact=*/false));
+    ASSERT_TRUE(compactor.Recover().ok);
+    ASSERT_EQ(compactor.Delete(7), StatusCode::kOk);
+    compactor.Flush();  // compacts row 7 out; its tombstone is purged
+    ASSERT_EQ(compactor.Delete(8), StatusCode::kOk);
+    compactor.Flush();  // persists a generation that no longer holds 7
+    EXPECT_EQ(compactor.Delete(7).ToString(), AlreadyDeletedError().ToString());
+  }
+  const std::optional<LoadedGeneration> loaded = store->LoadLatest(&pool);
+  ASSERT_TRUE(loaded.has_value());
+  const ingest::RecoveredBase recovered_base =
+      ingest::MakeRecoveredBase(*loaded);
+  service::SearchService svc(service::WrapShardedIndex(loaded->sharded),
+                             &pool);
+  ingest::Compactor compactor(
+      &svc, loaded->sharded,
+      DurableConfig(root, store.get(), /*threshold=*/60,
+                    /*auto_compact=*/false),
+      &recovered_base);
+  ASSERT_TRUE(compactor.Recover().ok);
+  EXPECT_EQ(compactor.Delete(7).ToString(), AlreadyDeletedError().ToString());
+  EXPECT_EQ(compactor.Metrics().tombstones, 0u);
+  RemoveTree(root);
+}
+
 // ------------------------------------------------- recovery edge cases
 
 TEST(GenerationStoreTest, TornCommitFallsBackToPreviousGeneration) {
@@ -835,11 +876,32 @@ TEST(WalSeqnoTest, LostInteriorSegmentIsASequenceGapNotATornTail) {
   std::vector<std::string> segments =
       ingest::WriteAheadLog::ListSegments(dir);
   ASSERT_GE(segments.size(), 3u);
+  // The ids the middle segment holds, read from a copy of it alone.
+  const std::string lost = segments[segments.size() / 2];
+  const std::string lost_dir = TestDir("wal_gap_lost");
+  RemoveTree(lost_dir);
+  ASSERT_EQ(::mkdir(lost_dir.c_str(), 0755), 0);
+  WriteFileBytes(lost_dir + lost.substr(lost.rfind('/')),
+                 ReadFileBytes(lost));
+  std::vector<std::uint32_t> lost_ids;
+  ingest::WriteAheadLog::Replay(
+      lost_dir, length,
+      [&](const ingest::WalRecord& r) { lost_ids.push_back(r.id); });
+  RemoveTree(lost_dir);
+  ASSERT_FALSE(lost_ids.empty());
   // Interior loss: a middle segment vanishes (bit rot, operator error).
-  ASSERT_EQ(::unlink(segments[segments.size() / 2].c_str()), 0);
+  ASSERT_EQ(::unlink(lost.c_str()), 0);
+  std::vector<std::uint32_t> seen;
   const ingest::WalReplayStats stats = ingest::WriteAheadLog::Replay(
-      dir, length, [](const ingest::WalRecord&) {});
+      dir, length,
+      [&](const ingest::WalRecord& r) { seen.push_back(r.id); });
   EXPECT_TRUE(stats.sequence_gap);  // acknowledged records are GONE
+  // Replay ends at the gap: every record before the lost segment is
+  // delivered, none behind it.
+  ASSERT_EQ(seen.size(), lost_ids.front());
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i], i);
+  }
 
   // Contrast: a torn final record is the benign crash pattern — flagged
   // tail_truncated, chain intact.

@@ -1,9 +1,10 @@
-// Tests for the concurrent query-serving subsystem: exactness under
-// concurrency (service answers == sequential engine answers), backlogs
-// run one pool task per query, Drain/Shutdown waiting for in-flight
-// queries, admission control (saturation + rejection), deadline expiry,
-// index hot-swap during in-flight traffic, the serialization → hot-swap
-// path, and serving-metrics accounting.
+// Tests for the concurrent query-serving subsystem, serving a one-shard
+// generation (how a single index is served): exactness under concurrency
+// (service answers == sequential engine answers), backlogs run one pool
+// task per query, Drain/Shutdown waiting for in-flight queries,
+// admission control (saturation + rejection), deadline expiry, index
+// hot-swap during in-flight traffic, the serialization → hot-swap path,
+// and serving-metrics accounting.
 
 #include <atomic>
 #include <chrono>
@@ -16,13 +17,12 @@
 #include <gtest/gtest.h>
 
 #include "index/query_engine.h"
-#include "index/serialization.h"
 #include "index/tree_index.h"
 #include "sax/sax_scheme.h"
-#include "service/executor.h"
 #include "service/search_service.h"
 #include "service/snapshot.h"
 #include "sfa/mcb.h"
+#include "shard/sharded_index.h"
 #include "test_data.h"
 #include "util/thread_pool.h"
 
@@ -39,18 +39,19 @@ std::vector<float> QueryVector(const Dataset& queries, std::size_t q) {
   return std::vector<float>(queries.row(q), queries.row(q) + queries.length());
 }
 
-// A built index with everything it depends on.
+// A one-shard generation over a random-walk collection, and the
+// snapshot that serves it.
 struct Engine {
   ThreadPool pool;
   Dataset data;
-  std::unique_ptr<quant::SummaryScheme> scheme;
-  std::unique_ptr<index::TreeIndex> tree;
+  std::shared_ptr<const shard::ShardedIndex> sharded;
 
   Engine(std::size_t count, std::size_t length, std::uint64_t seed,
          std::size_t threads = 4, bool sax = false)
       : pool(threads), data(Walk(count, length, seed)) {
+    std::shared_ptr<const quant::SummaryScheme> scheme;
     if (sax) {
-      scheme = std::make_unique<sax::SaxScheme>(length, 16, 256);
+      scheme = std::make_shared<sax::SaxScheme>(length, 16, 256);
     } else {
       sfa::SfaConfig config;
       config.word_length = 16;
@@ -58,10 +59,15 @@ struct Engine {
       config.sampling_ratio = 0.2;
       scheme = sfa::TrainSfa(data, config, &pool);
     }
-    index::IndexConfig config;
-    config.leaf_capacity = 100;
-    tree = std::make_unique<index::TreeIndex>(&data, scheme.get(), config,
-                                              &pool);
+    shard::ShardingConfig config;
+    config.num_shards = 1;
+    config.index.leaf_capacity = 100;
+    sharded = shard::ShardedIndex::Build(data, config, scheme, &pool);
+  }
+
+  const index::TreeIndex* tree() const { return sharded->shard(0).tree.get(); }
+  std::shared_ptr<const IndexSnapshot> snapshot() const {
+    return WrapShardedIndex(sharded);
   }
 };
 
@@ -69,9 +75,9 @@ struct Engine {
 
 TEST(SearchServiceTest, SingleQueriesMatchSequentialSearch) {
   Engine engine(2000, 96, 41);
-  SearchService service(WrapIndex(engine.tree.get()), &engine.pool);
+  SearchService service(engine.snapshot(), &engine.pool);
   const Dataset queries = Walk(15, 96, 42);
-  const index::QueryEngine sequential(engine.tree.get());
+  const index::QueryEngine sequential(engine.tree());
   for (std::size_t q = 0; q < queries.size(); ++q) {
     SearchRequest request;
     request.query = QueryVector(queries, q);
@@ -89,7 +95,7 @@ TEST(SearchServiceTest, ConcurrentClientsStayExact) {
   Engine engine(2000, 96, 43);
   ServiceConfig config;
   config.max_batch = 8;
-  SearchService service(WrapIndex(engine.tree.get()), &engine.pool, config);
+  SearchService service(engine.snapshot(), &engine.pool, config);
   const Dataset queries = Walk(24, 96, 44);
 
   constexpr std::size_t kClients = 3;
@@ -122,7 +128,7 @@ TEST(SearchServiceTest, BackloggedQueriesMatchSequential) {
   Engine engine(2000, 96, 45);
   ServiceConfig config;
   config.start_paused = true;  // stage a backlog, then run it concurrently
-  SearchService service(WrapIndex(engine.tree.get()), &engine.pool, config);
+  SearchService service(engine.snapshot(), &engine.pool, config);
   const Dataset queries = Walk(20, 96, 46);
 
   std::vector<std::future<SearchResponse>> futures;
@@ -134,7 +140,7 @@ TEST(SearchServiceTest, BackloggedQueriesMatchSequential) {
   }
   EXPECT_EQ(service.PendingCount(), queries.size());
   service.Resume();
-  const index::QueryEngine sequential(engine.tree.get());
+  const index::QueryEngine sequential(engine.tree());
   for (std::size_t q = 0; q < queries.size(); ++q) {
     const SearchResponse response = futures[q].get();
     ASSERT_EQ(response.status, RequestStatus::kOk);
@@ -169,7 +175,7 @@ TEST(SearchServiceTest, DrainAndShutdownWaitForInFlightQueries) {
   ServiceConfig config;
   config.num_threads = 2;
   {
-    SearchService service(WrapIndex(engine.tree.get()), &engine.pool, config);
+    SearchService service(engine.snapshot(), &engine.pool, config);
     auto futures = submit_all(&service);
     service.Drain();
     for (auto& future : futures) {
@@ -177,7 +183,7 @@ TEST(SearchServiceTest, DrainAndShutdownWaitForInFlightQueries) {
       EXPECT_EQ(future.get().status, RequestStatus::kOk);
     }
   }
-  SearchService service(WrapIndex(engine.tree.get()), &engine.pool, config);
+  SearchService service(engine.snapshot(), &engine.pool, config);
   auto futures = submit_all(&service);
   service.Shutdown();
   std::size_t answered = 0, shut_down = 0;
@@ -191,20 +197,9 @@ TEST(SearchServiceTest, DrainAndShutdownWaitForInFlightQueries) {
   EXPECT_EQ(service.Metrics().completed, answered);
 }
 
-TEST(SearchServiceTest, BatchEntryPointDelegatesAndStaysExact) {
-  Engine engine(2000, 96, 47);
-  const Dataset queries = Walk(12, 96, 48);
-  const auto batch = engine.tree->SearchKnnBatch(queries, 7);
-  ASSERT_EQ(batch.size(), queries.size());
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    const auto expected = engine.tree->SearchKnn(queries.row(q), 7);
-    EXPECT_TRUE(SameDistances(batch[q], expected)) << "query " << q;
-  }
-}
-
 TEST(SearchServiceTest, EpsilonApproximateWithinBound) {
   Engine engine(2000, 96, 49);
-  SearchService service(WrapIndex(engine.tree.get()), &engine.pool);
+  SearchService service(engine.snapshot(), &engine.pool);
   const Dataset queries = Walk(8, 96, 50);
   const double epsilon = 0.1;
   for (std::size_t q = 0; q < queries.size(); ++q) {
@@ -230,7 +225,7 @@ TEST(SearchServiceTest, QueueSaturationRejects) {
   ServiceConfig config;
   config.max_pending = 2;
   config.start_paused = true;
-  SearchService service(WrapIndex(engine.tree.get()), &engine.pool, config);
+  SearchService service(engine.snapshot(), &engine.pool, config);
   const Dataset queries = Noise(3, 64, 52);
 
   std::vector<std::future<SearchResponse>> futures;
@@ -255,7 +250,7 @@ TEST(SearchServiceTest, QueueSaturationRejects) {
 
 TEST(SearchServiceTest, ExpiredDeadlineIsDroppedWithoutRunning) {
   Engine engine(1000, 64, 53, /*threads=*/2);
-  SearchService service(WrapIndex(engine.tree.get()), &engine.pool);
+  SearchService service(engine.snapshot(), &engine.pool);
   const Dataset queries = Noise(2, 64, 54);
 
   SearchRequest expired;
@@ -277,7 +272,7 @@ TEST(SearchServiceTest, ExpiredDeadlineIsDroppedWithoutRunning) {
 
 TEST(SearchServiceTest, InvalidQueryLengthIsRefused) {
   Engine engine(1000, 64, 55, /*threads=*/2);
-  SearchService service(WrapIndex(engine.tree.get()), &engine.pool);
+  SearchService service(engine.snapshot(), &engine.pool);
   SearchRequest request;
   request.query.assign(32, 0.0f);  // wrong length
   EXPECT_EQ(service.Search(std::move(request)).status,
@@ -291,7 +286,7 @@ TEST(SearchServiceTest, ShutdownFailsQueuedRequests) {
   Engine engine(1000, 64, 56, /*threads=*/2);
   ServiceConfig config;
   config.start_paused = true;
-  SearchService service(WrapIndex(engine.tree.get()), &engine.pool, config);
+  SearchService service(engine.snapshot(), &engine.pool, config);
   const Dataset queries = Noise(2, 64, 57);
   std::vector<std::future<SearchResponse>> futures;
   for (std::size_t q = 0; q < 2; ++q) {
@@ -315,15 +310,9 @@ TEST(SearchServiceTest, HotSwapDuringInFlightTrafficStaysExact) {
   // whichever generation answers, the exact k-NN is the same, so a swap
   // mid-traffic must never change any answer.
   Engine sofa_engine(2000, 96, 58);
-  Engine sax_engine(1, 96, 58, /*threads=*/2, /*sax=*/true);
-  sax_engine.data = Walk(2000, 96, 58);  // identical collection
-  index::IndexConfig sax_config;
-  sax_config.leaf_capacity = 100;
-  sax_engine.tree = std::make_unique<index::TreeIndex>(
-      &sax_engine.data, sax_engine.scheme.get(), sax_config,
-      &sax_engine.pool);
+  Engine sax_engine(2000, 96, 58, /*threads=*/2, /*sax=*/true);  // same rows
 
-  SearchService service(WrapIndex(sofa_engine.tree.get()), &sofa_engine.pool);
+  SearchService service(sofa_engine.snapshot(), &sofa_engine.pool);
   const Dataset queries = Walk(30, 96, 59);
 
   std::atomic<bool> stop_swapping(false);
@@ -331,8 +320,8 @@ TEST(SearchServiceTest, HotSwapDuringInFlightTrafficStaysExact) {
     bool use_sax = true;
     std::size_t swaps = 0;
     while (!stop_swapping.load() || swaps < 4) {
-      service.Publish(WrapIndex(use_sax ? sax_engine.tree.get()
-                                        : sofa_engine.tree.get()));
+      service.Publish(use_sax ? sax_engine.snapshot()
+                              : sofa_engine.snapshot());
       use_sax = !use_sax;
       ++swaps;
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -373,7 +362,7 @@ TEST(SearchServiceTest, PublishedGenerationAnswersSubsequentQueries) {
   // answers come from the new generation.
   Engine first(1500, 64, 60, /*threads=*/2);
   Engine second(1500, 64, 61, /*threads=*/2);
-  SearchService service(WrapIndex(first.tree.get()), &first.pool);
+  SearchService service(first.snapshot(), &first.pool);
   const Dataset queries = Walk(5, 64, 62);
 
   for (std::size_t q = 0; q < queries.size(); ++q) {
@@ -387,7 +376,7 @@ TEST(SearchServiceTest, PublishedGenerationAnswersSubsequentQueries) {
                               BruteForceKnn(first.data, queries.row(q), 3)));
   }
 
-  const std::uint64_t version = service.Publish(WrapIndex(second.tree.get()));
+  const std::uint64_t version = service.Publish(second.snapshot());
   EXPECT_EQ(version, 2u);
   service.Drain();
   for (std::size_t q = 0; q < queries.size(); ++q) {
@@ -406,7 +395,7 @@ TEST(SearchServiceTest, PublishedGenerationAnswersSubsequentQueries) {
 
 TEST(SearchServiceTest, SerializedReloadPublishesBitIdenticalAnswers) {
   Engine engine(2000, 96, 63);
-  SearchService service(WrapIndex(engine.tree.get()), &engine.pool);
+  SearchService service(engine.snapshot(), &engine.pool);
   const Dataset queries = Walk(10, 96, 64);
 
   // Answers of the original generation.
@@ -422,10 +411,11 @@ TEST(SearchServiceTest, SerializedReloadPublishesBitIdenticalAnswers) {
 
   // Save → load → publish the loaded generation into the running service.
   const std::string path = ::testing::TempDir() + "/service_swap.sofa";
-  ASSERT_TRUE(index::SaveIndex(*engine.tree, path));
-  auto loaded = index::LoadIndex(path, &engine.data, &engine.pool);
-  ASSERT_TRUE(loaded.has_value());
-  service.Publish(AdoptLoadedIndex(std::move(*loaded)));
+  ASSERT_TRUE(shard::SaveShardedIndex(*engine.sharded, path));
+  const auto loaded = shard::LoadShardedIndex(
+      path, engine.data, engine.sharded->config(), &engine.pool);
+  ASSERT_NE(loaded, nullptr);
+  service.Publish(WrapShardedIndex(loaded));
   service.Drain();
 
   // The reloaded index is the same tree over the same data: every answer
@@ -451,7 +441,7 @@ TEST(SearchServiceTest, SerializedReloadPublishesBitIdenticalAnswers) {
 
 TEST(SearchServiceTest, MetricsAccountingAndProfiles) {
   Engine engine(2000, 96, 65);
-  SearchService service(WrapIndex(engine.tree.get()), &engine.pool);
+  SearchService service(engine.snapshot(), &engine.pool);
   const Dataset queries = Walk(10, 96, 66);
   for (std::size_t q = 0; q < queries.size(); ++q) {
     SearchRequest request;
@@ -475,54 +465,6 @@ TEST(SearchServiceTest, MetricsAccountingAndProfiles) {
   EXPECT_GE(metrics.latency_max_ms, metrics.latency_p99_ms);
   EXPECT_GT(metrics.profile.nodes_visited, 0u);
   EXPECT_GT(metrics.profile.series_lbd_checked, 0u);
-}
-
-// ------------------------------------------------------------- executor
-
-TEST(ExecutorTest, ThroughputBatchMatchesSequentialEngine) {
-  Engine engine(2000, 96, 67);
-  const Dataset queries = Walk(16, 96, 68);
-  std::vector<std::vector<Neighbor>> results(queries.size());
-  std::vector<index::QueryProfile> profiles(queries.size());
-  std::vector<QueryTask> tasks(queries.size());
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    tasks[q].query = queries.row(q);
-    tasks[q].k = 5;
-    tasks[q].profile = &profiles[q];
-    tasks[q].result = &results[q];
-  }
-  RunThroughputBatch(*engine.tree, &tasks, &engine.pool);
-  const index::QueryEngine sequential(engine.tree.get());
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    const auto expected = sequential.Search(queries.row(q), 5);
-    EXPECT_TRUE(SameDistances(results[q], expected)) << "query " << q;
-    EXPECT_GT(profiles[q].series_ed_computed, 0u);
-  }
-}
-
-TEST(ExecutorTest, TasksExpiringMidBatchAreSkippedAndFlagged) {
-  Engine engine(1000, 64, 69, /*threads=*/2);
-  const Dataset queries = Walk(4, 64, 70);
-  std::vector<std::vector<Neighbor>> results(queries.size());
-  std::vector<QueryTask> tasks(queries.size());
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    tasks[q].query = queries.row(q);
-    tasks[q].k = 3;
-    tasks[q].result = &results[q];
-  }
-  // One task is already past its drop-dead time when a worker reaches it.
-  tasks[2].deadline =
-      std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
-  RunThroughputBatch(*engine.tree, &tasks, &engine.pool);
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    if (q == 2) {
-      EXPECT_TRUE(tasks[q].expired);
-      EXPECT_TRUE(results[q].empty());
-    } else {
-      EXPECT_FALSE(tasks[q].expired);
-      EXPECT_EQ(results[q].size(), 3u);
-    }
-  }
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 // exactly once, sharded answers are bit-identical to the single-index
 // engine (ids and float distances) — standalone, under concurrent service
 // traffic, for a staged backlog, and across a mid-traffic single-shard
-// hot-swap — one search over all shards does less work than per-shard
-// searches and repeats its counters exactly at one thread, and the
+// hot-swap — a one-shard generation served through the service does
+// exactly the one-tree engine's work, one search over all shards does
+// less work than per-shard searches and repeats its counters exactly at
+// one thread, saved generations reload through LoadShardedIndex, and the
 // per-shard republish shares untouched shards instead of copying them.
 
 #include <atomic>
@@ -17,7 +19,6 @@
 #include <gtest/gtest.h>
 
 #include "index/query_engine.h"
-#include "index/serialization.h"
 #include "index/tree_index.h"
 #include "service/search_service.h"
 #include "service/snapshot.h"
@@ -259,11 +260,10 @@ TEST(ShardedIndexTest, EpsilonApproximateWithinBound) {
 
 // ----------------------------------------------- persistence round trip
 
-// Satellite regression: hash assignment over a tiny collection leaves
-// some shards empty. Build → per-shard SaveIndex → Partition →
-// per-shard LoadIndex → FromShards (the `sofa_cli build/serve --shards`
-// path) must round-trip cleanly — empty shards build, save as loadable
-// files, reload, and contribute nothing to the search.
+// Hash assignment over a tiny collection leaves some shards empty.
+// SaveShardedIndex → LoadShardedIndex (the `sofa_cli build/serve
+// --shards` path) must round-trip cleanly — empty shards build, save as
+// loadable files, reload, and contribute nothing to the search.
 TEST(ShardPersistenceTest, TinyHashCollectionRoundTripsThroughEmptyShards) {
   ThreadPool pool(2);
   const Dataset data = Walk(5, 64, 86);
@@ -286,26 +286,10 @@ TEST(ShardPersistenceTest, TinyHashCollectionRoundTripsThroughEmptyShards) {
 
   // Save every shard — including the empty ones — and reload against the
   // deterministic re-partition, exactly as the CLI does.
-  std::vector<std::string> paths;
-  for (std::size_t s = 0; s < built->num_shards(); ++s) {
-    paths.push_back(::testing::TempDir() + "/tiny_hash.shard" +
-                    std::to_string(s));
-    ASSERT_TRUE(index::SaveIndex(*built->shard(s).tree, paths[s]))
-        << "shard " << s;
-  }
-  const ShardPartition partition =
-      ShardedIndex::Partition(data, config.num_shards, config.assignment);
-  std::vector<Shard> reloaded(config.num_shards);
-  for (std::size_t s = 0; s < config.num_shards; ++s) {
-    auto loaded = index::LoadIndex(paths[s], partition.data[s].get(), &pool);
-    ASSERT_TRUE(loaded.has_value()) << "shard " << s << " failed to reload";
-    reloaded[s].data = partition.data[s];
-    reloaded[s].scheme = std::move(loaded->scheme);
-    reloaded[s].tree = std::move(loaded->tree);
-    reloaded[s].global_ids = partition.global_ids[s];
-  }
-  const auto round_tripped = ShardedIndex::FromShards(
-      std::move(reloaded), config, data.length(), &pool);
+  const std::string path = ::testing::TempDir() + "/tiny_hash";
+  ASSERT_TRUE(SaveShardedIndex(*built, path));
+  const auto round_tripped = LoadShardedIndex(path, data, config, &pool);
+  ASSERT_NE(round_tripped, nullptr);
   ASSERT_EQ(round_tripped->size(), data.size());
 
   // Answers bit-identical to the single-index engine over the same rows.
@@ -320,8 +304,8 @@ TEST(ShardPersistenceTest, TinyHashCollectionRoundTripsThroughEmptyShards) {
     EXPECT_EQ(round_tripped->SearchKnn(queries.row(q), 100).size(),
               data.size());
   }
-  for (const std::string& path : paths) {
-    std::remove(path.c_str());
+  for (std::size_t s = 0; s < config.num_shards; ++s) {
+    std::remove(ShardPath(path, s, config.num_shards).c_str());
   }
 }
 
@@ -369,6 +353,45 @@ TEST(ShardedServiceTest, ServiceBitExact) {
   const service::MetricsSnapshot metrics = svc.Metrics();
   EXPECT_EQ(metrics.completed, queries.size());
   EXPECT_GT(metrics.profile.series_ed_computed, 0u);
+}
+
+// A single index is served as a one-shard generation: through the
+// service its answers are bit-identical to the paper's engine over one
+// tree at one thread, and so is every work counter — the shard wrapper
+// adds no work and changes no pruning decision. One pool worker: a
+// multi-worker build scatters rows into subtrees in schedule order, which
+// moves the work counters (never the answers) between two builds of the
+// same rows.
+TEST(ShardedServiceTest, OneShardGenerationMatchesOneTreeEngine) {
+  Fixture fx(2000, 96, 71, /*threads=*/1);
+  const auto sharded = fx.MakeSharded(1);
+  service::SearchService svc(service::WrapShardedIndex(sharded), &fx.pool);
+  const index::QueryEngine engine(fx.single.get());
+  const Dataset queries = Walk(50, 96, 88);
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    service::SearchRequest request;
+    request.query.assign(queries.row(q), queries.row(q) + 96);
+    request.k = 10;
+    request.collect_profile = true;
+    const service::SearchResponse response = svc.Search(std::move(request));
+    ASSERT_EQ(response.status, service::RequestStatus::kOk);
+    index::QueryProfile expected;
+    EXPECT_TRUE(BitIdentical(
+        response.neighbors,
+        engine.Search(queries.row(q), 10, 0.0, &expected, /*num_threads=*/1)))
+        << "query " << q;
+    const index::QueryProfile& actual = response.profile;
+    EXPECT_EQ(actual.nodes_visited, expected.nodes_visited) << "query " << q;
+    EXPECT_EQ(actual.nodes_pruned, expected.nodes_pruned) << "query " << q;
+    EXPECT_EQ(actual.leaves_collected, expected.leaves_collected);
+    EXPECT_EQ(actual.leaves_abandoned, expected.leaves_abandoned);
+    EXPECT_EQ(actual.series_lbd_checked, expected.series_lbd_checked);
+    EXPECT_EQ(actual.series_lbd_pruned, expected.series_lbd_pruned);
+    EXPECT_EQ(actual.series_ed_computed, expected.series_ed_computed);
+    EXPECT_EQ(actual.candidates_filtered, expected.candidates_filtered);
+    EXPECT_EQ(actual.rowq_checked, expected.rowq_checked);
+    EXPECT_EQ(actual.rowq_pruned, expected.rowq_pruned);
+  }
 }
 
 TEST(ShardedServiceTest, BackloggedServiceBitExact) {
