@@ -20,12 +20,12 @@
 // The delta against the "-" (no WAL) rows is the price of durability.
 //
 // Expected shape: small thresholds compact often (more rebuild work,
-// query time lost to republish churn, but tiny flat-scanned delta sets);
-// large thresholds amortize rebuilds but leave queries scanning a larger
-// buffer. Deletes grow the tombstone set between compactions, widening
-// the per-shard top-k the merge filters. Every answer is exact at every
-// setting — the knobs trade throughput against itself, never against
-// correctness.
+// query time lost to republish churn, but a tiny flat-scanned delta
+// set); large thresholds amortize rebuilds but leave queries scanning a
+// larger buffer. Deletes grow the tombstone set between compactions,
+// which every tree and buffer scan masks inline. Every answer is exact
+// at every setting — the knobs trade throughput against itself, never
+// against correctness.
 //
 // With --persist-dir additionally set (WAL runs only), every compaction
 // also persists the published generation to a GenerationStore and

@@ -2,9 +2,12 @@
 //
 //   sofa_cli generate --dataset=SCEDC --n_series=20000 --out=data.fvecs
 //   sofa_cli build    --data=data.fvecs --index=index.sofa [--scheme=sfa|sax]
-//                     [--shards=N] [--assignment=contiguous|hash]
-//                     (N > 1 partitions the collection and writes one
-//                      index file per shard: index.sofa.shard0 … shardN-1)
+//                     [--word=16] [--alphabet=256] [--sampling=0.01]
+//                     [--leaf_size=2000] [--length=N] [--shards=N]
+//                     (N > 1 partitions the collection into contiguous id
+//                      ranges and writes one index file per shard:
+//                      index.sofa.shard0 … shardN-1; build refuses any
+//                      flag it does not read)
 //   sofa_cli query    --data=data.fvecs --index=index.sofa
 //                     --queries=queries.fvecs [--k=10] [--epsilon=0]
 //                     [--rowq] (compressed pruning tier; bit-identical
@@ -20,7 +23,7 @@
 //                     --queries=queries.fvecs [--k=10] [--epsilon=0]
 //                     [--batch=64]
 //                     [--deadline_ms=0] [--repeat=1]
-//                     [--shards=N] [--assignment=contiguous|hash] [--rowq]
+//                     [--shards=N] [--rowq]
 //                     [--insert-file=rows.fvecs] [--compact-threshold=1024]
 //                     [--delete-file=ids.txt] [--wal-dir=DIR]
 //                     [--wal-sync=64] [--data-dir=DIR]
@@ -46,9 +49,9 @@
 //                      index — answers are identical;
 //                      --insert-file additionally streams rows through the
 //                      incremental ingest path concurrently with the query
-//                      traffic: rows buffer per shard, stay exactly
-//                      searchable from the moment they are accepted, and
-//                      compact into rebuilt shard trees every
+//                      traffic: rows buffer behind the last shard, stay
+//                      exactly searchable from the moment they are
+//                      accepted, and compact into its rebuilt tree every
 //                      --compact-threshold rows;
 //                      --delete-file streams deletes (one global id per
 //                      line) after the inserts: deleted rows vanish from
@@ -86,6 +89,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -96,10 +100,12 @@
 #include <cstring>
 #include <fstream>
 #include <future>
+#include <initializer_list>
 #include <limits>
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -204,9 +210,19 @@ bool ReadDeleteIds(const std::string& path,
   return true;
 }
 
-shard::ShardAssignment ParseAssignment(const std::string& name) {
-  return name == "hash" ? shard::ShardAssignment::kHash
-                        : shard::ShardAssignment::kContiguous;
+// The first flag on the command line that `known` does not name (main's
+// `threads` is known to every command), or "" when there is none. A
+// command refuses such a flag instead of ignoring it: a misspelt or
+// retired flag would otherwise run with its default without a word.
+std::string FirstUnknownFlag(const Flags& flags,
+                             std::initializer_list<std::string_view> known) {
+  for (const std::string& name : flags.names()) {
+    if (name != "threads" &&
+        std::find(known.begin(), known.end(), name) == known.end()) {
+      return name;
+    }
+  }
+  return "";
 }
 
 int Generate(const Flags& flags, ThreadPool* pool) {
@@ -235,6 +251,13 @@ int Generate(const Flags& flags, ThreadPool* pool) {
 }
 
 int Build(const Flags& flags, ThreadPool* pool) {
+  const std::string unknown =
+      FirstUnknownFlag(flags, {"data", "length", "index", "scheme", "word",
+                               "alphabet", "sampling", "leaf_size", "shards"});
+  if (!unknown.empty()) {
+    std::fprintf(stderr, "build: unknown flag --%s\n", unknown.c_str());
+    return 1;
+  }
   const auto data = LoadData(flags, "data");
   if (!data.has_value()) {
     return 1;
@@ -263,8 +286,6 @@ int Build(const Flags& flags, ThreadPool* pool) {
   shard::ShardingConfig shard_config;
   shard_config.num_shards =
       static_cast<std::size_t>(flags.GetInt("shards", 1));
-  shard_config.assignment =
-      ParseAssignment(flags.GetString("assignment", "contiguous"));
   shard_config.index = config;
   const std::shared_ptr<const quant::SummaryScheme> shared_scheme =
       std::move(scheme);
@@ -275,14 +296,10 @@ int Build(const Flags& flags, ThreadPool* pool) {
     return 1;
   }
   const std::size_t num_shards = shard_config.num_shards;
-  std::printf("built %s index over %zu series in %.2f s, %zu shard%s (%s) "
+  std::printf("built %s index over %zu series in %.2f s, %zu shard%s "
               "-> %s%s\n",
               shared_scheme->name().c_str(), data->size(), timer.Seconds(),
-              num_shards, num_shards == 1 ? "" : "s",
-              shard_config.assignment == shard::ShardAssignment::kHash
-                  ? "hash"
-                  : "contiguous",
-              index_path.c_str(),
+              num_shards, num_shards == 1 ? "" : "s", index_path.c_str(),
               num_shards == 1
                   ? ""
                   : (".shard0.." + std::to_string(num_shards - 1)).c_str());
@@ -431,8 +448,6 @@ int StatsCommand(const Flags& flags) {
     "index file (per-shard suffixes with --shards)")                          \
   X(length, "length", Int, 0, "series length for raw float32 files")          \
   X(shards, "shards", Int, 1, "shard count (must match `build --shards`)")    \
-  X(assignment, "assignment", String, "contiguous",                           \
-    "shard assignment: contiguous|hash")                                      \
   X(rowq, "rowq", Bool, false,                                                \
     "enable the compressed (quantized-row) pruning tier — answers stay "      \
     "bit-identical, fewer float rows reach the exact kernel")                 \
@@ -508,8 +523,8 @@ void PrintServeHelp() {
       "                       requests, dump final stats + slow log\n"
       "\n"
       "Either way every admitted query is one single-threaded search over\n"
-      "all shards (and insert buffers) at once; one query per worker runs\n"
-      "at a time, and the next starts as soon as a worker frees up\n"
+      "all shards (and the insert buffer) at once; one query per worker\n"
+      "runs at a time, and the next starts as soon as a worker frees up\n"
       "(strict priority classes, with --priority-reserve slots per\n"
       "--batch starts kept for batch/background queries).\n"
       "\n"
@@ -545,18 +560,13 @@ bool ParseListenAddress(const std::string& listen, std::string* host,
 
 bool ParseServeOptions(const Flags& flags, ServeOptions* opts,
                        std::string* error) {
-  // A flag the list does not name (besides `help` and main's `threads`)
-  // is refused, not ignored: a misspelt or retired flag would otherwise
-  // run with its default without a word.
-  for (const std::string& name : flags.names()) {
-#define SOFA_SERVE_KNOWN(field, flag, type, default_value, help) \
-  name == flag ||
-    if (!(SOFA_SERVE_FLAG_LIST(SOFA_SERVE_KNOWN) name == "help" ||
-          name == "threads")) {
-      *error = "unknown flag --" + name;
-      return false;
-    }
-#undef SOFA_SERVE_KNOWN
+#define SOFA_SERVE_NAME(field, flag, type, default_value, help) flag,
+  const std::string unknown =
+      FirstUnknownFlag(flags, {SOFA_SERVE_FLAG_LIST(SOFA_SERVE_NAME) "help"});
+#undef SOFA_SERVE_NAME
+  if (!unknown.empty()) {
+    *error = "unknown flag --" + unknown;
+    return false;
   }
 #define SOFA_SERVE_PARSE(field, flag, type, default_value, help) \
   opts->field = flags.Get##type(flag, opts->field);
@@ -597,11 +607,6 @@ bool ParseServeOptions(const Flags& flags, ServeOptions* opts,
       !non_negative("deadline_ms", opts->deadline_ms) ||
       !non_negative("stats-interval", opts->stats_interval) ||
       !non_negative("slow-query-ms", opts->slow_query_ms)) {
-    return false;
-  }
-  if (opts->assignment != "contiguous" && opts->assignment != "hash") {
-    *error = "--assignment must be contiguous|hash, got '" +
-             opts->assignment + "'";
     return false;
   }
   if (opts->stats_format != "json" && opts->stats_format != "prometheus") {
@@ -778,13 +783,10 @@ int Serve(const Flags& flags, ThreadPool* pool) {
   } else {
     shard::ShardingConfig shard_config;
     shard_config.num_shards = static_cast<std::size_t>(opts.shards);
-    shard_config.assignment = ParseAssignment(opts.assignment);
     shard_config.enable_rowq = opts.rowq;  // compactions keep the tier
     sharded = shard::LoadShardedIndex(opts.index, *data, shard_config, pool);
     if (sharded == nullptr) {
-      std::fprintf(stderr,
-                   "failed to load %s (wrong dataset, --shards or "
-                   "--assignment?)\n",
+      std::fprintf(stderr, "failed to load %s (wrong dataset or --shards?)\n",
                    opts.index.c_str());
       return 1;
     }
@@ -813,8 +815,8 @@ int Serve(const Flags& flags, ThreadPool* pool) {
   // With any mutation source, attach the incremental ingest path and
   // stream the mutations from a side thread while the query traffic
   // runs: rows are exactly searchable the moment Insert() accepts them,
-  // deletes vanish the moment Delete() returns, and shards whose buffers
-  // cross the threshold compact and republish under the traffic. With
+  // deletes vanish the moment Delete() returns, and shards whose pending
+  // work crosses the threshold compact and republish under the traffic. With
   // --wal-dir every mutation is logged before it becomes visible, and
   // any log already present is replayed first — recover-on-start.
   std::optional<ingest::Compactor> compactor;
@@ -1008,7 +1010,7 @@ int Serve(const Flags& flags, ThreadPool* pool) {
   }
   if (mutator.joinable()) {
     mutator.join();
-    compactor->Flush();  // drain the buffers into the trees
+    compactor->Flush();  // drain the buffer into the trees
   }
   const double wall_seconds = timer.Seconds();
 

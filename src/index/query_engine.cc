@@ -324,7 +324,7 @@ std::vector<Neighbor> QueryEngine::Search(
   QueryProfile local_profile;
 
   // Phase 1: the first tree's approximate answer seeds the BSF; then any
-  // flat scans (insert buffers) tighten it before the trees are walked.
+  // flat scans (the insert buffer) tighten it before the trees are walked.
   const Node* approx_leaf = nullptr;
   std::uint32_t approx_part = 0;
   for (; approx_part < num_parts_; ++approx_part) {

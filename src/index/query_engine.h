@@ -19,7 +19,7 @@
 //      set.
 //
 // One ResultSet keyed by global id serves all trees and any flat scans
-// offered alongside (the insert buffers of an ingesting generation), so
+// offered alongside (the insert buffer of an ingesting generation), so
 // a sharded query prunes against one bound and nothing is merged
 // afterwards. Deleted ids are masked inside the scans.
 
@@ -48,7 +48,7 @@ struct TreePart {
 
 /// A scan that offers rows (under global ids) to a search's result set
 /// besides the trees, counting its work into `profile` — e.g. the flat
-/// scans of an ingesting generation's insert buffers.
+/// scan of an ingesting generation's insert buffer.
 using FlatScan = std::function<void(ResultSet* results, QueryProfile* profile)>;
 
 /// Stateless facade; one Search call = one exact (or ε-approximate) query,

@@ -1,6 +1,6 @@
 // The k-NN result set of one query, shared by every scan that answers it:
 // the tree phases of QueryEngine (all trees of a generation at once) and
-// any flat scans offered alongside (the ingest path's insert buffers).
+// any flat scans offered alongside (the ingest path's insert buffer).
 //
 // Candidates are ordered by (squared distance, global id), so the set is
 // the k lexicographically smallest pairs offered, whatever the order of

@@ -32,9 +32,7 @@ Compactor::Compactor(service::SearchService* service,
                       : (recovered != nullptr ? recovered->route_total
                                               : base->size())),
       length_(base == nullptr ? 0 : base->length()),
-      num_shards_(base == nullptr ? 0 : base->num_shards()),
-      assignment_(base == nullptr ? shard::ShardAssignment::kContiguous
-                                  : base->config().assignment) {
+      num_shards_(base == nullptr ? 0 : base->num_shards()) {
   SOFA_CHECK(service_ != nullptr);
   SOFA_CHECK(base != nullptr);
   SOFA_CHECK(base_total_ < std::numeric_limits<std::uint32_t>::max());
@@ -52,19 +50,16 @@ Compactor::Compactor(service::SearchService* service,
     config_.max_pending = 8 * config_.compact_threshold * num_shards_;
   }
   sharded_ = std::move(base);
-  buffers_.reserve(num_shards_);
-  for (std::size_t s = 0; s < num_shards_; ++s) {
-    // With the rowq tier enabled, buffered rows share the shard tree's
-    // quantization grid so a row prunes on the same bound whether it is
-    // answered from the buffer or, post-compaction, from the tree.
-    std::shared_ptr<const quant::RowQuantizer> quantizer;
-    if (sharded_->config().enable_rowq &&
-        sharded_->shard(s).tree->rowq() != nullptr) {
-      quantizer = sharded_->shard(s).tree->rowq()->quantizer_ptr();
-    }
-    buffers_.push_back(std::make_shared<InsertBuffer>(
-        length_, config_.chunk_capacity, std::move(quantizer)));
+  // With the rowq tier enabled, buffered rows share the last shard tree's
+  // quantization grid so a row prunes on the same bound whether it is
+  // answered from the buffer or, post-compaction, from the tree.
+  const index::TreeIndex& last_tree = *sharded_->shard(num_shards_ - 1).tree;
+  std::shared_ptr<const quant::RowQuantizer> quantizer;
+  if (sharded_->config().enable_rowq && last_tree.rowq() != nullptr) {
+    quantizer = last_tree.rowq()->quantizer_ptr();
   }
+  buffer_ = std::make_shared<InsertBuffer>(length_, config_.chunk_capacity,
+                                           std::move(quantizer));
   tombstones_ = std::make_shared<TombstoneSet>();
   if (!config_.wal_dir.empty()) {
     if (config_.wal.registry == nullptr) {
@@ -74,40 +69,30 @@ Compactor::Compactor(service::SearchService* service,
     SOFA_CHECK(wal_ != nullptr)
         << "cannot open write-ahead log in " << config_.wal_dir;
   }
-  tree_covered_.assign(num_shards_, 0);
   shard_tombstoned_.assign(num_shards_, 0);
   if (recovered != nullptr) {
     // Resume from a persisted generation: the manifest's bookkeeping and
-    // buffered tails become the pre-replay state, already durable — they
+    // buffered tail become the pre-replay state, already durable — they
     // are NOT re-logged. Recover() then applies only the WAL tail past
     // the manifest's fold point.
-    SOFA_CHECK(recovered->buffer_rows.size() == num_shards_ &&
-               recovered->buffer_ids.size() == num_shards_);
-    SOFA_CHECK(recovered->next_id >= base_total_ ||
-               assignment_ == shard::ShardAssignment::kHash);
+    SOFA_CHECK(recovered->next_id >= base_total_);
     next_id_ = recovered->next_id;
     id_base_ = recovered->next_id;
     publish_seq_ = recovered->generation_seq;
     wal_skip_seqno_ = recovered->wal_last_seqno;
-    for (std::size_t s = 0; s < num_shards_; ++s) {
-      const Dataset* rows = recovered->buffer_rows[s].get();
-      const std::vector<std::uint32_t>& ids = recovered->buffer_ids[s];
-      if (rows == nullptr) {
-        SOFA_CHECK(ids.empty());
-        continue;
+    const Dataset* tail = recovered->buffer_rows.get();
+    const std::vector<std::uint32_t>& tail_ids = recovered->buffer_ids;
+    if (tail == nullptr) {
+      SOFA_CHECK(tail_ids.empty());
+    } else {
+      SOFA_CHECK(tail->length() == length_ && tail_ids.size() == tail->size());
+      for (std::size_t r = 0; r < tail->size(); ++r) {
+        buffer_->Append(tail->row(r), tail_ids[r]);
       }
-      SOFA_CHECK(rows->length() == length_ && ids.size() == rows->size());
-      for (std::size_t r = 0; r < rows->size(); ++r) {
-        buffers_[s]->Append(rows->row(r), ids[r]);
-      }
-      pending_ += rows->size();
+      pending_ = tail->size();
     }
     for (const std::uint32_t id : recovered->tombstones) {
-      if (tombstones_->Add(id)) {
-        deleted_ever_.insert(id);
-        ++shard_tombstoned_[RouteShard(id)];
-        ++deleted_;
-      }
+      ApplyDeleteLocked(id);
     }
     // At a fold point every id below next_id is live (in a shard slice or
     // a buffered tail), tombstoned, or purged: the commit queue is drained
@@ -124,8 +109,8 @@ Compactor::Compactor(service::SearchService* service,
     };
     for (std::size_t s = 0; s < num_shards_; ++s) {
       mark(*sharded_->shard(s).global_ids);
-      mark(recovered->buffer_ids[s]);
     }
+    mark(tail_ids);
     for (std::uint32_t id = 0; id < next_id_; ++id) {
       if (!present[id]) {
         deleted_ever_.insert(id);
@@ -136,9 +121,9 @@ Compactor::Compactor(service::SearchService* service,
     id_base_ = next_id_;
   }
   {
-    // Publish the initial ingesting generation: base trees, buffer views
-    // (seeded when resuming), tombstones. From here on every query sees
-    // (tree ∪ buffer) \ tombstones.
+    // Publish the initial ingesting generation: base trees, the buffer
+    // view (seeded when resuming), tombstones. From here on every query
+    // sees (tree ∪ buffer) \ tombstones.
     std::unique_lock<std::mutex> lock(mutex_);
     PublishLocked(sharded_, &lock);
   }
@@ -215,8 +200,7 @@ Compactor::~Compactor() {
 }
 
 std::size_t Compactor::RouteShard(std::uint32_t id) const {
-  return shard::ShardedIndex::AssignShard(assignment_, id, base_total_,
-                                          num_shards_);
+  return shard::ShardedIndex::AssignShard(id, base_total_, num_shards_);
 }
 
 bool Compactor::CommitStaged(std::unique_lock<std::mutex>* lock,
@@ -264,23 +248,18 @@ void Compactor::LeaderCommitLocked(std::unique_lock<std::mutex>* lock) {
     // mutation had applied under the lock it was staged under.
     for (const std::shared_ptr<StagedMutation>& staged : batch) {
       if (staged->is_insert) {
-        buffers_[staged->shard]->Append(staged->row, staged->id);
+        buffer_->Append(staged->row, staged->id);
         --staged_inserts_;
         ++pending_;
         ++inserted_;
       } else {
-        ApplyDeleteLocked(staged->id, staged->shard);
+        ApplyDeleteLocked(staged->id);
       }
       staged->done = true;
       staged->ok = true;
     }
-    if (config_.auto_compact) {
-      for (const std::shared_ptr<StagedMutation>& staged : batch) {
-        if (ShardWorkLocked(staged->shard) >= config_.compact_threshold) {
-          work_cv_.notify_one();
-          break;
-        }
-      }
+    if (config_.auto_compact && CompactionDueLocked()) {
+      work_cv_.notify_one();
     }
   } else {
     // The batch never reached the log (AppendBatch rolled the segment
@@ -312,14 +291,16 @@ void Compactor::LeaderCommitLocked(std::unique_lock<std::mutex>* lock) {
   }
 }
 
-void Compactor::ApplyDeleteLocked(std::uint32_t id, std::size_t s) {
+bool Compactor::ApplyDeleteLocked(std::uint32_t id) {
   // A duplicate (two deletes of one id raced through staging) is a no-op,
   // on replay too.
-  if (tombstones_->Add(id)) {
-    deleted_ever_.insert(id);
-    ++deleted_;
-    ++shard_tombstoned_[s];
+  if (!tombstones_->Add(id)) {
+    return false;
   }
+  deleted_ever_.insert(id);
+  ++deleted_;
+  ++shard_tombstoned_[RouteShard(id)];
+  return true;
 }
 
 void Compactor::DrainCommitQueueLocked(std::unique_lock<std::mutex>* lock) {
@@ -365,7 +346,6 @@ StatusOr<std::uint32_t> Compactor::Insert(const float* row,
   auto staged = std::make_shared<StagedMutation>();
   staged->is_insert = true;
   staged->id = next_id_++;
-  staged->shard = RouteShard(staged->id);
   staged->row = row;
   commit_queue_.push_back(staged);
   ++staged_inserts_;
@@ -397,7 +377,6 @@ Status Compactor::Delete(std::uint32_t id) {
   auto staged = std::make_shared<StagedMutation>();
   staged->is_insert = false;
   staged->id = id;
-  staged->shard = RouteShard(id);
   commit_queue_.push_back(staged);
   return CommitStaged(&lock, staged) ? OkStatus()
                                      : IoError("WAL append failed");
@@ -442,8 +421,7 @@ RecoverStats Compactor::Recover() {
               stats.ok = false;  // gap: records before this one are gone
               return;
             }
-            const std::size_t s = RouteShard(record.id);
-            buffers_[s]->Append(record.row.data(), record.id);
+            buffer_->Append(record.row.data(), record.id);
             ++next_id_;
             ++pending_;
             ++inserted_;
@@ -456,10 +434,7 @@ RecoverStats Compactor::Recover() {
               return;
             }
             // A duplicate record (raced deletes) changes nothing.
-            if (tombstones_->Add(record.id)) {
-              deleted_ever_.insert(record.id);
-              ++shard_tombstoned_[RouteShard(record.id)];
-              ++deleted_;
+            if (ApplyDeleteLocked(record.id)) {
               ++stats.deletes_applied;
             }
             return;
@@ -479,7 +454,7 @@ RecoverStats Compactor::Recover() {
     stats.ok = false;
   }
   if (config_.auto_compact) {
-    work_cv_.notify_one();  // replayed buffers may already cross thresholds
+    work_cv_.notify_one();  // replayed rows may already cross thresholds
   }
   return stats;
 }
@@ -526,14 +501,10 @@ bool Compactor::PersistLocked(std::unique_lock<std::mutex>* lock) {
   request.route_total = base_total_;
   request.sharded = sharded_;
   request.tombstones = tombstones_->SortedIds();
-  request.buffer_ids.resize(num_shards_);
-  request.buffer_rows.reserve(num_shards_);
-  for (std::size_t s = 0; s < num_shards_; ++s) {
-    Dataset rows(length_);
-    buffers_[s]->CopyRange(tree_covered_[s], buffers_[s]->size(), &rows,
-                           &request.buffer_ids[s]);
-    request.buffer_rows.push_back(std::move(rows));
-  }
+  auto tail = std::make_shared<Dataset>(length_);
+  buffer_->CopyRange(tree_covered_, buffer_->size(), tail.get(),
+                     &request.buffer_ids);
+  request.buffer_rows = std::move(tail);
   std::uint64_t tail_segment = 0;
   if (wal_ != nullptr) {
     request.wal_last_seqno = wal_->last_seqno();
@@ -553,7 +524,7 @@ bool Compactor::PersistLocked(std::unique_lock<std::mutex>* lock) {
   const std::uint64_t min_live = MinLiveSeqLocked();
 
   // The heavy I/O runs unlocked: the captured request is immutable (the
-  // sharded generation by construction, the tails and tombstones by
+  // sharded generation by construction, the tail and tombstones by
   // copy). Mutations and queries flow meanwhile.
   lock->unlock();
   const bool ok = config_.store->Persist(request);
@@ -594,8 +565,18 @@ std::uint64_t Compactor::MinLiveSeqLocked() const {
 
 std::size_t Compactor::ShardWorkLocked(std::size_t s) const {
   // The compaction trigger's unit of work: buffered rows not yet in the
-  // tree plus tombstoned rows not yet removed from it.
-  return buffers_[s]->size() - tree_covered_[s] + shard_tombstoned_[s];
+  // tree (the last shard owns the buffer) plus tombstoned rows not yet
+  // removed from the shard.
+  return (s + 1 == num_shards_ ? pending_ : 0) + shard_tombstoned_[s];
+}
+
+bool Compactor::CompactionDueLocked() const {
+  for (std::size_t s = 0; s < num_shards_; ++s) {
+    if (ShardWorkLocked(s) >= config_.compact_threshold) {
+      return true;
+    }
+  }
+  return false;
 }
 
 bool Compactor::HasMutationWorkLocked() const {
@@ -644,9 +625,9 @@ std::shared_ptr<const shard::ShardedIndex> Compactor::current() const {
 }
 
 std::shared_ptr<const service::ShardBuffers> Compactor::MakeBuffers(
-    const std::vector<std::size_t>& start) const {
+    std::size_t start) const {
   auto buffers = std::make_shared<service::ShardBuffers>();
-  buffers->buffers.assign(buffers_.begin(), buffers_.end());
+  buffers->buffer = buffer_;
   buffers->start = start;
   buffers->tombstones = tombstones_;
   return buffers;
@@ -677,22 +658,18 @@ void Compactor::TrimRetiredLocked() {
   // what may be reclaimed, and the smallest live publish sequence bounds
   // which queued tombstone purges may apply; generations retire when
   // their last in-flight query batch drops the snapshot reference.
-  std::vector<std::size_t> min_start = tree_covered_;
+  std::size_t min_start = tree_covered_;
   std::uint64_t min_seq = publish_seq_;
   for (auto it = live_.begin(); it != live_.end();) {
     if (it->snapshot.expired()) {
       it = live_.erase(it);
       continue;
     }
-    for (std::size_t s = 0; s < num_shards_; ++s) {
-      min_start[s] = std::min(min_start[s], it->start[s]);
-    }
+    min_start = std::min(min_start, it->start);
     min_seq = std::min(min_seq, it->seq);
     ++it;
   }
-  for (std::size_t s = 0; s < num_shards_; ++s) {
-    buffers_[s]->TrimBelow(min_start[s]);
-  }
+  buffer_->TrimBelow(min_start);
   std::vector<std::uint32_t> purgeable;
   for (auto it = pending_purges_.begin(); it != pending_purges_.end();) {
     if (it->seq <= min_seq) {
@@ -722,22 +699,14 @@ void Compactor::CompactorLoop() {
         // The flush can complete once no mutation is still staged.
         return commit_queue_.empty() && !commit_leader_active_;
       }
-      if (!config_.auto_compact) {
-        return false;
-      }
-      for (std::size_t s = 0; s < num_shards_; ++s) {
-        if (ShardWorkLocked(s) >= config_.compact_threshold) {
-          return true;
-        }
-      }
-      return false;
+      return config_.auto_compact && CompactionDueLocked();
     });
     if (stopping_) {
       return;
     }
     while (!stopping_) {
       // Most-work shard first (buffered rows + resident tombstones):
-      // under sustained ingest this keeps the flat-scanned delta sets as
+      // under sustained ingest this keeps the flat-scanned delta set as
       // small as possible, and under sustained deletes it keeps the
       // tombstone set every query masks against bounded.
       std::size_t best = num_shards_;
@@ -775,18 +744,20 @@ void Compactor::CompactShard(std::size_t s) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     base = sharded_;
-    start = tree_covered_[s];
+    start = tree_covered_;
     tomb_resident = shard_tombstoned_[s];
     // The delete view of this rebuild. Rows deleted after this point may
     // land in the new tree; they stay masked by their live tombstones
     // and fall out at the shard's next compaction.
     tomb = tombstones_->view();
   }
-  // The cut: live rows below it move into the rebuilt tree; rows appended
-  // during the rebuild stay above it and remain buffer-visible. A shard
-  // with no new rows but resident tombstones still rebuilds — that is
-  // how a delete-only workload sheds deleted rows and purges.
-  const std::size_t cut = buffers_[s]->size();
+  // The cut: live buffer rows below it move into the rebuilt last-shard
+  // tree; rows appended during the rebuild stay above it and remain
+  // buffer-visible. Any other shard takes no buffer rows (its cut stays
+  // at the start). A shard with no new rows but resident tombstones
+  // still rebuilds — that is how a delete-only workload sheds deleted
+  // rows and purges.
+  const std::size_t cut = s + 1 == num_shards_ ? buffer_->size() : start;
   if (cut == start && tomb_resident == 0) {
     return;
   }
@@ -809,8 +780,8 @@ void Compactor::CompactShard(std::size_t s) {
     data->Append(old_shard.data->row(i));
     ids->push_back(old_ids[i]);
   }
-  buffers_[s]->CopyRange(start, cut, data.get(), ids.get(), exclude,
-                         &purgeable);
+  buffer_->CopyRange(start, cut, data.get(), ids.get(), exclude,
+                     &purgeable);
 
   // Deterministic rebuild over (slice ∪ buffered rows) \ tombstones with
   // the build-time scheme and per-shard index config; runs on the serving
@@ -854,7 +825,7 @@ void Compactor::CompactShard(std::size_t s) {
   // the rebuild stay counted for the next round.
   shard_tombstoned_[s] -= purgeable.size();
   sharded_ = derived;
-  tree_covered_[s] = cut;
+  tree_covered_ = cut;
   pending_ -= cut - start;
   ++compactions_;
   PublishLocked(std::move(derived), &lock, std::move(purgeable));

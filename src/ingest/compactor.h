@@ -1,5 +1,5 @@
 // The mutation front end of the incremental ingest path: inserts and
-// deletes → per-shard buffers + tombstones → background rebuild →
+// deletes → one insert buffer + tombstones → background rebuild →
 // WithShardReplaced republish, all under live traffic, with an optional
 // write-ahead log making every accepted mutation survive a restart and
 // an optional generation store making the *compacted* state itself
@@ -7,22 +7,23 @@
 // not the full mutation history.
 //
 // A Compactor attaches to a SearchService serving a sharded generation
-// and becomes its sole publisher. It owns one InsertBuffer per shard, a
-// TombstoneSet of deleted ids, and (when IngestConfig::wal_dir is set) a
-// WriteAheadLog. Insert() assigns the next global collection id, logs
-// the row, routes it to its shard's buffer (contiguous assignment
-// extends the last shard's range; hash assignment hashes the id as at
-// build time) and publishes it to queries immediately through the live
-// buffer — no snapshot republish per insert. Delete() logs and
-// tombstones the id; queries mask tombstoned ids inside their tree and
-// buffer scans immediately, whether the row lives in a tree or a
-// buffer. Once a shard's pending rows reach `compact_threshold`, a
-// dedicated background thread rebuilds that shard's TreeIndex over
-// (slice ∪ buffered rows) \ tombstones and republishes through
-// ShardedIndex::WithShardReplaced + SearchService::Publish.
+// and becomes its sole publisher. It owns one InsertBuffer — the last
+// shard's, since every inserted id extends that shard's contiguous range
+// — a TombstoneSet of deleted ids, and (when IngestConfig::wal_dir is
+// set) a WriteAheadLog. Insert() assigns the next global collection id,
+// logs the row, appends it to the buffer and publishes it to queries
+// immediately through the live buffer — no snapshot republish per
+// insert. Delete() logs and tombstones the id; queries mask tombstoned
+// ids inside their tree and buffer scans immediately, whether the row
+// lives in a tree or the buffer. Once a shard's pending work (the last
+// shard's buffered rows, any shard's resident tombstones) reaches
+// `compact_threshold`, a dedicated background thread rebuilds that
+// shard's TreeIndex over (slice ∪ buffered rows) \ tombstones and
+// republishes through ShardedIndex::WithShardReplaced +
+// SearchService::Publish.
 //
 // Exactness invariant, held at every instant including mid-compaction:
-// each generation's shard-s tree covers that shard's rows below a cut
+// each generation's last-shard tree covers the buffer's rows below a cut
 // offset and its buffer view starts exactly at the cut, so every live
 // row is answered by exactly one of tree or buffer, and every deleted
 // row by neither (masked by the tombstone set until a compaction
@@ -39,7 +40,7 @@
 //
 // The write path: every Insert/Delete stages into one commit queue under
 // the mutation lock, and one caller — the leader — applies every queued
-// mutation to buffers + tombstones in staged (id) order; followers just
+// mutation to the buffer + tombstones in staged (id) order; followers just
 // wait for their record's fate. That queue is the only way a mutation
 // becomes visible, with or without a log.
 //
@@ -54,10 +55,10 @@
 //
 // Persistence (IngestConfig::store): after each compaction publish the
 // Compactor snapshots the full collection state — the published sharded
-// generation, each shard's buffered tail, the live tombstones, the id
-// watermark — at a WAL fold point (the commit queue drained, the log
-// rotated), persists it as an atomic generation directory, and only
-// after that commit truncates the WAL below the rotation. Recovery
+// generation, the buffered tail, the live tombstones, the id watermark —
+// at a WAL fold point (the commit queue drained, the log rotated),
+// persists it as an atomic generation directory, and only after that
+// commit truncates the WAL below the rotation. Recovery
 // (persist::GenerationStore::LoadLatest → MakeRecoveredBase → this
 // constructor → Recover()) reassembles the generation and replays ONLY
 // records past the manifest's fold point; a torn commit falls back to
@@ -117,9 +118,9 @@ struct IngestConfig {
   /// tombstones) even with no inserts flowing.
   std::size_t compact_threshold = 1024;
 
-  /// Admission bound: inserts are rejected while the total pending rows
-  /// across all shards (staged-for-commit ones included) are at or
-  /// beyond this (backpressure when compaction cannot keep up).
+  /// Admission bound: inserts are rejected while the buffered rows not
+  /// yet in a tree (staged-for-commit ones included) are at or beyond
+  /// this (backpressure when compaction cannot keep up).
   /// 0 = 8 × compact_threshold × num_shards.
   std::size_t max_pending = 0;
 
@@ -181,7 +182,7 @@ struct IngestMetrics {
 /// refuse to serve.
 struct RecoverStats {
   bool ok = true;
-  std::uint64_t inserts_applied = 0;  // rows appended to buffers
+  std::uint64_t inserts_applied = 0;  // rows appended to the buffer
   std::uint64_t inserts_skipped = 0;  // ids the base already covers
   std::uint64_t deletes_applied = 0;  // tombstones restored
   std::uint64_t records_skipped = 0;  // records at or below the recovered
@@ -204,10 +205,11 @@ struct RecoveredBase {
   std::uint32_t next_id = 0;         // first unallocated global id
   std::uint64_t wal_last_seqno = 0;  // WAL records ≤ this are folded in
   std::vector<std::uint32_t> tombstones;
-  // Per shard: rows already durable in the generation directory but not
-  // in its trees — seeded into the insert buffers before tail replay.
-  std::vector<std::shared_ptr<const Dataset>> buffer_rows;
-  std::vector<std::vector<std::uint32_t>> buffer_ids;
+  // Rows already durable in the generation directory but not in its
+  // trees — seeded into the insert buffer before tail replay (null rows =
+  // an empty tail).
+  std::shared_ptr<const Dataset> buffer_rows;
+  std::vector<std::uint32_t> buffer_ids;
 };
 
 /// The manifest-side half of resuming from disk.
@@ -217,7 +219,7 @@ class Compactor {
  public:
   /// Attaches to `service`, which must currently serve (or be about to
   /// serve) `base`; the constructor publishes the initial ingesting
-  /// generation (base trees + buffers + tombstones — empty on a fresh
+  /// generation (base trees + buffer + tombstones — empty on a fresh
   /// start, seeded from `recovered` when resuming from a persisted
   /// generation). While a Compactor is attached it must be the service's
   /// only publisher. Tree rebuilds run on `base`'s thread pool,
@@ -259,7 +261,7 @@ class Compactor {
   /// Thread-safe.
   Status Delete(std::uint32_t id);
 
-  /// Replays the WAL into buffers + tombstones. Must be called before
+  /// Replays the WAL into the buffer + tombstones. Must be called before
   /// the first Insert/Delete (SOFA_CHECK-enforced) and, for coherent
   /// answers, before queries are admitted. `base` must be exactly the
   /// generation the log was written against. Only a persist truncates
@@ -295,17 +297,16 @@ class Compactor {
 
   /// Shard that global id `id` routes to: the build-time AssignShard
   /// partition, with inserted ids (>= the build-time collection total)
-  /// extending the last shard under contiguous assignment.
+  /// extending the last shard.
   std::size_t RouteShard(std::uint32_t id) const;
 
  private:
-  // One mutation staged for group commit: its record, its routing, and
-  // the caller's result slot (the commit leader resolves `done`/`ok` for
-  // every record of its batch).
+  // One mutation staged for group commit: its record and the caller's
+  // result slot (the commit leader resolves `done`/`ok` for every record
+  // of its batch).
   struct StagedMutation {
     bool is_insert = true;
     std::uint32_t id = 0;
-    std::size_t shard = 0;
     // Inserts only: the caller's row, which stays valid because the
     // caller waits until its mutation is resolved.
     const float* row = nullptr;
@@ -316,9 +317,10 @@ class Compactor {
   void CompactorLoop();
   void CompactShard(std::size_t s);
   std::size_t ShardWorkLocked(std::size_t s) const;
+  bool CompactionDueLocked() const;
   bool HasMutationWorkLocked() const;
   std::shared_ptr<const service::ShardBuffers> MakeBuffers(
-      const std::vector<std::size_t>& start) const;
+      std::size_t start) const;
   void PublishLocked(std::shared_ptr<const shard::ShardedIndex> sharded,
                      std::unique_lock<std::mutex>* lock,
                      std::vector<std::uint32_t> purgeable = {});
@@ -332,7 +334,8 @@ class Compactor {
   bool CommitStaged(std::unique_lock<std::mutex>* lock,
                     const std::shared_ptr<StagedMutation>& entry);
   void LeaderCommitLocked(std::unique_lock<std::mutex>* lock);
-  void ApplyDeleteLocked(std::uint32_t id, std::size_t s);
+  // Tombstones `id`; false when it already was (a duplicate delete).
+  bool ApplyDeleteLocked(std::uint32_t id);
   void DrainCommitQueueLocked(std::unique_lock<std::mutex>* lock);
   bool PersistLocked(std::unique_lock<std::mutex>* lock);
   // Mirrors the locked counters into the registry instruments; runs as a
@@ -344,14 +347,13 @@ class Compactor {
   const std::size_t base_total_;  // collection size the partition was built at
   const std::size_t length_;
   const std::size_t num_shards_;
-  const shard::ShardAssignment assignment_;
 
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;   // compaction thread wakeups
   std::condition_variable flush_cv_;  // Flush() waiters
   std::condition_variable commit_cv_;  // group-commit followers + barrier
   std::shared_ptr<const shard::ShardedIndex> sharded_;  // latest generation
-  std::vector<std::shared_ptr<InsertBuffer>> buffers_;  // one per shard
+  std::shared_ptr<InsertBuffer> buffer_;  // the last shard's delta set
   std::shared_ptr<TombstoneSet> tombstones_;  // live, shared with snapshots
   // Every id ever deleted, purged or not — Delete() statuses must tell
   // "already deleted" from "never existed" even after the tombstone was
@@ -359,7 +361,7 @@ class Compactor {
   // manifest (its tombstones plus every id it no longer holds).
   std::unordered_set<std::uint32_t> deleted_ever_;
   std::unique_ptr<WriteAheadLog> wal_;        // null without wal_dir
-  std::vector<std::size_t> tree_covered_;  // per shard: buffer rows in tree
+  std::size_t tree_covered_ = 0;  // buffer rows in the last shard's tree
   // Per shard: tombstoned ids not yet physically removed from that
   // shard's structures. Counts toward the compaction trigger, so a
   // delete-only workload still compacts, purges its tombstones, and
@@ -398,14 +400,14 @@ class Compactor {
   bool stopping_ = false;
 
   // Published generations still possibly in flight (weak: expired entries
-  // are pruned); per entry, the per-shard buffer starts it scans from and
-  // its publish sequence number. The minimum start across live entries
+  // are pruned); per entry, the buffer start it scans from and its
+  // publish sequence number. The minimum start across live entries
   // bounds what TrimBelow may drop; the minimum sequence bounds which
   // queued tombstone purges may apply — and which persisted generation
   // directories GC may remove.
   struct LiveGeneration {
     std::weak_ptr<const service::IndexSnapshot> snapshot;
-    std::vector<std::size_t> start;
+    std::size_t start = 0;
     std::uint64_t seq = 0;
   };
   std::vector<LiveGeneration> live_;

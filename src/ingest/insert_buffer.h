@@ -1,15 +1,15 @@
-// The mutable half of the incremental ingest path (ROADMAP: "per-shard
-// incremental updates — insert buffer → rebuild → WithShardReplaced
-// republish").
+// The mutable half of the incremental ingest path (insert buffer →
+// rebuild of the last shard → WithShardReplaced republish).
 //
-// An InsertBuffer is the append-only delta set of one shard: rows inserted
-// since that shard's tree was last rebuilt, each carrying its global
-// collection id. Queries answer exactly over (tree ∪ buffer) \ tombstones,
-// FAISS-style (Johnson et al., billion-scale similarity search: a pruned
-// index over the bulk plus a brute-force flat scan over a small delta):
-// the shard's TreeIndex covers the compacted prefix and the buffer is
-// scanned flat into the query's one result set (Scan), with deleted ids
-// masked inline.
+// An InsertBuffer is the append-only delta set of an ingesting
+// generation: rows inserted since the last shard's tree was last rebuilt
+// (every inserted id extends that shard's contiguous range), each
+// carrying its global collection id. Queries answer exactly over
+// (trees ∪ buffer) \ tombstones, FAISS-style (Johnson et al.,
+// billion-scale similarity search: a pruned index over the bulk plus a
+// brute-force flat scan over a small delta): the last shard's TreeIndex
+// covers the compacted prefix and the buffer is scanned flat into the
+// query's one result set (Scan), with deleted ids masked inline.
 // The scan uses the same early-abandoning SIMD distance kernel as the tree
 // engine (not the flat index's ‖x‖²+‖y‖²−2x·y trick, whose rounding
 // differs), so a row reports the *bit-identical* distance whether it is

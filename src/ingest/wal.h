@@ -4,8 +4,8 @@
 // Every accepted mutation — insert(id, row) or delete(id) — is appended
 // to an on-disk record stream *before* it becomes visible to queries.
 // After a crash, Compactor::Recover replays the stream on top of the
-// reloaded base generation and reconstructs exactly the buffers and
-// tombstones the process held when it died, so answers after recovery
+// reloaded base generation and reconstructs exactly the insert buffer
+// and tombstones the process held when it died, so answers after recovery
 // are bit-identical to the uninterrupted run.
 //
 // On-disk layout (full byte-level spec in docs/FILE_FORMATS.md): the log

@@ -25,11 +25,8 @@ namespace {
 constexpr char kManifestMagic[8] = {'S', 'O', 'F', 'A', 'M', 'A', 'N', '1'};
 constexpr char kSliceMagic[8] = {'S', 'O', 'F', 'A', 'S', 'L', 'C', '1'};
 constexpr char kRowqMagic[8] = {'S', 'O', 'F', 'A', 'R', 'Q', '0', '1'};
-// v1: no per-shard .rq accounting. v2: two trailing fields per shard
-// (rq_bytes, rq_crc). Writers emit v2; readers accept both so a store
-// written by a pre-rowq build keeps loading (its shards simply have no
-// sidecar and rebuild one on demand when the tier is requested).
-constexpr std::uint32_t kManifestVersionLegacy = 1;
+// v2: per-shard .rq accounting (rq_bytes, rq_crc) after the tail fields.
+// The pre-rowq v1 layout is no longer read.
 constexpr std::uint32_t kManifestVersion = 2;
 constexpr char kGenPrefix[] = "gen-";
 constexpr char kTmpSuffix[] = ".tmp";
@@ -388,16 +385,13 @@ bool ParseRowqFile(const std::vector<unsigned char>& bytes,
   return true;
 }
 
-std::vector<unsigned char> EncodeManifest(
-    const GenerationManifest& m,
-    std::uint32_t version = kManifestVersion) {
+std::vector<unsigned char> EncodeManifest(const GenerationManifest& m) {
   std::vector<unsigned char> payload;
   PutU64(&payload, m.generation_seq);
   PutU64(&payload, m.next_id);
   PutU64(&payload, m.route_total);
   PutU64(&payload, m.series_length);
-  payload.push_back(static_cast<unsigned char>(
-      m.assignment == shard::ShardAssignment::kHash ? 1 : 0));
+  payload.push_back(0);  // shard assignment: 0 = contiguous, the only one
   PutU64(&payload, m.wal_last_seqno);
   PutU64(&payload, m.wal_segment_seq);
   PutU64(&payload, m.shards.size());
@@ -409,10 +403,8 @@ std::vector<unsigned char> EncodeManifest(
     PutU32(&payload, s.slice_crc);
     PutU64(&payload, s.tail_bytes);
     PutU32(&payload, s.tail_crc);
-    if (version >= 2) {
-      PutU64(&payload, s.rq_bytes);
-      PutU32(&payload, s.rq_crc);
-    }
+    PutU64(&payload, s.rq_bytes);
+    PutU32(&payload, s.rq_crc);
   }
   PutU64(&payload, m.tombstones.size());
   for (const std::uint32_t id : m.tombstones) {
@@ -432,8 +424,7 @@ bool DecodeManifest(const std::vector<unsigned char>& bytes,
   const std::uint32_t version = header.U32();
   const std::uint32_t payload_size = header.U32();
   const std::uint32_t crc = header.U32();
-  if (!header.ok() ||
-      (version != kManifestVersion && version != kManifestVersionLegacy) ||
+  if (!header.ok() || version != kManifestVersion ||
       payload_size != header.remaining() ||
       Crc32(bytes.data() + (bytes.size() - payload_size), payload_size) !=
           crc) {
@@ -444,12 +435,14 @@ bool DecodeManifest(const std::vector<unsigned char>& bytes,
   out->next_id = d.U64();
   out->route_total = d.U64();
   out->series_length = d.U64();
-  out->assignment = d.U8() == 1 ? shard::ShardAssignment::kHash
-                                : shard::ShardAssignment::kContiguous;
+  const std::uint8_t assignment = d.U8();
   out->wal_last_seqno = d.U64();
   out->wal_segment_seq = d.U64();
   const std::uint64_t num_shards = d.U64();
-  if (!d.ok() || num_shards == 0 || num_shards > kMaxShards) {
+  // Contiguous ranges (0) are the only shard assignment a generation can
+  // be reassembled under.
+  if (!d.ok() || assignment != 0 || num_shards == 0 ||
+      num_shards > kMaxShards) {
     return false;
   }
   out->shards.resize(num_shards);
@@ -461,10 +454,8 @@ bool DecodeManifest(const std::vector<unsigned char>& bytes,
     s.slice_crc = d.U32();
     s.tail_bytes = d.U64();
     s.tail_crc = d.U32();
-    if (version >= 2) {
-      s.rq_bytes = d.U64();
-      s.rq_crc = d.U32();
-    }  // v1: no sidecar accounting — rq_bytes stays 0 (rebuild on load)
+    s.rq_bytes = d.U64();
+    s.rq_crc = d.U32();
   }
   const std::uint64_t num_tombstones = d.U64();
   if (!d.ok() ||
@@ -600,8 +591,13 @@ bool GenerationStore::PersistImpl(const PersistRequest& request,
   SOFA_CHECK(request.sharded != nullptr);
   const shard::ShardedIndex& sharded = *request.sharded;
   const std::size_t num_shards = sharded.num_shards();
-  SOFA_CHECK(request.buffer_rows.size() == num_shards &&
-             request.buffer_ids.size() == num_shards);
+  // The insert buffer's tail belongs to the last shard; every other
+  // shard's .tail is an empty slice.
+  const Dataset empty_tail(sharded.length());
+  const Dataset& tail =
+      request.buffer_rows != nullptr ? *request.buffer_rows : empty_tail;
+  SOFA_CHECK(tail.length() == sharded.length() &&
+             tail.size() == request.buffer_ids.size());
 
   const std::string final_dir = GenerationDir(request.generation_seq);
   const std::string tmp_dir = final_dir + kTmpSuffix;
@@ -615,7 +611,6 @@ bool GenerationStore::PersistImpl(const PersistRequest& request,
   manifest.next_id = request.next_id;
   manifest.route_total = request.route_total;
   manifest.series_length = sharded.length();
-  manifest.assignment = sharded.config().assignment;
   manifest.wal_last_seqno = request.wal_last_seqno;
   manifest.wal_segment_seq = request.wal_segment_seq;
   manifest.tombstones = request.tombstones;
@@ -670,11 +665,11 @@ bool GenerationStore::PersistImpl(const PersistRequest& request,
         return false;
       }
     }
-    SOFA_CHECK(request.buffer_rows[s].size() == request.buffer_ids[s].size());
+    const bool last = s + 1 == num_shards;
     if (!WriteSliceFile(ShardFile(tmp_dir, s, "tail"),
-                        request.buffer_rows[s],
-                        request.buffer_ids[s].data(), &entry.tail_bytes,
-                        &entry.tail_crc, fsyncs)) {
+                        last ? tail : empty_tail,
+                        last ? request.buffer_ids.data() : nullptr,
+                        &entry.tail_bytes, &entry.tail_crc, fsyncs)) {
       return false;
     }
   }
@@ -752,9 +747,6 @@ std::optional<LoadedGeneration> GenerationStore::LoadGeneration(
   std::vector<shard::Shard> shards(num_shards);
   shard::ShardingConfig config;
   config.num_shards = num_shards;
-  config.assignment = manifest.assignment;
-  loaded.buffer_rows.resize(num_shards);
-  loaded.buffer_ids.resize(num_shards);
   for (std::size_t s = 0; s < num_shards; ++s) {
     const ManifestShard& entry = manifest.shards[s];
     std::vector<unsigned char> bytes;
@@ -779,9 +771,9 @@ std::optional<LoadedGeneration> GenerationStore::LoadGeneration(
     if (enable_rowq) {
       // The compressed pruning tier: attach the persisted sidecar when
       // the manifest accounts for one, or rebuild it from the freshly
-      // loaded slice (tier off at persist time, or a v1 generation
-      // predating the .rq format). Either way the tier is admissible —
-      // a rebuilt grid just yields different (still exact) prune rates.
+      // loaded slice (tier off at persist time). Either way the tier is
+      // admissible — a rebuilt grid just yields different (still exact)
+      // prune rates.
       std::shared_ptr<const quant::RowQuant> rowq;
       if (entry.rq_bytes > 0) {
         std::vector<unsigned char> rq_bytes;
@@ -814,8 +806,14 @@ std::optional<LoadedGeneration> GenerationStore::LoadGeneration(
                         &tail_ids)) {
       return std::nullopt;
     }
-    loaded.buffer_rows[s] = std::move(tail_rows);
-    loaded.buffer_ids[s] = std::move(tail_ids);
+    // Only the last shard owns the insert buffer, so only its tail may
+    // hold rows.
+    if (s + 1 == num_shards) {
+      loaded.buffer_rows = std::move(tail_rows);
+      loaded.buffer_ids = std::move(tail_ids);
+    } else if (!tail_ids.empty()) {
+      return std::nullopt;
+    }
   }
   // Rebuilt shards keep the build-time per-tree configuration; recover
   // it from the deserialized trees so post-restart compactions derive
@@ -841,32 +839,6 @@ std::optional<LoadedGeneration> GenerationStore::LoadLatest(
     }
   }
   return std::nullopt;
-}
-
-bool GenerationStore::DowngradeManifestForTesting(const std::string& dir) {
-  GenerationManifest manifest;
-  {
-    std::vector<unsigned char> bytes;
-    std::uint64_t size = 0;
-    std::uint32_t crc = 0;
-    if (!ReadFileBytes(dir + "/" + kManifestName, &bytes, &size, &crc) ||
-        size > kMaxManifestBytes || !DecodeManifest(bytes, &manifest)) {
-      return false;
-    }
-  }
-  // Re-encode as v1: the per-shard rq accounting is simply absent from
-  // the payload, exactly as a pre-rowq build would have written it. Any
-  // shard-<s>.rq files left in the directory become unreferenced bytes a
-  // v1-era loader never looks at.
-  const std::vector<unsigned char> payload =
-      EncodeManifest(manifest, kManifestVersionLegacy);
-  CrcFileWriter w(dir + "/" + kManifestName);
-  w.Write(kManifestMagic, sizeof(kManifestMagic));
-  w.Pod(kManifestVersionLegacy);
-  w.Pod(static_cast<std::uint32_t>(payload.size()));
-  w.Pod(Crc32(payload.data(), payload.size()));
-  w.Write(payload.data(), payload.size());
-  return w.Commit();
 }
 
 void GenerationStore::RemoveGenerationsBelow(std::uint64_t keep_seq) {

@@ -10,13 +10,15 @@
 //     MANIFEST           versioned, CRC-framed commit record (written last)
 //     shard-<s>.idx      shard s's tree + scheme (index::SaveIndex format)
 //     shard-<s>.rows     shard s's tree-covered slice: rows + global ids
-//     shard-<s>.tail     shard s's rows buffered past the tree cut
+//     shard-<s>.tail     rows buffered past the tree cut: only the last
+//                        shard's holds rows (it owns the one insert
+//                        buffer); every other shard's is an empty slice
 //     shard-<s>.rq       shard s's quantized pruning sidecar (only when
 //                        the compressed tier was on at persist time)
 //
 // The manifest records the generation's publish sequence number, the id
-// watermark (`next_id`), the build-time partition total that global-id
-// routing depends on, the live tombstone snapshot, the WAL fold point
+// watermark (`next_id`), the build-time partition total that contiguous
+// global-id routing depends on, the live tombstone snapshot, the WAL fold point
 // (last folded record seqno + first tail segment), and a byte size +
 // CRC32 for every shard file — so a load can prove each slice intact and
 // a restart can replay exactly the WAL records the directory does not
@@ -37,7 +39,7 @@
 // hardlinked from the previous committed generation when possible
 // (compaction replaces one shard per publish; the other N-1 slices are
 // bit-identical), so the steady-state persist cost is O(changed shard +
-// buffered tails), not O(collection).
+// buffered tail), not O(collection).
 //
 // Garbage collection: RemoveGenerationsBelow(seq) deletes committed
 // directories (and stale .tmp husks) below `seq`. The Compactor gates
@@ -70,9 +72,8 @@ namespace persist {
 /// Per-shard file accounting inside a manifest: byte size + CRC32 of
 /// each shard file, plus the shard's lineage counter
 /// (shard::Shard::generation) that hardlink reuse keys on. rq_bytes == 0
-/// means the shard has no quantized sidecar (tier off at persist time,
-/// or a v1 manifest predating the .rq format) — loaders asked for the
-/// tier rebuild the sidecar from the slice instead.
+/// means the shard has no quantized sidecar (tier off at persist time) —
+/// loaders asked for the tier rebuild the sidecar from the slice instead.
 struct ManifestShard {
   std::uint64_t shard_generation = 0;
   std::uint64_t index_bytes = 0;
@@ -81,7 +82,7 @@ struct ManifestShard {
   std::uint32_t slice_crc = 0;
   std::uint64_t tail_bytes = 0;
   std::uint32_t tail_crc = 0;
-  std::uint64_t rq_bytes = 0;  // manifest v2; 0 = no sidecar persisted
+  std::uint64_t rq_bytes = 0;  // 0 = no sidecar persisted
   std::uint32_t rq_crc = 0;
 };
 
@@ -91,7 +92,6 @@ struct GenerationManifest {
   std::uint64_t next_id = 0;         // first unallocated global id
   std::uint64_t route_total = 0;     // build-time partition total (routing)
   std::uint64_t series_length = 0;
-  shard::ShardAssignment assignment = shard::ShardAssignment::kContiguous;
   std::uint64_t wal_last_seqno = 0;  // WAL records ≤ this are folded in
   std::uint64_t wal_segment_seq = 0; // first segment of the WAL tail
   std::vector<std::uint32_t> tombstones;  // live (un-purged), sorted
@@ -100,8 +100,9 @@ struct GenerationManifest {
 
 /// Everything Persist() snapshots of one published generation. All
 /// handles must stay valid for the duration of the call; `sharded` is
-/// immutable and `buffer_rows`/`buffer_ids` are the caller's copies of
-/// each shard's rows past the tree cut (ascending global ids).
+/// immutable and `buffer_rows`/`buffer_ids` are the caller's copy of the
+/// insert buffer's rows past the last shard's tree cut (ascending global
+/// ids; null rows = an empty tail).
 struct PersistRequest {
   std::uint64_t generation_seq = 0;
   std::uint64_t next_id = 0;
@@ -109,20 +110,20 @@ struct PersistRequest {
   std::uint64_t wal_last_seqno = 0;
   std::uint64_t wal_segment_seq = 0;
   std::shared_ptr<const shard::ShardedIndex> sharded;
-  std::vector<Dataset> buffer_rows;                 // per shard
-  std::vector<std::vector<std::uint32_t>> buffer_ids;  // per shard
-  std::vector<std::uint32_t> tombstones;            // sorted
+  std::shared_ptr<const Dataset> buffer_rows;
+  std::vector<std::uint32_t> buffer_ids;
+  std::vector<std::uint32_t> tombstones;  // sorted
 };
 
 /// A generation reloaded from disk: the reassembled sharded index plus
-/// the buffered tails and bookkeeping a Compactor needs to resume
-/// exactly where the manifest's fold point left off (see
+/// the buffered tail (the last shard's) and bookkeeping a Compactor needs
+/// to resume exactly where the manifest's fold point left off (see
 /// ingest::RecoveredBase).
 struct LoadedGeneration {
   GenerationManifest manifest;
   std::shared_ptr<const shard::ShardedIndex> sharded;
-  std::vector<std::shared_ptr<const Dataset>> buffer_rows;  // per shard
-  std::vector<std::vector<std::uint32_t>> buffer_ids;       // per shard
+  std::shared_ptr<const Dataset> buffer_rows;
+  std::vector<std::uint32_t> buffer_ids;
 };
 
 class GenerationStore {
@@ -146,15 +147,16 @@ class GenerationStore {
   bool Persist(const PersistRequest& request);
 
   /// Loads the newest committed generation that validates end to end
-  /// (manifest CRC, per-file sizes and CRCs, index deserialization),
-  /// falling back across torn or corrupt ones; nullopt when none loads.
-  /// `pool` backs the reassembled index's rebuilds and multi-threaded
-  /// searches and must outlive it. With `enable_rowq` the reassembled shards carry the compressed
-  /// pruning tier: persisted shard-<s>.rq sidecars are validated and
-  /// attached, and shards without one (tier off at persist time, or a
-  /// v1 generation predating the format) get a sidecar rebuilt
-  /// on-the-fly from the slice; the loaded ShardingConfig then has
-  /// enable_rowq set so post-restart compactions keep the tier.
+  /// (manifest CRC, assignment byte 0, per-file sizes and CRCs, index
+  /// deserialization, rows in no tail but the last shard's), falling back
+  /// across torn or corrupt ones; nullopt when none loads. `pool` backs
+  /// the reassembled index's rebuilds and multi-threaded searches and
+  /// must outlive it. With `enable_rowq` the reassembled shards carry the
+  /// compressed pruning tier: persisted shard-<s>.rq sidecars are
+  /// validated and attached, and shards without one (tier off at persist
+  /// time) get a sidecar rebuilt on-the-fly from the slice; the loaded
+  /// ShardingConfig then has enable_rowq set so post-restart compactions
+  /// keep the tier.
   std::optional<LoadedGeneration> LoadLatest(ThreadPool* pool,
                                              bool enable_rowq = false) const;
 
@@ -163,12 +165,6 @@ class GenerationStore {
   /// LoadLatest.
   std::optional<LoadedGeneration> LoadGeneration(
       std::uint64_t seq, ThreadPool* pool, bool enable_rowq = false) const;
-
-  /// Test hook: rewrites an already-committed generation directory's
-  /// MANIFEST as format version 1 (dropping the per-shard .rq
-  /// accounting), emulating a generation persisted by a pre-rowq build.
-  /// Returns false when the directory holds no valid manifest.
-  static bool DowngradeManifestForTesting(const std::string& dir);
 
   /// Deletes every committed generation directory with sequence number
   /// below `keep_seq`, plus any staging husk below it. See the GC

@@ -37,7 +37,7 @@ constexpr char kSpanBufferScan[] = "buffer_scan";
 
 // One query over a whole generation: one single-threaded engine search
 // over its shard trees and, when the generation is ingesting, its live
-// insert buffers scanned into the same result set. The query's tombstone
+// insert buffer scanned into the same result set. The query's tombstone
 // view is masked inside both scans, so the engine's answer is final.
 std::vector<Neighbor> SearchGeneration(const IndexSnapshot& snapshot,
                                        const SearchRequest& request,
@@ -54,12 +54,8 @@ std::vector<Neighbor> SearchGeneration(const IndexSnapshot& snapshot,
                            : -1;
       const ShardBuffers& buffers = *snapshot.buffers;
       ingest::InsertBuffer::ScanStats stats;
-      for (std::size_t s = 0; s < buffers.buffers.size(); ++s) {
-        if (buffers.buffers[s] != nullptr) {
-          buffers.buffers[s]->Scan(request.query.data(), buffers.start[s],
-                                   tombstones.get(), results, &stats);
-        }
-      }
+      buffers.buffer->Scan(request.query.data(), buffers.start,
+                           tombstones.get(), results, &stats);
       scan_profile->series_ed_computed += stats.ed_computed;
       scan_profile->rowq_checked += stats.rowq_checked;
       scan_profile->rowq_pruned += stats.rowq_pruned;

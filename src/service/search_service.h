@@ -21,7 +21,7 @@
 // Every generation is a shard::ShardedIndex (one shard for a single
 // tree): a query searches all its shard trees at once — one result set,
 // one pruning bound — plus, for an ingesting generation, the live insert
-// buffers into the same result set with tombstoned ids masked inside
+// buffer into the same result set with tombstoned ids masked inside
 // every scan, so answers are identical to one tree's over the same
 // collection whatever the shard count. Publishing a derived generation
 // with a single shard rebuilt/replaced is the per-shard republish path.

@@ -15,19 +15,19 @@
 // generation (one shard rebuilt or replaced) republishes through the
 // same path.
 //
-// An *ingesting* generation additionally carries ShardBuffers: live
-// per-shard insert buffers plus, per shard, the first buffer row its tree
-// does NOT cover, plus the live tombstone set of deleted ids. The
-// query's search then also scans each shard's buffer rows
-// [start[s], live size) into the same result set as the trees, masking
-// tombstoned rows inside every scan — so rows inserted after the
-// generation was published are visible immediately and rows deleted
-// after it vanish immediately, with no republish per mutation — and every
-// live row is answered exactly once (tree below the cut, buffer at or
-// above it). Compaction publishes a derived generation whose rebuilt
-// shard covers the live rows up to a new cut, with start[s] advanced to
-// match; the tombstones it folded away are purged once every older
-// generation retires.
+// An *ingesting* generation additionally carries ShardBuffers: the live
+// insert buffer, which the last shard owns (every inserted id extends its
+// contiguous range), plus the first buffer row the last shard's tree does
+// NOT cover, plus the live tombstone set of deleted ids. The query's
+// search then also scans the buffer rows [start, live size) into the
+// same result set as the trees, masking tombstoned rows inside every
+// scan — so rows inserted after the generation was published are visible
+// immediately and rows deleted after it vanish immediately, with no
+// republish per mutation — and every live row is answered exactly once
+// (tree below the cut, buffer at or above it). Compacting the last shard
+// publishes a derived generation whose rebuilt tree covers the live rows
+// up to a new cut, with start advanced to match; the tombstones a
+// compaction folded away are purged once every older generation retires.
 
 #ifndef SOFA_SERVICE_SNAPSHOT_H_
 #define SOFA_SERVICE_SNAPSHOT_H_
@@ -35,7 +35,6 @@
 #include <cstddef>
 #include <memory>
 #include <utility>
-#include <vector>
 
 #include "ingest/insert_buffer.h"
 #include "ingest/tombstone_set.h"
@@ -44,24 +43,23 @@
 namespace sofa {
 namespace service {
 
-/// The mutable delta sets of an ingesting generation. `buffers` and
-/// `start` are indexed by shard id; `start[s]` is the first row of
-/// `buffers[s]` the generation's shard-s tree does not already cover.
-/// `tombstones` is the generation's view of deleted global ids: a query
-/// takes one immutable snapshot of it (TombstoneSet::view) and masks
-/// those ids inside the tree and buffer scans. The struct itself is
-/// immutable per generation (compaction republishes with advanced
-/// starts); the buffers and tombstone set it points at are live and
-/// internally synchronized, which is what makes mutations visible
+/// The mutable delta set of an ingesting generation. `start` is the
+/// first row of `buffer` the generation's last-shard tree does not
+/// already cover. `tombstones` is the generation's view of deleted global
+/// ids: a query takes one immutable snapshot of it (TombstoneSet::view)
+/// and masks those ids inside the tree and buffer scans. The struct
+/// itself is immutable per generation (compaction republishes with an
+/// advanced start); the buffer and tombstone set it points at are live
+/// and internally synchronized, which is what makes mutations visible
 /// between publishes.
 struct ShardBuffers {
-  std::vector<std::shared_ptr<const ingest::InsertBuffer>> buffers;
-  std::vector<std::size_t> start;
+  std::shared_ptr<const ingest::InsertBuffer> buffer;
+  std::size_t start = 0;
   std::shared_ptr<const ingest::TombstoneSet> tombstones;
 };
 
 /// One published index generation: the shard trees, plus the live
-/// buffers and tombstones when the generation is ingesting. The
+/// buffer and tombstones when the generation is ingesting. The
 /// ShardedIndex shares ownership of its shards, so the snapshot keeps the
 /// whole generation alive.
 struct IndexSnapshot {
@@ -85,8 +83,8 @@ inline std::shared_ptr<const IndexSnapshot> WrapShardedIndex(
 }
 
 /// Wraps an ingesting generation: the trees of `sharded` plus the
-/// live per-shard insert buffers and tombstone set (the
-/// ingest::Compactor's publish path).
+/// live insert buffer and tombstone set (the ingest::Compactor's publish
+/// path).
 inline std::shared_ptr<const IndexSnapshot> WrapIngestingIndex(
     std::shared_ptr<const shard::ShardedIndex> sharded,
     std::shared_ptr<const ShardBuffers> buffers) {

@@ -1,5 +1,7 @@
 #include "shard/sharded_index.h"
 
+#include <cstring>
+#include <numeric>
 #include <utility>
 
 #include "index/query_engine.h"
@@ -8,33 +10,14 @@
 
 namespace sofa {
 namespace shard {
-namespace {
 
-// splitmix64 finalizer: a full-avalanche mix so consecutive ids spread
-// uniformly (plain `id % N` would stripe, defeating the point of a hash
-// assignment under sequential inserts).
-std::uint64_t Mix64(std::uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return x;
-}
-
-}  // namespace
-
-std::size_t ShardedIndex::AssignShard(ShardAssignment assignment,
-                                      std::uint32_t id, std::size_t total,
+std::size_t ShardedIndex::AssignShard(std::uint32_t id, std::size_t total,
                                       std::size_t num_shards) {
   SOFA_DCHECK(num_shards > 0);
-  if (assignment == ShardAssignment::kHash) {
-    return static_cast<std::size_t>(Mix64(id) % num_shards);
-  }
-  // Contiguous: the first (total % num_shards) shards hold one extra row,
-  // so shard sizes differ by at most one. Ids beyond the build-time total
-  // (the ingest path's inserts) extend the last shard's range — without
-  // this the arithmetic below would yield a shard index >= num_shards.
+  // The first (total % num_shards) shards hold one extra row, so shard
+  // sizes differ by at most one. Ids beyond the build-time total (the
+  // ingest path's inserts) extend the last shard's range — without this
+  // the arithmetic below would yield a shard index >= num_shards.
   if (id >= total) {
     return num_shards - 1;
   }
@@ -49,25 +32,29 @@ std::size_t ShardedIndex::AssignShard(ShardAssignment assignment,
 
 ShardPartition ShardedIndex::Partition(const Dataset& data,
                                        std::size_t num_shards,
-                                       ShardAssignment assignment) {
+                                       ShardAssignment /*assignment*/) {
   SOFA_CHECK(num_shards > 0);
-  std::vector<std::shared_ptr<Dataset>> slices;
-  std::vector<std::shared_ptr<std::vector<std::uint32_t>>> ids;
-  slices.reserve(num_shards);
-  ids.reserve(num_shards);
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    slices.push_back(std::make_shared<Dataset>(data.length()));
-    ids.push_back(std::make_shared<std::vector<std::uint32_t>>());
-  }
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    const std::uint32_t id = static_cast<std::uint32_t>(i);
-    const std::size_t s = AssignShard(assignment, id, data.size(), num_shards);
-    slices[s]->Append(data.row(i));
-    ids[s]->push_back(id);
-  }
+  const std::size_t length = data.length();
   ShardPartition partition;
-  partition.data.assign(slices.begin(), slices.end());
-  partition.global_ids.assign(ids.begin(), ids.end());
+  partition.data.reserve(num_shards);
+  partition.global_ids.reserve(num_shards);
+  // Shard s holds rows [begin, begin + count) — AssignShard's ranges — so
+  // each slice is one copy into storage sized up front.
+  std::size_t begin = 0;
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    const std::size_t count =
+        data.size() / num_shards + (s < data.size() % num_shards ? 1 : 0);
+    auto slice = std::make_shared<Dataset>(count, length);
+    if (count > 0) {
+      std::memcpy(slice->mutable_data(), data.row(begin),
+                  count * length * sizeof(float));
+    }
+    auto ids = std::make_shared<std::vector<std::uint32_t>>(count);
+    std::iota(ids->begin(), ids->end(), static_cast<std::uint32_t>(begin));
+    partition.data.push_back(std::move(slice));
+    partition.global_ids.push_back(std::move(ids));
+    begin += count;
+  }
   return partition;
 }
 
@@ -93,7 +80,7 @@ std::shared_ptr<const ShardedIndex> ShardedIndex::Build(
     std::shared_ptr<const quant::SummaryScheme> scheme, ThreadPool* pool) {
   SOFA_CHECK(scheme != nullptr);
   ShardPartition partition =
-      Partition(data, config.num_shards, config.assignment);
+      Partition(data, config.num_shards, ShardAssignment::kContiguous);
   std::vector<Shard> shards(config.num_shards);
   for (std::size_t s = 0; s < config.num_shards; ++s) {
     shards[s].data = partition.data[s];
@@ -115,19 +102,6 @@ std::shared_ptr<const ShardedIndex> ShardedIndex::FromShards(
     std::size_t length, ThreadPool* pool) {
   return std::shared_ptr<const ShardedIndex>(
       new ShardedIndex(std::move(shards), config, length, pool));
-}
-
-std::shared_ptr<const ShardedIndex> ShardedIndex::WithShardRebuilt(
-    std::size_t shard_id) const {
-  SOFA_CHECK(shard_id < shards_.size());
-  Shard rebuilt = shards_[shard_id];
-  auto tree = std::make_shared<index::TreeIndex>(
-      rebuilt.data.get(), rebuilt.scheme.get(), config_.index, pool_);
-  if (config_.enable_rowq) {
-    tree->AttachRowQuant(quant::RowQuant::Build(*rebuilt.data));
-  }
-  rebuilt.tree = std::move(tree);
-  return WithShardReplaced(shard_id, std::move(rebuilt));
 }
 
 std::shared_ptr<const ShardedIndex> ShardedIndex::WithShardReplaced(
@@ -174,8 +148,8 @@ bool SaveShardedIndex(const ShardedIndex& index,
 std::shared_ptr<const ShardedIndex> LoadShardedIndex(
     const std::string& index_path, const Dataset& data,
     const ShardingConfig& config, ThreadPool* pool) {
-  const ShardPartition partition =
-      ShardedIndex::Partition(data, config.num_shards, config.assignment);
+  const ShardPartition partition = ShardedIndex::Partition(
+      data, config.num_shards, ShardAssignment::kContiguous);
   std::vector<Shard> shards(config.num_shards);
   for (std::size_t s = 0; s < config.num_shards; ++s) {
     auto loaded =
@@ -192,8 +166,12 @@ std::shared_ptr<const ShardedIndex> LoadShardedIndex(
     shards[s].tree = std::move(loaded->tree);
     shards[s].global_ids = partition.global_ids[s];
   }
-  return ShardedIndex::FromShards(std::move(shards), config, data.length(),
-                                  pool);
+  // Rebuilds (compaction) keep the build's tree configuration, as
+  // persist::GenerationStore::LoadGeneration does.
+  ShardingConfig loaded_config = config;
+  loaded_config.index = shards[0].tree->config();
+  return ShardedIndex::FromShards(std::move(shards), loaded_config,
+                                  data.length(), pool);
 }
 
 }  // namespace shard

@@ -1,21 +1,20 @@
 // Sharding over the exact tree index: one logical collection split
-// across N TreeIndex shards, assigned at build time either by contiguous
-// range or by a hash of the global series id. A query searches every
-// shard tree at once through one index::QueryEngine — one approximate
-// leaf, one set of leaf queues ordered by LBD across all shards, one
-// result set keyed by global id — so the shards prune against one bound
-// (the paper's shared best-so-far, widened from one tree to a
-// generation) and nothing is merged afterwards. Answers are ascending by
-// (distance, global id) and bit-identical to the single-index engine over
-// the same collection, ties at the k boundary included (lowest global id
-// first).
+// across N TreeIndex shards, each holding one contiguous range of global
+// series ids (the last shard's range is open-ended: every inserted id
+// belongs to it). A query searches every shard tree at once through one
+// index::QueryEngine — one approximate leaf, one set of leaf queues
+// ordered by LBD across all shards, one result set keyed by global id —
+// so the shards prune against one bound (the paper's shared
+// best-so-far, widened from one tree to a generation) and nothing is
+// merged afterwards. Answers are ascending by (distance, global id) and
+// bit-identical to the single-index engine over the same collection,
+// ties at the k boundary included (lowest global id first).
 //
 // A ShardedIndex is immutable (it is published behind the same
 // shared_ptr snapshot that SearchService hot-swaps); "updating" one
 // shard means deriving a new generation that shares the N-1 untouched
-// shards and replaces one — WithShardRebuilt / WithShardReplaced — and
-// publishing the derived index. That per-shard republish is the first
-// step toward index updates between generations.
+// shards and replaces one — WithShardReplaced — and publishing the
+// derived index (the ingest path's compaction does exactly that).
 //
 // A single tree is served as a one-shard generation, so this is the only
 // index type the serving layer knows. On disk a generation is one index
@@ -40,17 +39,17 @@
 namespace sofa {
 namespace shard {
 
-/// How global series ids map to shards (fixed at build time; queries do
-/// not depend on it, only the partition does).
+/// How global series ids map to shards: contiguous ranges are the only
+/// assignment. The enum and Partition()'s parameter of this type remain
+/// only because perfbench/src/main.cc calls
+/// Partition(…, ShardAssignment::kContiguous).
 enum class ShardAssignment {
-  kContiguous,  // shard s holds one contiguous global-id range (default)
-  kHash,        // shard = mix64(global id) % N — spreads hot inserts
+  kContiguous,  // shard s holds one contiguous global-id range
 };
 
 /// Sharded-build parameters. `index` configures every per-shard tree.
 struct ShardingConfig {
   std::size_t num_shards = 2;
-  ShardAssignment assignment = ShardAssignment::kContiguous;
   index::IndexConfig index;
 
   /// Compressed pruning tier: when set, every built or rebuilt shard
@@ -70,7 +69,7 @@ struct Shard {
   std::shared_ptr<const quant::SummaryScheme> scheme;
   std::shared_ptr<const index::TreeIndex> tree;
   std::shared_ptr<const std::vector<std::uint32_t>> global_ids;
-  std::uint64_t generation = 1;  // bumped by WithShardRebuilt/Replaced
+  std::uint64_t generation = 1;  // bumped by WithShardReplaced
 };
 
 /// The row slices and id mappings of one deterministic partition —
@@ -83,17 +82,19 @@ struct ShardPartition {
 
 class ShardedIndex {
  public:
-  /// Shard of global id `id` under `assignment` (deterministic; the
-  /// contract Partition() and any loader must agree on). Ids at or beyond
-  /// `total` — inserted after the build-time partition — map to the last
-  /// shard under kContiguous (which owns the open-ended tail range) and
-  /// hash normally under kHash.
-  static std::size_t AssignShard(ShardAssignment assignment, std::uint32_t id,
-                                 std::size_t total, std::size_t num_shards);
+  /// Shard of global id `id` in a `num_shards`-way split of `total`
+  /// build-time rows (deterministic; the contract Partition() and any
+  /// loader must agree on): the first total % num_shards shards hold one
+  /// extra row. Ids at or beyond `total` — inserted after the build-time
+  /// partition — map to the last shard, which owns the open-ended tail
+  /// range.
+  static std::size_t AssignShard(std::uint32_t id, std::size_t total,
+                                 std::size_t num_shards);
 
-  /// Splits `data` into per-shard datasets + id maps. Every shard of a
-  /// contiguous split is non-empty when num_shards <= data.size(); a hash
-  /// split may leave tiny collections with empty shards (still valid).
+  /// Splits `data` into per-shard datasets + id maps: shard s is one
+  /// presized copy of the rows AssignShard gives it. Every shard is
+  /// non-empty when num_shards <= data.size(); with more shards than
+  /// rows the surplus shards are empty (still valid).
   static ShardPartition Partition(const Dataset& data, std::size_t num_shards,
                                   ShardAssignment assignment);
 
@@ -124,15 +125,10 @@ class ShardedIndex {
                                   std::size_t num_workers = 0,
                                   ThreadPool* pool = nullptr) const;
 
-  /// A new generation with shard `shard_id`'s tree rebuilt from its own
-  /// rows (same scheme and config); the other shards are shared, not
-  /// copied. The rebuild is deterministic, so answers are bit-identical.
-  std::shared_ptr<const ShardedIndex> WithShardRebuilt(
-      std::size_t shard_id) const;
-
-  /// A new generation with shard `shard_id` replaced wholesale (e.g.
-  /// reloaded from disk); the replacement's generation counter is bumped
-  /// past the current one. Series length must match.
+  /// A new generation with shard `shard_id` replaced wholesale (a
+  /// compacted rebuild, or a shard reloaded from disk); the other shards
+  /// are shared, not copied, and the replacement's generation counter is
+  /// bumped past the current one. Series length must match.
   std::shared_ptr<const ShardedIndex> WithShardReplaced(std::size_t shard_id,
                                                         Shard shard) const;
 
@@ -170,12 +166,12 @@ std::string ShardPath(const std::string& index_path, std::size_t shard,
 bool SaveShardedIndex(const ShardedIndex& index, const std::string& index_path);
 
 /// Reloads a generation SaveShardedIndex wrote over `data`: re-creates the
-/// build-time partition under config.num_shards / config.assignment, loads
-/// each shard's file against its slice and, with config.enable_rowq,
-/// attaches the compressed tier. config.index configures later rebuilds
-/// (WithShardRebuilt, compaction); the loaded trees keep the configuration
-/// saved in their files. Null when a file is missing or does not match
-/// its slice (wrong dataset, shard count or assignment).
+/// build-time partition under config.num_shards, loads each shard's file
+/// against its slice and, with config.enable_rowq, attaches the
+/// compressed tier. config.index is not read: the loaded trees keep the
+/// configuration saved in their files, and later rebuilds (compaction)
+/// use shard 0's. Null when a file is missing or does not match its slice
+/// (wrong dataset or shard count).
 std::shared_ptr<const ShardedIndex> LoadShardedIndex(
     const std::string& index_path, const Dataset& data,
     const ShardingConfig& config, ThreadPool* pool);

@@ -47,7 +47,6 @@ std::shared_ptr<const quant::SummaryScheme> TrainTestScheme(
 /// tier — answers must stay bit-identical either way.
 std::shared_ptr<const shard::ShardedIndex> BuildTestSharded(
     const Dataset& data, std::size_t num_shards,
-    shard::ShardAssignment assignment,
     const std::shared_ptr<const quant::SummaryScheme>& scheme,
     ThreadPool* pool, bool enable_rowq = false);
 

@@ -52,8 +52,8 @@ MutationWorkload::Oracle::Oracle(const MutationWorkload& w,
 
 std::shared_ptr<const shard::ShardedIndex> MutationWorkload::BuildSharded(
     ThreadPool* pool, bool enable_rowq) const {
-  return BuildTestSharded(base, kShards, shard::ShardAssignment::kContiguous,
-                          TrainTestScheme(base, pool), pool, enable_rowq);
+  return BuildTestSharded(base, kShards, TrainTestScheme(base, pool), pool,
+                          enable_rowq);
 }
 
 std::vector<unsigned char> ReadFileBytes(const std::string& path) {

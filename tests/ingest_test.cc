@@ -2,8 +2,8 @@
 // shard compaction → republish, with a write-ahead log underneath): the
 // InsertBuffer's exact deterministic flat scan and tombstone masking,
 // the lowest-global-id rule on distance ties across shard trees and
-// insert buffers, the QueryProfile accounting of a sharded ingesting
-// query (one search over trees + buffers, masked rows counted, merged
+// the insert buffer, the QueryProfile accounting of a sharded ingesting
+// query (one search over trees + buffer, masked rows counted, merged
 // into the service metrics exactly once), the WAL's framing/corruption/
 // rotation edge cases (a log missing its first segment is refused), and
 // the headline exactness invariants — after N inserts and D deletes,
@@ -68,8 +68,7 @@ struct IngestFixture {
   std::unique_ptr<ExactOracle> oracle;  // over `combined`
 
   IngestFixture(std::size_t base_count, std::size_t insert_count,
-                std::size_t length, std::size_t num_shards,
-                shard::ShardAssignment assignment, std::uint64_t seed,
+                std::size_t length, std::size_t num_shards, std::uint64_t seed,
                 std::size_t threads = 4, bool enable_rowq = false)
       : pool(threads),
         base(Walk(base_count, length, seed)),
@@ -82,8 +81,8 @@ struct IngestFixture {
       combined.Append(inserts.row(i));
     }
     scheme = testing_harness::TrainTestScheme(base, &pool);
-    sharded = testing_harness::BuildTestSharded(base, num_shards, assignment,
-                                                scheme, &pool, enable_rowq);
+    sharded = testing_harness::BuildTestSharded(base, num_shards, scheme,
+                                                &pool, enable_rowq);
     oracle = std::make_unique<ExactOracle>(combined, std::vector<std::uint32_t>{},
                                            scheme, &pool);
   }
@@ -197,15 +196,14 @@ TEST(InsertBufferTest, TrimBelowReclaimsOnlyWholeChunks) {
 // the documented lowest-global-id-first rule must hold with the duplicate
 // in the insert buffer AND after a compaction moves it into the tree.
 TEST(IngestTieTest, DuplicateStraddlingKBoundaryStaysDeterministic) {
-  IngestFixture fx(40, 0, 64, 2, shard::ShardAssignment::kContiguous, 97,
-                   /*threads=*/2);
+  IngestFixture fx(40, 0, 64, 2, 97, /*threads=*/2);
   service::SearchService svc(service::WrapShardedIndex(fx.sharded), &fx.pool);
   IngestConfig config;
   config.auto_compact = false;  // compaction only when the test says so
   Compactor compactor(&svc, fx.sharded, config);
 
   // Duplicate base row 5 (shard 0's tree) twice: ids 40 and 41 route to
-  // the last shard's buffer under contiguous assignment.
+  // the last shard's buffer.
   ASSERT_EQ(compactor.Insert(fx.base.row(5), fx.base.length()),
             StatusCode::kOk);
   ASSERT_EQ(compactor.Insert(fx.base.row(5), fx.base.length()),
@@ -256,14 +254,10 @@ TEST(IngestTieTest, CopiesInTwoTreesAndABufferKeepLowestIds) {
   std::copy(base.row(100), base.row(100) + base.length(),
             base.mutable_row(450));
   const auto scheme = testing_harness::TrainTestScheme(base, &pool);
-  const auto sharded = testing_harness::BuildTestSharded(
-      base, 3, shard::ShardAssignment::kContiguous, scheme, &pool);
-  ASSERT_EQ(shard::ShardedIndex::AssignShard(
-                shard::ShardAssignment::kContiguous, 100, 600, 3),
-            0u);
-  ASSERT_EQ(shard::ShardedIndex::AssignShard(
-                shard::ShardAssignment::kContiguous, 450, 600, 3),
-            2u);
+  const auto sharded =
+      testing_harness::BuildTestSharded(base, 3, scheme, &pool);
+  ASSERT_EQ(shard::ShardedIndex::AssignShard(100, 600, 3), 0u);
+  ASSERT_EQ(shard::ShardedIndex::AssignShard(450, 600, 3), 2u);
 
   // Ascending (distance, id), with the first `ties` ranks exactly the
   // lowest ids of the tie run at distance 0.
@@ -319,7 +313,7 @@ TEST(IngestTieTest, CopiesInTwoTreesAndABufferKeepLowestIds) {
 
 // One single-threaded search over a published ingesting generation,
 // composed from the public pieces: the engine over every shard tree plus
-// the live insert buffers scanned into the same result set, `dead`
+// the live insert buffer scanned into the same result set, `dead`
 // masked inside both — the oracle of the service's work counters.
 std::vector<Neighbor> OneSearch(const service::IndexSnapshot& snapshot,
                                 const float* query, std::size_t k,
@@ -329,10 +323,7 @@ std::vector<Neighbor> OneSearch(const service::IndexSnapshot& snapshot,
   const index::FlatScan scan = [&](index::ResultSet* results,
                                    index::QueryProfile* scan_profile) {
     InsertBuffer::ScanStats stats;
-    for (std::size_t s = 0; s < buffers.buffers.size(); ++s) {
-      buffers.buffers[s]->Scan(query, buffers.start[s], dead, results,
-                               &stats);
-    }
+    buffers.buffer->Scan(query, buffers.start, dead, results, &stats);
     scan_profile->series_ed_computed += stats.ed_computed;
     scan_profile->candidates_filtered += stats.masked;
   };
@@ -343,10 +334,10 @@ std::vector<Neighbor> OneSearch(const service::IndexSnapshot& snapshot,
 
 // A backlog of profiled queries runs concurrently on the pool; each
 // response's counters equal one single-threaded search over the trees
-// and buffers (so the buffer rows are counted once, inside the same
+// and buffer (so the buffer rows are counted once, inside the same
 // search), and the service metrics merge each response exactly once.
 TEST(IngestProfileTest, BackloggedShardedProfileMatchesOneSearch) {
-  IngestFixture fx(1200, 60, 96, 3, shard::ShardAssignment::kContiguous, 98);
+  IngestFixture fx(1200, 60, 96, 3, 98);
   service::ServiceConfig config;
   config.start_paused = true;  // stage a backlog, then run it concurrently
   service::SearchService svc(service::WrapShardedIndex(fx.sharded), &fx.pool,
@@ -398,10 +389,9 @@ TEST(IngestProfileTest, BackloggedShardedProfileMatchesOneSearch) {
             responses_total.series_lbd_checked);
 }
 
-// Same invariant one query at a time, over a hash-assigned generation.
+// Same invariant one query at a time.
 TEST(IngestProfileTest, SequentialShardedProfileMatchesOneSearch) {
-  IngestFixture fx(900, 40, 64, 2, shard::ShardAssignment::kHash, 101,
-                   /*threads=*/2);
+  IngestFixture fx(900, 40, 64, 2, 101, /*threads=*/2);
   service::SearchService svc(service::WrapShardedIndex(fx.sharded), &fx.pool);
   IngestConfig ingest_config;
   ingest_config.auto_compact = false;
@@ -430,48 +420,43 @@ TEST(IngestProfileTest, SequentialShardedProfileMatchesOneSearch) {
 // Buffered-only (no compaction yet): inserts are immediately searchable
 // and answers equal the from-scratch oracle bit for bit.
 TEST(IngestExactnessTest, BufferedInsertsAnswerBitExact) {
-  for (const shard::ShardAssignment assignment :
-       {shard::ShardAssignment::kContiguous, shard::ShardAssignment::kHash}) {
-    IngestFixture fx(800, 150, 64, 3, assignment, 103, /*threads=*/2);
-    service::SearchService svc(service::WrapShardedIndex(fx.sharded),
-                               &fx.pool);
-    IngestConfig config;
-    config.auto_compact = false;
-    Compactor compactor(&svc, fx.sharded, config);
-    for (std::size_t i = 0; i < fx.inserts.size(); ++i) {
-      ASSERT_EQ(compactor.Insert(fx.inserts.row(i), fx.inserts.length()),
-                StatusCode::kOk);
-    }
-    EXPECT_EQ(compactor.Metrics().pending, fx.inserts.size());
-    const Dataset queries = Walk(10, 64, 104);
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      const service::SearchResponse response =
-          svc.Search(MakeSearchRequest(queries, q, 10));
-      ASSERT_EQ(response.status, service::RequestStatus::kOk);
-      EXPECT_TRUE(BitIdentical(response.neighbors,
-                               fx.oracle->SearchKnn(queries.row(q), 10)))
-          << "assignment " << static_cast<int>(assignment) << " query " << q;
-    }
-    // After Flush every row lives in a tree; still bit-exact.
-    compactor.Flush();
-    EXPECT_EQ(compactor.Metrics().pending, 0u);
-    EXPECT_EQ(compactor.current()->size(),
-              fx.base.size() + fx.inserts.size());
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      const service::SearchResponse response =
-          svc.Search(MakeSearchRequest(queries, q, 10));
-      ASSERT_EQ(response.status, service::RequestStatus::kOk);
-      EXPECT_TRUE(BitIdentical(response.neighbors,
-                               fx.oracle->SearchKnn(queries.row(q), 10)));
-    }
+  IngestFixture fx(800, 150, 64, 3, 103, /*threads=*/2);
+  service::SearchService svc(service::WrapShardedIndex(fx.sharded), &fx.pool);
+  IngestConfig config;
+  config.auto_compact = false;
+  Compactor compactor(&svc, fx.sharded, config);
+  for (std::size_t i = 0; i < fx.inserts.size(); ++i) {
+    ASSERT_EQ(compactor.Insert(fx.inserts.row(i), fx.inserts.length()),
+              StatusCode::kOk);
+  }
+  EXPECT_EQ(compactor.Metrics().pending, fx.inserts.size());
+  const Dataset queries = Walk(10, 64, 104);
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    const service::SearchResponse response =
+        svc.Search(MakeSearchRequest(queries, q, 10));
+    ASSERT_EQ(response.status, service::RequestStatus::kOk);
+    EXPECT_TRUE(BitIdentical(response.neighbors,
+                             fx.oracle->SearchKnn(queries.row(q), 10)))
+        << "query " << q;
+  }
+  // After Flush every row lives in a tree; still bit-exact.
+  compactor.Flush();
+  EXPECT_EQ(compactor.Metrics().pending, 0u);
+  EXPECT_EQ(compactor.current()->size(),
+            fx.base.size() + fx.inserts.size());
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    const service::SearchResponse response =
+        svc.Search(MakeSearchRequest(queries, q, 10));
+    ASSERT_EQ(response.status, service::RequestStatus::kOk);
+    EXPECT_TRUE(BitIdentical(response.neighbors,
+                             fx.oracle->SearchKnn(queries.row(q), 10)));
   }
 }
 
 // Inserts are rejected (not dropped, not blocking) once the admission
 // bound fills, and invalid-length rows are refused.
 TEST(IngestExactnessTest, AdmissionBoundsAndInvalidRows) {
-  IngestFixture fx(200, 0, 32, 2, shard::ShardAssignment::kContiguous, 105,
-                   /*threads=*/2);
+  IngestFixture fx(200, 0, 32, 2, 105, /*threads=*/2);
   service::SearchService svc(service::WrapShardedIndex(fx.sharded), &fx.pool);
   IngestConfig config;
   config.auto_compact = false;
@@ -510,12 +495,11 @@ TEST(IngestExactnessTest, AdmissionBoundsAndInvalidRows) {
 // from-scratch single-index oracle over the full collection. With
 // `enable_rowq` the serving side runs the compressed pruning tier
 // (quantized sidecars on the shard trees AND on the racing insert
-// buffers) while the oracle never does — the same race doubles as the
+// buffer) while the oracle never does — the same race doubles as the
 // tier's concurrency exactness proof, and runs under TSan via the
 // concurrency label.
 void RunConcurrentTrafficSoak(bool enable_rowq) {
-  IngestFixture fx(1200, 600, 64, 3, shard::ShardAssignment::kContiguous,
-                   107, /*threads=*/4, enable_rowq);
+  IngestFixture fx(1200, 600, 64, 3, 107, /*threads=*/4, enable_rowq);
   service::ServiceConfig service_config;
   service_config.max_batch = 8;
   service::SearchService svc(service::WrapShardedIndex(fx.sharded), &fx.pool,
@@ -614,11 +598,11 @@ TEST(IngestExactnessTest, RowqTierExactUnderConcurrentTrafficAndCompaction) {
   RunConcurrentTrafficSoak(/*enable_rowq=*/true);
 }
 
-// Hash-assigned ingest spreads inserts across shards and stays exact
-// through multiple compaction rounds (several cuts per shard).
-TEST(IngestExactnessTest, HashAssignmentMultiRoundCompaction) {
-  IngestFixture fx(600, 300, 64, 4, shard::ShardAssignment::kHash, 109,
-                   /*threads=*/2);
+// Every insert extends the last shard, so each compaction round cuts
+// the one buffer into that shard's tree again; answers stay exact
+// through every cut and the other shards are never rebuilt.
+TEST(IngestExactnessTest, MultiRoundCompactionCutsTheLastShard) {
+  IngestFixture fx(600, 300, 64, 4, 109, /*threads=*/2);
   service::SearchService svc(service::WrapShardedIndex(fx.sharded), &fx.pool);
   IngestConfig config;
   config.auto_compact = false;  // step compactions manually via Flush
@@ -633,6 +617,11 @@ TEST(IngestExactnessTest, HashAssignmentMultiRoundCompaction) {
                 StatusCode::kOk);
     }
     compactor.Flush();
+    const auto current = compactor.current();
+    EXPECT_EQ(current->shard(3).generation, round + 2);
+    for (std::size_t s = 0; s < 3; ++s) {
+      EXPECT_EQ(current->shard(s).generation, 1u) << "shard " << s;
+    }
     Dataset prefix(fx.combined.length());
     for (std::size_t i = 0; i < fx.base.size() + (round + 1) * third; ++i) {
       prefix.Append(fx.combined.row(i));
@@ -708,8 +697,7 @@ TEST(InsertBufferTest, SearchAndCopyRangeMaskExcludedIds) {
 // ------------------------------------------------------------- deletes
 
 TEST(IngestDeleteTest, StatusTransitions) {
-  IngestFixture fx(100, 0, 32, 2, shard::ShardAssignment::kContiguous, 303,
-                   /*threads=*/2);
+  IngestFixture fx(100, 0, 32, 2, 303, /*threads=*/2);
   service::SearchService svc(service::WrapShardedIndex(fx.sharded), &fx.pool);
   IngestConfig config;
   config.auto_compact = false;
@@ -727,65 +715,59 @@ TEST(IngestDeleteTest, StatusTransitions) {
 // bit-identical to the from-scratch filtered oracle before and after the
 // compactions that physically remove the rows.
 TEST(IngestDeleteTest, DeletesAnswerBitExactAgainstFilteredOracle) {
-  for (const shard::ShardAssignment assignment :
-       {shard::ShardAssignment::kContiguous, shard::ShardAssignment::kHash}) {
-    IngestFixture fx(700, 120, 64, 3, assignment, 307, /*threads=*/2);
-    // Delete a spread of base rows (tree-resident) and inserted rows
-    // (buffer-resident at delete time).
-    std::vector<std::uint32_t> deleted;
-    for (std::uint32_t id = 0; id < 700; id += 53) {
-      deleted.push_back(id);
-    }
-    for (std::uint32_t i = 0; i < 120; i += 11) {
-      deleted.push_back(700 + i);
-    }
-    ExactOracle oracle(fx.combined, deleted, fx.scheme, &fx.pool);
+  IngestFixture fx(700, 120, 64, 3, 307, /*threads=*/2);
+  // Delete a spread of base rows (tree-resident) and inserted rows
+  // (buffer-resident at delete time).
+  std::vector<std::uint32_t> deleted;
+  for (std::uint32_t id = 0; id < 700; id += 53) {
+    deleted.push_back(id);
+  }
+  for (std::uint32_t i = 0; i < 120; i += 11) {
+    deleted.push_back(700 + i);
+  }
+  ExactOracle oracle(fx.combined, deleted, fx.scheme, &fx.pool);
 
-    service::SearchService svc(service::WrapShardedIndex(fx.sharded),
-                               &fx.pool);
-    IngestConfig config;
-    config.auto_compact = false;
-    Compactor compactor(&svc, fx.sharded, config);
-    for (std::size_t i = 0; i < fx.inserts.size(); ++i) {
-      ASSERT_EQ(compactor.Insert(fx.inserts.row(i), fx.inserts.length()),
-                StatusCode::kOk);
-    }
-    for (const std::uint32_t id : deleted) {
-      ASSERT_EQ(compactor.Delete(id), StatusCode::kOk);
-    }
-    EXPECT_EQ(compactor.Metrics().deleted, deleted.size());
+  service::SearchService svc(service::WrapShardedIndex(fx.sharded), &fx.pool);
+  IngestConfig config;
+  config.auto_compact = false;
+  Compactor compactor(&svc, fx.sharded, config);
+  for (std::size_t i = 0; i < fx.inserts.size(); ++i) {
+    ASSERT_EQ(compactor.Insert(fx.inserts.row(i), fx.inserts.length()),
+              StatusCode::kOk);
+  }
+  for (const std::uint32_t id : deleted) {
+    ASSERT_EQ(compactor.Delete(id), StatusCode::kOk);
+  }
+  EXPECT_EQ(compactor.Metrics().deleted, deleted.size());
 
-    const Dataset queries = Walk(8, 64, 308);
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      const service::SearchResponse response =
-          svc.Search(MakeSearchRequest(queries, q, 10));
-      ASSERT_EQ(response.status, service::RequestStatus::kOk);
-      EXPECT_TRUE(BitIdentical(response.neighbors,
-                               oracle.SearchKnn(queries.row(q), 10)))
-          << "pre-compaction, assignment " << static_cast<int>(assignment)
-          << " query " << q;
-    }
-    // A deleted row queried by its own values must not come back even at
-    // rank 1 (its distance would be 0 — the hardest resurrection case).
-    const service::SearchResponse self =
-        svc.Search(MakeSearchRequest(fx.base, deleted[0], 1));
-    ASSERT_EQ(self.status, service::RequestStatus::kOk);
-    ASSERT_EQ(self.neighbors.size(), 1u);
-    EXPECT_NE(self.neighbors[0].id, deleted[0]);
+  const Dataset queries = Walk(8, 64, 308);
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    const service::SearchResponse response =
+        svc.Search(MakeSearchRequest(queries, q, 10));
+    ASSERT_EQ(response.status, service::RequestStatus::kOk);
+    EXPECT_TRUE(BitIdentical(response.neighbors,
+                             oracle.SearchKnn(queries.row(q), 10)))
+        << "pre-compaction, query " << q;
+  }
+  // A deleted row queried by its own values must not come back even at
+  // rank 1 (its distance would be 0 — the hardest resurrection case).
+  const service::SearchResponse self =
+      svc.Search(MakeSearchRequest(fx.base, deleted[0], 1));
+  ASSERT_EQ(self.status, service::RequestStatus::kOk);
+  ASSERT_EQ(self.neighbors.size(), 1u);
+  EXPECT_NE(self.neighbors[0].id, deleted[0]);
 
-    // Compact everything; deleted rows are physically gone, answers
-    // unchanged.
-    compactor.Flush();
-    EXPECT_EQ(compactor.Metrics().pending, 0u);
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      const service::SearchResponse response =
-          svc.Search(MakeSearchRequest(queries, q, 10));
-      ASSERT_EQ(response.status, service::RequestStatus::kOk);
-      EXPECT_TRUE(BitIdentical(response.neighbors,
-                               oracle.SearchKnn(queries.row(q), 10)))
-          << "post-compaction, assignment " << static_cast<int>(assignment)
-          << " query " << q;
-    }
+  // Compact everything; deleted rows are physically gone, answers
+  // unchanged.
+  compactor.Flush();
+  EXPECT_EQ(compactor.Metrics().pending, 0u);
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    const service::SearchResponse response =
+        svc.Search(MakeSearchRequest(queries, q, 10));
+    ASSERT_EQ(response.status, service::RequestStatus::kOk);
+    EXPECT_TRUE(BitIdentical(response.neighbors,
+                             oracle.SearchKnn(queries.row(q), 10)))
+        << "post-compaction, query " << q;
   }
 }
 
@@ -795,8 +777,7 @@ TEST(IngestDeleteTest, DeletesAnswerBitExactAgainstFilteredOracle) {
 // tombstone is purged once the pre-compaction generations retire,
 // without ever letting the row back in.
 TEST(IngestDeleteTest, BufferedDeleteDoesNotResurrectAfterCompaction) {
-  IngestFixture fx(80, 6, 32, 2, shard::ShardAssignment::kContiguous, 311,
-                   /*threads=*/2);
+  IngestFixture fx(80, 6, 32, 2, 311, /*threads=*/2);
   service::SearchService svc(service::WrapShardedIndex(fx.sharded), &fx.pool);
   IngestConfig config;
   config.auto_compact = false;
@@ -850,8 +831,7 @@ TEST(IngestDeleteTest, BufferedDeleteDoesNotResurrectAfterCompaction) {
 // the tombstone set (and every query's per-shard k) growing without
 // bound.
 TEST(IngestDeleteTest, DeleteOnlyWorkloadCompactsAndPurges) {
-  IngestFixture fx(300, 0, 32, 2, shard::ShardAssignment::kContiguous, 331,
-                   /*threads=*/2);
+  IngestFixture fx(300, 0, 32, 2, 331, /*threads=*/2);
   service::SearchService svc(service::WrapShardedIndex(fx.sharded), &fx.pool);
   IngestConfig config;
   config.compact_threshold = 32;  // auto compaction, delete-driven
@@ -887,7 +867,7 @@ TEST(IngestDeleteTest, DeleteOnlyWorkloadCompactsAndPurges) {
 // candidates_filtered counts exactly those, as one single-threaded
 // search over the same generation does. Masked rows cost no distance.
 TEST(IngestDeleteTest, ProfileAccountsFilteredCandidates) {
-  IngestFixture fx(900, 50, 96, 3, shard::ShardAssignment::kContiguous, 313);
+  IngestFixture fx(900, 50, 96, 3, 313);
   service::ServiceConfig service_config;
   service_config.start_paused = true;
   service::SearchService svc(service::WrapShardedIndex(fx.sharded), &fx.pool,
@@ -961,8 +941,8 @@ TEST(IngestDeleteTest, DeletedTopKInOneShardYieldsTheNextLiveRows) {
     row[i] += 0.01f * static_cast<float>(i + 1);
   }
   const auto scheme = testing_harness::TrainTestScheme(base, &pool);
-  const auto sharded = testing_harness::BuildTestSharded(
-      base, 3, shard::ShardAssignment::kContiguous, scheme, &pool);
+  const auto sharded =
+      testing_harness::BuildTestSharded(base, 3, scheme, &pool);
   service::SearchService svc(service::WrapShardedIndex(sharded), &pool);
   IngestConfig config;
   config.auto_compact = false;
@@ -1002,8 +982,7 @@ TEST(IngestDeleteTest, DeletedTopKInOneShardYieldsTheNextLiveRows) {
 // The rowq variant races the compressed pruning tier through the same
 // mutation storm.
 void RunTrafficDeletesSoak(bool enable_rowq) {
-  IngestFixture fx(1000, 400, 64, 3, shard::ShardAssignment::kContiguous,
-                   317, /*threads=*/4, enable_rowq);
+  IngestFixture fx(1000, 400, 64, 3, 317, /*threads=*/4, enable_rowq);
   std::vector<std::uint32_t> delete_base;
   for (std::uint32_t id = 0; id < 1000; id += 23) {
     delete_base.push_back(id);
@@ -1248,8 +1227,7 @@ TEST(WalTest, EmptySegmentsReplayClean) {
 TEST(IngestRecoveryTest, CrashReplayBitIdentical) {
   const std::string dir = WalTestDir("recover");
   RemoveWalDir(dir);
-  IngestFixture fx(600, 200, 64, 2, shard::ShardAssignment::kContiguous, 411,
-                   /*threads=*/2);
+  IngestFixture fx(600, 200, 64, 2, 411, /*threads=*/2);
   std::vector<std::uint32_t> deleted;
   for (std::uint32_t id = 5; id < 600; id += 61) {
     deleted.push_back(id);  // base rows
@@ -1347,8 +1325,7 @@ TEST(IngestRecoveryTest, CrashReplayBitIdentical) {
 TEST(IngestRecoveryTest, LostFirstSegmentIsRefused) {
   const std::string dir = WalTestDir("lost_first");
   RemoveWalDir(dir);
-  IngestFixture fx(300, 0, 32, 2, shard::ShardAssignment::kContiguous, 417,
-                   /*threads=*/2);
+  IngestFixture fx(300, 0, 32, 2, 417, /*threads=*/2);
   IngestConfig config;
   config.wal_dir = dir;
   config.auto_compact = false;
@@ -1369,8 +1346,7 @@ TEST(IngestRecoveryTest, LostFirstSegmentIsRefused) {
   ASSERT_EQ(segments.size(), 2u);
   ASSERT_EQ(::unlink(segments[0].c_str()), 0);
 
-  service::SearchService svc(service::WrapShardedIndex(fx.sharded),
-                             &fx.pool);
+  service::SearchService svc(service::WrapShardedIndex(fx.sharded), &fx.pool);
   Compactor compactor(&svc, fx.sharded, config);
   const RecoverStats stats = compactor.Recover();
   EXPECT_FALSE(stats.ok);
@@ -1393,8 +1369,7 @@ TEST(IngestRecoveryTest, RecoverRejectsForeignLog) {
     // Base below has 120 rows; id 500 leaves a gap of missing records.
     ASSERT_TRUE(wal->AppendInsert(500, rows.row(0)));
   }
-  IngestFixture fx(120, 0, length, 2, shard::ShardAssignment::kContiguous,
-                   422, /*threads=*/2);
+  IngestFixture fx(120, 0, length, 2, 422, /*threads=*/2);
   service::SearchService svc(service::WrapShardedIndex(fx.sharded), &fx.pool);
   IngestConfig config;
   config.wal_dir = dir;

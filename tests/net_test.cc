@@ -367,9 +367,8 @@ struct ServerFixture {
                          bool enable_rowq = false)
       : pool(4), base(Walk(base_count, length, seed)) {
     scheme = testing_harness::TrainTestScheme(base, &pool);
-    sharded = testing_harness::BuildTestSharded(
-        base, /*num_shards=*/2, shard::ShardAssignment::kContiguous, scheme,
-        &pool, enable_rowq);
+    sharded = testing_harness::BuildTestSharded(base, /*num_shards=*/2, scheme,
+                                                &pool, enable_rowq);
     config.registry = &registry;
     service = std::make_unique<service::SearchService>(
         service::WrapShardedIndex(sharded), &pool, config);

@@ -403,8 +403,8 @@ TEST(SlowQueryLogTest, RingEvictsOldestFirst) {
 // ------------------------------------------- end-to-end service traces
 
 // A 4-shard generation under live ingest: base rows in the shard trees,
-// hash-assigned inserts in the per-shard buffers, a couple of tombstoned
-// rows so the merge runs its filter path.
+// inserts in the last shard's buffer, a couple of tombstoned rows that
+// the scans mask.
 struct TracedServiceFixture {
   ThreadPool pool;
   Dataset base;
@@ -423,7 +423,6 @@ struct TracedServiceFixture {
     scheme = sfa::TrainSfa(base, sfa_config, &pool);
     shard::ShardingConfig config;
     config.num_shards = 4;
-    config.assignment = shard::ShardAssignment::kHash;
     config.index.leaf_capacity = 100;
     sharded = shard::ShardedIndex::Build(base, config, scheme, &pool);
   }
@@ -456,7 +455,7 @@ TEST(ServiceTraceTest, ShardedIngestingQueryTraceCoversPipeline) {
   service::SearchService svc(service::WrapShardedIndex(fx.sharded), &fx.pool,
                              config);
   ingest::IngestConfig ingest_config;
-  ingest_config.auto_compact = false;  // keep inserts in the buffers
+  ingest_config.auto_compact = false;  // keep inserts in the buffer
   ingest::Compactor compactor(&svc, fx.sharded, ingest_config);
   fx.FeedIngest(&compactor);
 
@@ -485,7 +484,7 @@ TEST(ServiceTraceTest, ShardedIngestingQueryTraceCoversPipeline) {
   ASSERT_GE(admission, 0);
   ASSERT_GE(search, 0);
   EXPECT_EQ(searches, 1u);      // one search over all four shards
-  EXPECT_EQ(buffer_scans, 1u);  // the live insert buffers were scanned
+  EXPECT_EQ(buffer_scans, 1u);  // the live insert buffer was scanned
 
   // The buffer scan is a child of the search span and lies inside it.
   const TraceSpan& search_span = trace.spans[static_cast<std::size_t>(search)];

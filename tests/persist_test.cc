@@ -3,12 +3,14 @@
 // + rename), newest-valid-manifest recovery with fallback across torn
 // commits, bounded WAL-tail replay (restart cost = mutations since the
 // last compaction, not all mutations ever), hardlink slice reuse, GC
-// gating, the WAL v2 record-seqno chain (interior loss detected as
-// sequence_gap, torn tails stay benign), group-commit correctness under
-// concurrent mutators, and the end-to-end restart proof: a serving
-// process killed at a random point recovers from (latest manifest + WAL
-// tail) to answers bit-identical to a from-scratch build over
-// base ∪ inserts \ deletes — with the on-disk WAL provably truncated.
+// gating, refusal of a manifest naming the retired hash assignment or
+// holding tail rows outside the last shard, the WAL v2 record-seqno
+// chain (interior loss detected as sequence_gap, torn tails stay
+// benign), group-commit correctness under concurrent mutators, and the
+// end-to-end restart proof: a serving process killed at a random point
+// recovers from (latest manifest + WAL tail) to answers bit-identical to
+// a from-scratch build over base ∪ inserts \ deletes — with the on-disk
+// WAL provably truncated.
 
 #include <dirent.h>
 #include <signal.h>
@@ -42,6 +44,7 @@
 #include "service/snapshot.h"
 #include "shard/sharded_index.h"
 #include "test_data.h"
+#include "util/crc32.h"
 #include "util/thread_pool.h"
 
 namespace sofa {
@@ -168,11 +171,9 @@ TEST(GenerationStoreTest, PersistLoadRoundTripAndGc) {
   EXPECT_EQ(loaded->sharded->num_shards(), Workload::kShards);
   EXPECT_EQ(loaded->manifest.next_id,
             Workload::kBase + Workload::InsertsBefore(300));
-  // After Flush every mutation is in the trees: no buffered tails, and
+  // After Flush every mutation is in the trees: no buffered tail, and
   // the WAL on disk holds no tail records past the fold point.
-  for (std::size_t s = 0; s < Workload::kShards; ++s) {
-    EXPECT_TRUE(loaded->buffer_ids[s].empty());
-  }
+  EXPECT_TRUE(loaded->buffer_ids.empty());
   EXPECT_EQ(loaded->sharded->size(),
             Workload::kBase + Workload::InsertsBefore(300) - 300 / 5);
   RemoveTree(root);
@@ -401,6 +402,109 @@ TEST(GenerationStoreTest, MissingOrCorruptShardFileFailsValidation) {
   RemoveTree(root);
 }
 
+// Re-seals a MANIFEST after an edit of its payload: recomputes the CRC
+// over the payload so the edit reaches the decoder's field checks
+// instead of failing the frame check. Layout: magic (8), version (4),
+// payload size (4), payload CRC (4), payload.
+constexpr std::size_t kManifestHeaderBytes = 20;
+
+void ResealManifest(std::vector<unsigned char>* bytes) {
+  ASSERT_GT(bytes->size(), kManifestHeaderBytes);
+  const std::uint32_t crc = Crc32(bytes->data() + kManifestHeaderBytes,
+                                  bytes->size() - kManifestHeaderBytes);
+  std::memcpy(bytes->data() + 16, &crc, sizeof(crc));
+}
+
+// Contiguous ranges are the only assignment a generation can be
+// reassembled under: a manifest whose assignment byte (payload offset
+// 32) reads 1 — the retired hash assignment — is refused, not loaded as
+// contiguous shards.
+TEST(GenerationStoreTest, HashAssignmentManifestIsRefused) {
+  const std::string root = TestDir("assign");
+  RemoveTree(root);
+  Workload w;
+  ThreadPool pool(2);
+  auto store = GenerationStore::Open(root + "/generations");
+  ASSERT_NE(store, nullptr);
+  PersistRequest request;
+  request.generation_seq = 1;
+  request.route_total = Workload::kBase;
+  request.next_id = Workload::kBase;
+  request.sharded = w.BuildSharded(&pool);
+  ASSERT_TRUE(store->Persist(request));
+  ASSERT_TRUE(store->LoadGeneration(1, &pool).has_value());
+
+  const std::string manifest =
+      root + "/generations/" + GenDirName(1) + "/MANIFEST";
+  std::vector<unsigned char> bytes = ReadFileBytes(manifest);
+  constexpr std::size_t kAssignmentByte = kManifestHeaderBytes + 32;
+  ASSERT_GT(bytes.size(), kAssignmentByte);
+  ASSERT_EQ(bytes[kAssignmentByte], 0u);
+  bytes[kAssignmentByte] = 1;
+  ResealManifest(&bytes);
+  WriteFileBytes(manifest, bytes);
+  EXPECT_FALSE(store->LoadGeneration(1, &pool).has_value());
+  EXPECT_FALSE(store->LoadLatest(&pool).has_value());
+
+  // The same bytes with the assignment restored load again: the refusal
+  // is the assignment's, not a broken frame's.
+  bytes[kAssignmentByte] = 0;
+  ResealManifest(&bytes);
+  WriteFileBytes(manifest, bytes);
+  EXPECT_TRUE(store->LoadGeneration(1, &pool).has_value());
+  RemoveTree(root);
+}
+
+// Only the last shard owns the insert buffer, so only its .tail may hold
+// rows: a generation whose first shard's tail holds the buffered rows
+// (file and manifest accounting both consistent) is refused.
+TEST(GenerationStoreTest, TailRowsOutsideTheLastShardAreRefused) {
+  const std::string root = TestDir("tail");
+  RemoveTree(root);
+  Workload w;
+  ThreadPool pool(2);
+  auto store = GenerationStore::Open(root + "/generations");
+  ASSERT_NE(store, nullptr);
+  constexpr std::size_t kTail = 3;
+  auto tail = std::make_shared<Dataset>(Workload::kLength);
+  PersistRequest request;
+  for (std::size_t i = 0; i < kTail; ++i) {
+    tail->Append(w.inserts.row(i));
+    request.buffer_ids.push_back(
+        static_cast<std::uint32_t>(Workload::kBase + i));
+  }
+  request.generation_seq = 1;
+  request.route_total = Workload::kBase;
+  request.next_id = Workload::kBase + kTail;
+  request.sharded = w.BuildSharded(&pool);
+  request.buffer_rows = tail;
+  ASSERT_TRUE(store->Persist(request));
+  const std::optional<LoadedGeneration> loaded =
+      store->LoadGeneration(1, &pool);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->buffer_ids, request.buffer_ids);
+
+  // Move the tail to shard 0: its file, and its size + CRC in the
+  // manifest (payload: 57 bytes of header fields, then 56 bytes per
+  // shard with tail_bytes + tail_crc at offset 32 of each entry).
+  const std::string dir = root + "/generations/" + GenDirName(1);
+  char last_tail[32];
+  std::snprintf(last_tail, sizeof(last_tail), "/shard-%04zu.tail",
+                Workload::kShards - 1);
+  WriteFileBytes(dir + "/shard-0000.tail", ReadFileBytes(dir + last_tail));
+  std::vector<unsigned char> bytes = ReadFileBytes(dir + "/MANIFEST");
+  const auto tail_fields = [](std::size_t s) {
+    return kManifestHeaderBytes + 57 + 56 * s + 32;
+  };
+  ASSERT_GE(bytes.size(), tail_fields(Workload::kShards - 1) + 12);
+  std::memcpy(bytes.data() + tail_fields(0),
+              bytes.data() + tail_fields(Workload::kShards - 1), 12);
+  ResealManifest(&bytes);
+  WriteFileBytes(dir + "/MANIFEST", bytes);
+  EXPECT_FALSE(store->LoadGeneration(1, &pool).has_value());
+  RemoveTree(root);
+}
+
 TEST(GenerationStoreTest, ManifestWalMismatchIsRefused) {
   const std::string root = TestDir("mismatch");
   RemoveTree(root);
@@ -578,11 +682,6 @@ TEST(GenerationStoreTest, GcRacesInFlightRecovery) {
     request.route_total = Workload::kBase;
     request.next_id = Workload::kBase;
     request.sharded = sharded;
-    request.buffer_rows.reserve(Workload::kShards);
-    for (std::size_t s = 0; s < Workload::kShards; ++s) {
-      request.buffer_rows.emplace_back(Workload::kLength);
-    }
-    request.buffer_ids.resize(Workload::kShards);
     for (std::uint64_t seq = 1; seq <= 6; ++seq) {
       request.generation_seq = seq;
       ASSERT_TRUE(store->Persist(request));
@@ -620,9 +719,9 @@ TEST(GenerationStoreTest, GcRacesInFlightRecovery) {
 // alongside the slices, and a rowq-enabled load reattaches them: the
 // reloaded service answers bit-identical to a rowq-off load of the same
 // generation AND to the from-scratch oracle, with the tier provably
-// engaged (profile counters). Downgrading the manifest to v1 — exactly
-// what a pre-rowq build would have written — must still load with
-// enable_rowq: the sidecar is rebuilt on the fly, still bit-identical.
+// engaged (profile counters). A generation persisted with the tier off
+// carries no sidecar and must still load with enable_rowq: the sidecar
+// is rebuilt on the fly, still bit-identical.
 TEST(GenerationStoreTest, RowqSidecarsPersistReloadAndRebuild) {
   const std::string root = TestDir("rowq");
   RemoveTree(root);
@@ -684,13 +783,30 @@ TEST(GenerationStoreTest, RowqSidecarsPersistReloadAndRebuild) {
   EXPECT_GT(on_checked, 0u);   // the persisted tier actually engaged
   EXPECT_EQ(off_checked, 0u);  // the off path never consulted it
 
-  // Legacy generation: rewrite the manifest as format v1 (no .rq
-  // accounting) and reload with the tier requested — the sidecar is
-  // rebuilt from the row slices on the fly, answers unchanged.
-  ASSERT_TRUE(GenerationStore::DowngradeManifestForTesting(dir));
+  // Tier-off generation: persist the rowq-off reload (its trees carry no
+  // sidecar, so the manifest accounts for none) and reload it with the
+  // tier requested — the sidecar is rebuilt from the row slices on the
+  // fly, answers unchanged.
+  PersistRequest tier_off;
+  tier_off.generation_seq = seqs.back() + 1;
+  tier_off.next_id = without_rowq->manifest.next_id;
+  tier_off.route_total = without_rowq->manifest.route_total;
+  tier_off.sharded = without_rowq->sharded;
+  tier_off.buffer_rows = without_rowq->buffer_rows;
+  tier_off.buffer_ids = without_rowq->buffer_ids;
+  tier_off.tombstones = without_rowq->manifest.tombstones;
+  ASSERT_TRUE(store->Persist(tier_off));
+  const std::string off_dir =
+      root + "/generations/" + GenDirName(tier_off.generation_seq);
+  for (std::size_t s = 0; s < Workload::kShards; ++s) {
+    char name[32];
+    std::snprintf(name, sizeof(name), "/shard-%04zu.rq", s);
+    EXPECT_TRUE(ReadFileBytes(off_dir + name).empty()) << name;
+  }
   const std::optional<LoadedGeneration> rebuilt =
       store->LoadLatest(&pool, /*enable_rowq=*/true);
   ASSERT_TRUE(rebuilt.has_value());
+  ASSERT_EQ(rebuilt->manifest.generation_seq, tier_off.generation_seq);
   service::SearchService svc_rebuilt(
       service::WrapShardedIndex(rebuilt->sharded), &pool);
   std::uint64_t rebuilt_checked = 0;
@@ -721,11 +837,6 @@ TEST(GenerationStoreTest, RowqSidecarHardlinkedAcrossGenerations) {
   request.route_total = Workload::kBase;
   request.next_id = Workload::kBase;
   request.sharded = sharded;
-  request.buffer_rows.reserve(Workload::kShards);
-  for (std::size_t s = 0; s < Workload::kShards; ++s) {
-    request.buffer_rows.emplace_back(Workload::kLength);
-  }
-  request.buffer_ids.resize(Workload::kShards);
   for (std::uint64_t seq = 1; seq <= 2; ++seq) {
     request.generation_seq = seq;
     ASSERT_TRUE(store->Persist(request));
@@ -1094,10 +1205,8 @@ TEST(CrashRecoveryTest, KillAtRandomPointRecoversBitIdentical) {
     const std::size_t applied_inserts =
         metrics.total_rows - Workload::kBase;
     std::size_t live_rows = loaded->sharded->size() +
+                            loaded->buffer_ids.size() +
                             static_cast<std::size_t>(stats.inserts_applied);
-    for (std::size_t s = 0; s < Workload::kShards; ++s) {
-      live_rows += loaded->buffer_ids[s].size();
-    }
     ASSERT_GE(live_rows, metrics.tombstones);
     live_rows -= metrics.tombstones;
     ASSERT_GE(Workload::kBase + applied_inserts, live_rows);

@@ -386,11 +386,9 @@ TEST(RowqTierTest, ShardedServiceAnswersBitIdenticalOnVsOff) {
   const Dataset data = Walk(2400, 64, 121);
   const auto scheme = testing_harness::TrainTestScheme(data, &pool);
   const auto plain = testing_harness::BuildTestSharded(
-      data, 3, shard::ShardAssignment::kContiguous, scheme, &pool,
-      /*enable_rowq=*/false);
+      data, 3, scheme, &pool, /*enable_rowq=*/false);
   const auto tiered = testing_harness::BuildTestSharded(
-      data, 3, shard::ShardAssignment::kContiguous, scheme, &pool,
-      /*enable_rowq=*/true);
+      data, 3, scheme, &pool, /*enable_rowq=*/true);
   service::SearchService off_svc(service::WrapShardedIndex(plain), &pool);
   service::SearchService on_svc(service::WrapShardedIndex(tiered), &pool);
 

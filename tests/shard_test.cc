@@ -5,8 +5,9 @@
 // hot-swap — a one-shard generation served through the service does
 // exactly the one-tree engine's work, one search over all shards does
 // less work than per-shard searches and repeats its counters exactly at
-// one thread, saved generations reload through LoadShardedIndex, and the
-// per-shard republish shares untouched shards instead of copying them.
+// one thread, saved generations reload through LoadShardedIndex and
+// compact with the tree config they were built with, and the per-shard
+// republish shares untouched shards instead of copying them.
 
 #include <atomic>
 #include <cstdio>
@@ -20,6 +21,7 @@
 
 #include "index/query_engine.h"
 #include "index/tree_index.h"
+#include "ingest/compactor.h"
 #include "service/search_service.h"
 #include "service/snapshot.h"
 #include "sfa/mcb.h"
@@ -56,16 +58,24 @@ struct Fixture {
                                                 index_config, &pool);
   }
 
-  std::shared_ptr<const ShardedIndex> MakeSharded(
-      std::size_t num_shards,
-      ShardAssignment assignment = ShardAssignment::kContiguous) {
+  std::shared_ptr<const ShardedIndex> MakeSharded(std::size_t num_shards) {
     ShardingConfig config;
     config.num_shards = num_shards;
-    config.assignment = assignment;
     config.index.leaf_capacity = 100;
     return ShardedIndex::Build(data, config, scheme, &pool);
   }
 };
+
+// Shard `s` of `sharded` with a fresh tree over its own slice (same
+// scheme and tree config) — a deterministic rebuild, so a generation
+// that swaps it in through WithShardReplaced answers bit-identically.
+Shard RebuiltShard(const ShardedIndex& sharded, std::size_t s) {
+  Shard rebuilt = sharded.shard(s);
+  rebuilt.tree = std::make_shared<index::TreeIndex>(
+      rebuilt.data.get(), rebuilt.scheme.get(), sharded.config().index,
+      sharded.pool());
+  return rebuilt;
+}
 
 // Bit-exact comparison: same ids AND same float distances at every rank.
 ::testing::AssertionResult BitIdentical(const std::vector<Neighbor>& actual,
@@ -90,29 +100,26 @@ struct Fixture {
 
 TEST(ShardPartitionTest, CoversEveryIdExactlyOnce) {
   const Dataset data = Walk(533, 32, 11);
-  for (const ShardAssignment assignment :
-       {ShardAssignment::kContiguous, ShardAssignment::kHash}) {
-    for (const std::size_t shards : {1u, 2u, 3u, 7u}) {
-      const ShardPartition partition =
-          ShardedIndex::Partition(data, shards, assignment);
-      ASSERT_EQ(partition.data.size(), shards);
-      ASSERT_EQ(partition.global_ids.size(), shards);
-      std::vector<int> seen(data.size(), 0);
-      for (std::size_t s = 0; s < shards; ++s) {
-        ASSERT_EQ(partition.data[s]->size(), partition.global_ids[s]->size());
-        for (std::size_t r = 0; r < partition.global_ids[s]->size(); ++r) {
-          const std::uint32_t id = (*partition.global_ids[s])[r];
-          ASSERT_LT(id, data.size());
-          ++seen[id];
-          // The shard row is a verbatim copy of the global row.
-          for (std::size_t d = 0; d < data.length(); ++d) {
-            ASSERT_EQ(partition.data[s]->row(r)[d], data.row(id)[d]);
-          }
+  for (const std::size_t shards : {1u, 2u, 3u, 7u}) {
+    const ShardPartition partition =
+        ShardedIndex::Partition(data, shards, ShardAssignment::kContiguous);
+    ASSERT_EQ(partition.data.size(), shards);
+    ASSERT_EQ(partition.global_ids.size(), shards);
+    std::vector<int> seen(data.size(), 0);
+    for (std::size_t s = 0; s < shards; ++s) {
+      ASSERT_EQ(partition.data[s]->size(), partition.global_ids[s]->size());
+      for (std::size_t r = 0; r < partition.global_ids[s]->size(); ++r) {
+        const std::uint32_t id = (*partition.global_ids[s])[r];
+        ASSERT_LT(id, data.size());
+        ++seen[id];
+        // The shard row is a verbatim copy of the global row.
+        for (std::size_t d = 0; d < data.length(); ++d) {
+          ASSERT_EQ(partition.data[s]->row(r)[d], data.row(id)[d]);
         }
       }
-      for (std::size_t i = 0; i < data.size(); ++i) {
-        EXPECT_EQ(seen[i], 1) << "id " << i;
-      }
+    }
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      EXPECT_EQ(seen[i], 1) << "id " << i;
     }
   }
 }
@@ -121,26 +128,19 @@ TEST(ShardPartitionTest, AssignShardClampsIdsBeyondBuildTimeTotal) {
   // Regression: contiguous assignment of an id at or beyond the
   // build-time total used to compute a shard index >= num_shards (the
   // ingest path routes freshly inserted ids through this). The tail range
-  // belongs to the last shard; hash ids always land in range.
+  // belongs to the last shard.
   for (const std::size_t total : {0u, 1u, 7u, 100u, 101u}) {
     for (const std::size_t shards : {1u, 2u, 3u, 8u}) {
       for (const std::uint32_t id :
            {static_cast<std::uint32_t>(total),
             static_cast<std::uint32_t>(total + 1),
             static_cast<std::uint32_t>(total + 1000), 0xffffffffu}) {
-        EXPECT_EQ(ShardedIndex::AssignShard(ShardAssignment::kContiguous, id,
-                                            total, shards),
-                  shards - 1)
+        EXPECT_EQ(ShardedIndex::AssignShard(id, total, shards), shards - 1)
             << "total=" << total << " shards=" << shards << " id=" << id;
-        EXPECT_LT(ShardedIndex::AssignShard(ShardAssignment::kHash, id, total,
-                                            shards),
-                  shards);
       }
       // In-range ids are untouched: the partition still covers exactly.
       for (std::uint32_t id = 0; id < total; ++id) {
-        EXPECT_LT(ShardedIndex::AssignShard(ShardAssignment::kContiguous, id,
-                                            total, shards),
-                  shards);
+        EXPECT_LT(ShardedIndex::AssignShard(id, total, shards), shards);
       }
     }
   }
@@ -166,17 +166,14 @@ TEST(ShardPartitionTest, ContiguousSplitIsBalanced) {
 TEST(ShardedIndexTest, MatchesSingleIndexBitExact) {
   Fixture fx;
   const Dataset queries = Walk(15, 96, 72);
-  for (const ShardAssignment assignment :
-       {ShardAssignment::kContiguous, ShardAssignment::kHash}) {
-    for (const std::size_t shards : {1u, 2u, 3u, 5u}) {
-      const auto sharded = fx.MakeSharded(shards, assignment);
-      EXPECT_EQ(sharded->size(), fx.data.size());
-      for (std::size_t q = 0; q < queries.size(); ++q) {
-        const auto expected = fx.single->SearchKnn(queries.row(q), 10);
-        const auto actual = sharded->SearchKnn(queries.row(q), 10);
-        EXPECT_TRUE(BitIdentical(actual, expected))
-            << "shards=" << shards << " query " << q;
-      }
+  for (const std::size_t shards : {1u, 2u, 3u, 5u}) {
+    const auto sharded = fx.MakeSharded(shards);
+    EXPECT_EQ(sharded->size(), fx.data.size());
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      const auto expected = fx.single->SearchKnn(queries.row(q), 10);
+      const auto actual = sharded->SearchKnn(queries.row(q), 10);
+      EXPECT_TRUE(BitIdentical(actual, expected))
+          << "shards=" << shards << " query " << q;
     }
   }
 }
@@ -198,7 +195,7 @@ TEST(ShardedIndexTest, EmptyShardsAreHarmless) {
   // More shards than series: the surplus shards are empty and contribute
   // nothing to the search.
   Fixture fx(40, 64, 75, /*threads=*/2);
-  const auto sharded = fx.MakeSharded(8, ShardAssignment::kHash);
+  const auto sharded = fx.MakeSharded(48);
   const Dataset queries = Walk(4, 64, 76);
   for (std::size_t q = 0; q < queries.size(); ++q) {
     EXPECT_TRUE(BitIdentical(sharded->SearchKnn(queries.row(q), 5),
@@ -260,11 +257,11 @@ TEST(ShardedIndexTest, EpsilonApproximateWithinBound) {
 
 // ----------------------------------------------- persistence round trip
 
-// Hash assignment over a tiny collection leaves some shards empty.
+// More shards than rows leaves the surplus shards empty.
 // SaveShardedIndex → LoadShardedIndex (the `sofa_cli build/serve
 // --shards` path) must round-trip cleanly — empty shards build, save as
 // loadable files, reload, and contribute nothing to the search.
-TEST(ShardPersistenceTest, TinyHashCollectionRoundTripsThroughEmptyShards) {
+TEST(ShardPersistenceTest, TinyCollectionRoundTripsThroughEmptyShards) {
   ThreadPool pool(2);
   const Dataset data = Walk(5, 64, 86);
   sfa::SfaConfig sfa_config;
@@ -274,8 +271,7 @@ TEST(ShardPersistenceTest, TinyHashCollectionRoundTripsThroughEmptyShards) {
   const std::shared_ptr<const quant::SummaryScheme> scheme =
       sfa::TrainSfa(data, sfa_config, &pool);
   ShardingConfig config;
-  config.num_shards = 8;  // 5 series in 8 shards: >= 3 empty by pigeonhole
-  config.assignment = ShardAssignment::kHash;
+  config.num_shards = 8;  // 5 series in 8 shards: 3 empty
   config.index.leaf_capacity = 100;
   const auto built = ShardedIndex::Build(data, config, scheme, &pool);
   std::size_t empty_shards = 0;
@@ -286,7 +282,7 @@ TEST(ShardPersistenceTest, TinyHashCollectionRoundTripsThroughEmptyShards) {
 
   // Save every shard — including the empty ones — and reload against the
   // deterministic re-partition, exactly as the CLI does.
-  const std::string path = ::testing::TempDir() + "/tiny_hash";
+  const std::string path = ::testing::TempDir() + "/tiny_sharded";
   ASSERT_TRUE(SaveShardedIndex(*built, path));
   const auto round_tripped = LoadShardedIndex(path, data, config, &pool);
   ASSERT_NE(round_tripped, nullptr);
@@ -309,12 +305,45 @@ TEST(ShardPersistenceTest, TinyHashCollectionRoundTripsThroughEmptyShards) {
   }
 }
 
+// A generation reloaded from build files rebuilds with the build's tree
+// config, not the loader's: the saved shards are at leaf capacity 100,
+// the caller's ShardingConfig sets only the shard count, and the last
+// shard compacted by the ingest path must come back at leaf capacity 100
+// (not IndexConfig's default).
+TEST(ShardPersistenceTest, ReloadedShardsCompactWithTheirBuildConfig) {
+  Fixture fx(600, 64, 89, /*threads=*/2);
+  const auto built = fx.MakeSharded(2);
+  const std::string path = ::testing::TempDir() + "/leaf100_sharded";
+  ASSERT_TRUE(SaveShardedIndex(*built, path));
+  ShardingConfig config;
+  config.num_shards = 2;
+  const auto loaded = LoadShardedIndex(path, fx.data, config, &fx.pool);
+  ASSERT_NE(loaded, nullptr);
+
+  service::SearchService svc(service::WrapShardedIndex(loaded), &fx.pool);
+  ingest::IngestConfig ingest_config;
+  ingest_config.compact_threshold = 50;
+  ingest::Compactor compactor(&svc, loaded, ingest_config);
+  const Dataset rows = Walk(ingest_config.compact_threshold, 64, 90);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_EQ(compactor.Insert(rows.row(i), rows.length()), StatusCode::kOk);
+  }
+  compactor.Flush();
+  const auto compacted = compactor.current();
+  ASSERT_GE(compacted->shard(1).generation, 2u);  // the rebuilt last shard
+  EXPECT_EQ(compacted->shard(1).tree->config().leaf_capacity, 100u);
+  for (std::size_t s = 0; s < config.num_shards; ++s) {
+    std::remove(ShardPath(path, s, config.num_shards).c_str());
+  }
+}
+
 // ------------------------------------------------- per-shard republish
 
 TEST(ShardedIndexTest, RebuiltShardSharesUntouchedShards) {
   Fixture fx;
   const auto original = fx.MakeSharded(3);
-  const auto rebuilt = original->WithShardRebuilt(1);
+  const auto rebuilt =
+      original->WithShardReplaced(1, RebuiltShard(*original, 1));
   EXPECT_EQ(rebuilt->num_shards(), 3u);
   EXPECT_EQ(rebuilt->size(), original->size());
   // Untouched shards alias the originals; shard 1 is a new generation.
@@ -396,7 +425,7 @@ TEST(ShardedServiceTest, OneShardGenerationMatchesOneTreeEngine) {
 
 TEST(ShardedServiceTest, BackloggedServiceBitExact) {
   Fixture fx;
-  const auto sharded = fx.MakeSharded(4, ShardAssignment::kHash);
+  const auto sharded = fx.MakeSharded(4);
   service::ServiceConfig config;
   config.start_paused = true;  // stage a backlog, then run it concurrently
   service::SearchService svc(service::WrapShardedIndex(sharded), &fx.pool,
@@ -475,7 +504,8 @@ TEST(ShardedServiceTest, SingleShardHotSwapMidTrafficStaysBitExact) {
   std::thread swapper([&] {
     std::size_t swaps = 0;
     while (!stop_swapping.load() || swaps < 6) {
-      sharded = sharded->WithShardRebuilt(swaps % sharded->num_shards());
+      const std::size_t s = swaps % sharded->num_shards();
+      sharded = sharded->WithShardReplaced(s, RebuiltShard(*sharded, s));
       svc.Publish(service::WrapShardedIndex(sharded));
       ++swaps;
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
