@@ -5,12 +5,12 @@
 // Per thread count T:
 //   sequential  — the paper's protocol: one query at a time, each with
 //                 T-way intra-query parallelism (QueryEngine::Search over
-//                 one tree);
+//                 one tree: the caller plus up to T − 1 pool workers);
 //   shardS      — the end-to-end SearchService (admission queue + one
-//                 single-threaded pool task per query, at most T running,
-//                 + metrics) over a shard::ShardedIndex of S shards, swept
-//                 over --shards; shard1 serves one tree, as every
-//                 single-index server does.
+//                 pool task per query, at most T running, joined by
+//                 idle workers, + metrics) over a shard::ShardedIndex of
+//                 S shards, swept over --shards; shard1 serves one tree,
+//                 as every single-index server does.
 //
 // Expected shape: under cross-query parallelism QPS scales with T while
 // per-query sync overhead (queue locks, worker handoffs) is amortized

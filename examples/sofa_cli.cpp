@@ -522,11 +522,11 @@ void PrintServeHelp() {
       "                       refuse new connections, finish in-flight\n"
       "                       requests, dump final stats + slow log\n"
       "\n"
-      "Either way every admitted query is one single-threaded search over\n"
-      "all shards (and the insert buffer) at once; one query per worker\n"
-      "runs at a time, and the next starts as soon as a worker frees up\n"
-      "(strict priority classes, with --priority-reserve slots per\n"
-      "--batch starts kept for batch/background queries).\n"
+      "Either way every admitted query is one search over all shards\n"
+      "(and the insert buffer) at once, joined by otherwise idle workers;\n"
+      "one query per worker runs at a time, and the next starts as soon as\n"
+      "a worker frees up (strict priority classes, with --priority-reserve\n"
+      "slots per --batch starts kept for batch/background queries).\n"
       "\n"
       "flags (default in brackets):\n");
 #define SOFA_SERVE_HELP(field, flag, type, default_value, help) \

@@ -1,7 +1,6 @@
 #include "index/index_builder.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 
 #include "util/check.h"
@@ -188,45 +187,40 @@ BuildResult BuildTree(const Dataset& data,
   result.stats.symbolize_seconds = phase_timer.Seconds();
 
   // Phase 2: partition ids by root key (histogram, offsets, scatter).
+  // Both passes split [0, n) into the same static chunks, one per worker,
+  // so chunk w writes key k's rows from offsets[k] plus the rows of key k
+  // in chunks before it: rows ascend by id inside every root child at any
+  // worker count, and the tree does not depend on the schedule.
   phase_timer.Reset();
+  std::vector<std::vector<std::size_t>> local_counts(
+      pool->size(), std::vector<std::size_t>(num_root_children, 0));
+  ParallelFor(pool, n_series,
+              [&](std::size_t begin, std::size_t end, std::size_t worker) {
+                auto& local = local_counts[worker];
+                for (std::size_t i = begin; i < end; ++i) {
+                  ++local[keys[i]];
+                }
+              });
   std::vector<std::size_t> counts(num_root_children, 0);
-  {
-    std::vector<std::vector<std::size_t>> local_counts(
-        pool->size(), std::vector<std::size_t>(num_root_children, 0));
-    ParallelFor(pool, n_series,
-                [&](std::size_t begin, std::size_t end, std::size_t worker) {
-                  auto& local = local_counts[worker];
-                  for (std::size_t i = begin; i < end; ++i) {
-                    ++local[keys[i]];
-                  }
-                });
-    for (const auto& local : local_counts) {
-      for (std::size_t key = 0; key < num_root_children; ++key) {
-        counts[key] += local[key];
-      }
-    }
-  }
   std::vector<std::size_t> offsets(num_root_children + 1, 0);
   for (std::size_t key = 0; key < num_root_children; ++key) {
-    offsets[key + 1] = offsets[key] + counts[key];
+    std::size_t cursor = offsets[key];
+    for (auto& local : local_counts) {  // count → this chunk's first slot
+      const std::size_t rows = local[key];
+      local[key] = cursor;
+      cursor += rows;
+    }
+    counts[key] = cursor - offsets[key];
+    offsets[key + 1] = cursor;
   }
   std::vector<std::uint32_t> ids(n_series);
-  {
-    std::vector<std::atomic<std::size_t>> cursors(num_root_children);
-    for (auto& c : cursors) {
-      c.store(0, std::memory_order_relaxed);
-    }
-    ParallelFor(pool, n_series,
-                [&](std::size_t begin, std::size_t end, std::size_t) {
-                  for (std::size_t i = begin; i < end; ++i) {
-                    const std::uint32_t key = keys[i];
-                    const std::size_t pos =
-                        offsets[key] + cursors[key].fetch_add(
-                                           1, std::memory_order_relaxed);
-                    ids[pos] = static_cast<std::uint32_t>(i);
-                  }
-                });
-  }
+  ParallelFor(pool, n_series,
+              [&](std::size_t begin, std::size_t end, std::size_t worker) {
+                auto& cursors = local_counts[worker];
+                for (std::size_t i = begin; i < end; ++i) {
+                  ids[cursors[keys[i]]++] = static_cast<std::uint32_t>(i);
+                }
+              });
   result.stats.partition_seconds = phase_timer.Seconds();
 
   // Phase 3: build non-empty subtrees in parallel.

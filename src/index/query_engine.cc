@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <optional>
-#include <queue>
 #include <utility>
 
 #include "core/distance.h"
@@ -23,45 +24,44 @@ struct LeafEntry {
   float lbd_sq;
   const Node* leaf;
   std::uint32_t part;
-  bool operator>(const LeafEntry& other) const {
-    return lbd_sq > other.lbd_sq;
-  }
 };
 
-// One lock-protected min-priority queue of candidate leaves (the paper uses
-// #cores of these, accessed under locks).
+// The candidate leaves of one query, every tree's, ascending by leaf LBD
+// (the paper's priority queues made one). The owner pushes them all, then
+// seals; after that any number of threads pop without a lock.
 class LeafQueue {
  public:
-  void Push(LeafEntry entry) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push(entry);
+  void Push(LeafEntry entry) { entries_.push_back(entry); }
+
+  // Orders the queue; ties keep collection order, so a one-thread search
+  // pops leaves in the same order every time.
+  void Seal() {
+    std::stable_sort(entries_.begin(), entries_.end(),
+                     [](const LeafEntry& a, const LeafEntry& b) {
+                       return a.lbd_sq < b.lbd_sq;
+                     });
   }
 
-  std::optional<LeafEntry> PopMin() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (queue_.empty()) {
-      return std::nullopt;
-    }
-    const LeafEntry top = queue_.top();
-    queue_.pop();
-    return top;
+  std::size_t size() const { return entries_.size(); }
+
+  // The minimum-LBD leaf not yet handed out, or null when none is left.
+  const LeafEntry* PopMin() {
+    const std::size_t at = next_.fetch_add(1, std::memory_order_relaxed);
+    return at < entries_.size() ? &entries_[at] : nullptr;
   }
 
   // "Abandon": everything still queued is at least as far as the entry that
   // triggered abandonment, so it can all be pruned at once. Returns the
   // number of entries dropped.
   std::size_t Clear() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const std::size_t dropped = queue_.size();
-    queue_ = {};
-    return dropped;
+    const std::size_t popped =
+        next_.exchange(entries_.size(), std::memory_order_relaxed);
+    return popped < entries_.size() ? entries_.size() - popped : 0;
   }
 
  private:
-  std::mutex mutex_;
-  std::priority_queue<LeafEntry, std::vector<LeafEntry>,
-                      std::greater<LeafEntry>>
-      queue_;
+  std::vector<LeafEntry> entries_;
+  std::atomic<std::size_t> next_{0};
 };
 
 // Per-tree immutable query state: the query in that tree's summary space.
@@ -217,13 +217,11 @@ const Node* ApproximateLeaf(const PartContext& part) {
   return start == nullptr ? nullptr : DescendToLeaf(part, start);
 }
 
-// DFS of one subtree, pruning by node LBD and spreading surviving leaves
-// round-robin over the queues.
+// DFS of one subtree, pruning by node LBD and queueing surviving leaves.
 void CollectLeaves(const QueryContext& ctx, std::uint32_t part_index,
                    const Node* node, const ResultSet& results,
-                   std::vector<LeafQueue>* queues,
-                   std::atomic<std::size_t>* queue_cursor,
-                   const Node* skip_leaf, QueryProfile* profile) {
+                   LeafQueue* queue, const Node* skip_leaf,
+                   QueryProfile* profile) {
   if (node->is_leaf() && node == skip_leaf) {
     return;  // already scanned exhaustively by the approximate phase
   }
@@ -238,17 +236,14 @@ void CollectLeaves(const QueryContext& ctx, std::uint32_t part_index,
     return;
   }
   if (node->is_leaf()) {
-    const std::size_t qi =
-        queue_cursor->fetch_add(1, std::memory_order_relaxed) %
-        queues->size();
-    (*queues)[qi].Push(LeafEntry{lbd_sq, node, part_index});
+    queue->Push(LeafEntry{lbd_sq, node, part_index});
     ++profile->leaves_collected;
     return;
   }
-  CollectLeaves(ctx, part_index, node->left.get(), results, queues,
-                queue_cursor, skip_leaf, profile);
-  CollectLeaves(ctx, part_index, node->right.get(), results, queues,
-                queue_cursor, skip_leaf, profile);
+  CollectLeaves(ctx, part_index, node->left.get(), results, queue, skip_leaf,
+                profile);
+  CollectLeaves(ctx, part_index, node->right.get(), results, queue, skip_leaf,
+                profile);
 }
 
 // Builds the per-query context: one projection + word per tree (trees
@@ -286,6 +281,85 @@ QueryContext MakeContext(const TreePart* parts, std::size_t num_parts,
   }
   return ctx;
 }
+
+// Phase 3 as work that idle pool workers join: the owner and its helpers
+// pop leaves off one queue in LBD order and scan them into the shared
+// result set; the first popped leaf whose LBD reaches the bound abandons
+// the queue. A helper leaves between two leaves as soon as a task waits
+// in the pool. The owner drains until the queue is empty, then waits only
+// for helpers still inside a leaf; one that joins later finds the drain
+// closed and never touches the query's (owner-held) state.
+class LeafDrain : public Joinable,
+                  public std::enable_shared_from_this<LeafDrain> {
+ public:
+  LeafDrain(const QueryContext* ctx, LeafQueue* queue, ResultSet* results)
+      : ctx_(ctx), queue_(queue), results_(results) {}
+
+  bool Join(const ThreadPool& pool) override {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (closed_) {
+        return true;
+      }
+      ++active_;
+    }
+    QueryProfile profile;
+    const bool exhausted = Drain(&pool, &profile);
+    std::lock_guard<std::mutex> lock(mutex_);
+    helper_profile_.Merge(profile);
+    if (--active_ == 0 && closed_) {
+      helpers_done_.notify_all();
+    }
+    return exhausted;
+  }
+
+  // The owner's share: offers the drain to up to `max_helpers` idle
+  // workers of `pool` and drains alongside them. Returns once every leaf
+  // is scanned or abandoned, with the helpers' counters merged into
+  // `profile`.
+  void Run(ThreadPool* pool, std::size_t max_helpers, QueryProfile* profile) {
+    if (max_helpers > 0) {
+      pool->Offer(shared_from_this(), max_helpers);
+    }
+    Drain(nullptr, profile);
+    if (max_helpers > 0) {
+      pool->Withdraw(this);
+    }
+    std::unique_lock<std::mutex> lock(mutex_);
+    closed_ = true;
+    helpers_done_.wait(lock, [this] { return active_ == 0; });
+    profile->Merge(helper_profile_);
+  }
+
+ private:
+  // Pops and scans leaves until none is left (true) or, for a helper
+  // (`pool` set), until a task waits in the pool (false).
+  bool Drain(const ThreadPool* pool, QueryProfile* profile) {
+    while (pool == nullptr || !pool->HasQueuedTask()) {
+      const LeafEntry* entry = queue_->PopMin();
+      if (entry == nullptr) {
+        return true;
+      }
+      if (entry->lbd_sq * ctx_->lbd_inflation_sq >= results_->bound_sq()) {
+        // All remaining entries are at least as far: abandon the queue.
+        profile->leaves_abandoned += 1 + queue_->Clear();
+        return true;
+      }
+      ScanLeafPruned(*ctx_, ctx_->parts[entry->part], *entry->leaf, results_,
+                     profile);
+    }
+    return false;
+  }
+
+  const QueryContext* ctx_;
+  LeafQueue* queue_;
+  ResultSet* results_;
+  std::mutex mutex_;
+  std::condition_variable helpers_done_;
+  std::size_t active_ = 0;  // helpers inside Drain
+  bool closed_ = false;     // the owner is done: joiners leave at once
+  QueryProfile helper_profile_;
+};
 
 }  // namespace
 
@@ -343,69 +417,23 @@ std::vector<Neighbor> QueryEngine::Search(
   if (num_threads == 0) {
     num_threads = config.num_threads == 0 ? pool_->size() : config.num_threads;
   }
-  // At most one queue per worker: with more queues than workers a worker
-  // drains them one after another, out of global LBD order.
-  const std::size_t num_queues =
-      config.num_queues == 0 ? num_threads
-                             : std::min(config.num_queues, num_threads);
 
-  // Phase 2: collect candidate leaves of every tree into the priority
-  // queues, using exactly num_threads workers over dynamically handed-out
-  // subtree chunks.
-  std::vector<std::pair<std::uint32_t, const Node*>> roots;
+  // Phase 2: the owner alone collects every tree's candidate leaves into
+  // one queue ordered by LBD.
+  LeafQueue queue;
   for (std::uint32_t p = 0; p < num_parts_; ++p) {
     for (const auto& [key, node] : parts[p].tree->subtrees()) {
-      roots.emplace_back(p, node);
+      CollectLeaves(ctx, p, node, results, &queue,
+                    p == approx_part ? approx_leaf : nullptr, &local_profile);
     }
   }
-  std::vector<LeafQueue> queues(num_queues);
-  std::atomic<std::size_t> queue_cursor(0);
-  std::mutex profile_mutex;
-  {
-    std::atomic<std::size_t> next_root(0);
-    constexpr std::size_t kGrain = 4;
-    ParallelRun(pool_, num_threads, [&](std::size_t) {
-      QueryProfile worker_profile;
-      while (true) {
-        const std::size_t begin = next_root.fetch_add(kGrain);
-        if (begin >= roots.size()) {
-          break;
-        }
-        const std::size_t end = std::min(roots.size(), begin + kGrain);
-        for (std::size_t r = begin; r < end; ++r) {
-          CollectLeaves(ctx, roots[r].first, roots[r].second, results,
-                        &queues, &queue_cursor,
-                        roots[r].first == approx_part ? approx_leaf : nullptr,
-                        &worker_profile);
-        }
-      }
-      std::lock_guard<std::mutex> lock(profile_mutex);
-      local_profile.Merge(worker_profile);
-    });
-  }
+  queue.Seal();
 
-  // Phase 3: workers drain the queues with BSF pruning and abandonment.
-  ParallelRun(pool_, num_threads, [&](std::size_t worker) {
-    QueryProfile worker_profile;
-    for (std::size_t offset = 0; offset < num_queues; ++offset) {
-      LeafQueue& queue = queues[(worker + offset) % num_queues];
-      while (true) {
-        const std::optional<LeafEntry> entry = queue.PopMin();
-        if (!entry.has_value()) {
-          break;  // queue exhausted, move to the next one
-        }
-        if (entry->lbd_sq * ctx.lbd_inflation_sq >= results.bound_sq()) {
-          // All remaining entries are at least as far: abandon the queue.
-          worker_profile.leaves_abandoned += 1 + queue.Clear();
-          break;
-        }
-        ScanLeafPruned(ctx, ctx.parts[entry->part], *entry->leaf, &results,
-                       &worker_profile);
-      }
-    }
-    std::lock_guard<std::mutex> lock(profile_mutex);
-    local_profile.Merge(worker_profile);
-  });
+  // Phase 3: drain the queue with BSF pruning and abandonment, joined by
+  // up to num_threads - 1 idle workers (never more than leaves to share).
+  const std::size_t participants = std::min(num_threads, queue.size());
+  std::make_shared<LeafDrain>(&ctx, &queue, &results)
+      ->Run(pool_, participants == 0 ? 0 : participants - 1, &local_profile);
 
   if (profile != nullptr) {
     profile->Merge(local_profile);

@@ -6,17 +6,19 @@
 //      one leaf and compute real distances there — the initial best-so-far
 //      (BSF). With several trees, the first tree that has such a leaf
 //      seeds; the other trees' own leaves are pruned like any other leaf.
-//   2. Collect: walk all subtrees of all trees in parallel; prune nodes
-//      whose summary LBD exceeds the BSF; surviving leaves go into a fixed
-//      set of lock-protected priority queues ordered by leaf LBD (at most
-//      one queue per worker, so a single-threaded search visits leaves in
-//      LBD order).
-//   3. Process: workers repeatedly pop the minimum-LBD leaf of a queue. If
-//      its LBD exceeds the BSF the whole queue is abandoned (everything
-//      behind it is farther). Otherwise the leaf is scanned: per series a
-//      SIMD early-abandoning LBD, then, if still promising, the early-
+//   2. Collect: the calling thread alone walks all subtrees of all trees,
+//      prunes nodes whose summary LBD exceeds the BSF, and queues the
+//      surviving leaves in one queue ordered by leaf LBD.
+//   3. Process: the caller repeatedly pops the minimum-LBD leaf. If its
+//      LBD exceeds the BSF the whole queue is abandoned (everything behind
+//      it is farther). Otherwise the leaf is scanned: per series a SIMD
+//      early-abandoning LBD, then, if still promising, the early-
 //      abandoning real distance; improvements update the shared result
-//      set.
+//      set. The queue is offered to the pool (ThreadPool::Offer): idle
+//      workers join the drain and leave it between two leaves as soon as
+//      a task is queued, so a query spreads over cores only while they
+//      would otherwise sit idle. The caller never waits for a helper that
+//      has not started, so a search is safe from a pool worker.
 //
 // One ResultSet keyed by global id serves all trees and any flat scans
 // offered alongside (the insert buffer of an ingesting generation), so
@@ -52,23 +54,27 @@ struct TreePart {
 using FlatScan = std::function<void(ResultSet* results, QueryProfile* profile)>;
 
 /// Stateless facade; one Search call = one exact (or ε-approximate) query,
-/// parallelized on `num_threads` workers of the pool.
+/// run by the caller and joined by idle workers of the pool.
 class QueryEngine {
  public:
   explicit QueryEngine(const TreeIndex* index)
       : single_{index, nullptr}, pool_(index->pool()) {}
 
   /// Searches every tree of `parts` as one collection. `parts` (non-empty,
-  /// trees of one series length) must outlive the engine; `pool` runs
-  /// multi-threaded searches (null = the first tree's pool).
+  /// trees of one series length) must outlive the engine; idle workers of
+  /// `pool` join searches (null = the first tree's pool).
   explicit QueryEngine(const std::vector<TreePart>* parts,
                        ThreadPool* pool = nullptr);
 
   /// k-NN ascending by (distance, id) (Euclidean, not squared). With
   /// epsilon > 0 every answer is within (1+epsilon) of the exact distance;
   /// 0 = exact. `profile` (optional) receives merged work counters.
-  /// `num_threads` overrides the index configuration (0 = use it); the
-  /// serving layer passes 1.
+  /// `num_threads` caps the participants: the caller plus up to
+  /// `num_threads` − 1 idle pool workers (0 = the index configuration's
+  /// num_threads, itself 0 = the pool size). Answers are bit-identical at
+  /// any count; the phase-3 work counters depend on how many helpers
+  /// joined, so a search with num_threads = 1 is the one whose counters
+  /// repeat exactly.
   std::vector<Neighbor> Search(const float* query, std::size_t k,
                                double epsilon = 0.0,
                                QueryProfile* profile = nullptr,

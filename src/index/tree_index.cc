@@ -20,9 +20,6 @@ TreeIndex::TreeIndex(const Dataset* data, const quant::SummaryScheme* scheme,
   if (config_.num_threads == 0) {
     config_.num_threads = pool_->size();
   }
-  if (config_.num_queues == 0) {
-    config_.num_queues = config_.num_threads;
-  }
   const std::size_t max_root_bits =
       std::min<std::size_t>(scheme_->word_length(), 16);
   if (config_.root_bits != 0) {
@@ -61,9 +58,6 @@ TreeIndex::TreeIndex(FromPartsTag, const Dataset* data,
   SOFA_CHECK_EQ(root_children_.size(), std::size_t{1} << root_bits_);
   if (config_.num_threads == 0) {
     config_.num_threads = pool_->size();
-  }
-  if (config_.num_queues == 0) {
-    config_.num_queues = config_.num_threads;
   }
   for (std::size_t key = 0; key < root_children_.size(); ++key) {
     if (root_children_[key] != nullptr) {

@@ -5,8 +5,9 @@
 // SaxScheme it is the MESSI baseline. Construction bulk-builds in parallel
 // (symbolize → root partition → per-subtree splits); querying answers exact
 // 1-NN/k-NN under Euclidean distance via the GEMINI protocol (approximate
-// search for an initial best-so-far, then parallel pruned traversal with
-// priority queues, SIMD lower bounds and early-abandoning real distances).
+// search for an initial best-so-far, then a pruned traversal of one leaf
+// queue ordered by lower bound that idle workers join, with SIMD lower
+// bounds and early-abandoning real distances).
 
 #ifndef SOFA_INDEX_TREE_INDEX_H_
 #define SOFA_INDEX_TREE_INDEX_H_
@@ -38,9 +39,8 @@ enum class SplitPolicy {
 /// test-sized datasets (the paper uses leaf_capacity 20000 at 10⁸ series).
 struct IndexConfig {
   std::size_t leaf_capacity = 2000;
-  std::size_t num_threads = 0;  // 0 = hardware concurrency
-  std::size_t num_queues = 0;   // 0 = num_threads (paper: queue per core);
-                                // a search uses at most one per worker
+  std::size_t num_threads = 0;  // a search's participant cap by default
+                                // (the caller + idle workers); 0 = pool size
   SplitPolicy split_policy = SplitPolicy::kBestBalance;
 
   /// Root fan-out bits. MESSI fixes this to the word length (2^16 children
@@ -92,12 +92,13 @@ struct QueryProfile {
 };
 
 /// The index. Immutable and thread-safe after construction; the dataset and
-/// scheme must outlive it. Queries are answered one at a time (the paper's
-/// exploratory-analysis setting), each internally parallelized.
+/// scheme must outlive it. Any number of threads may search at once; each
+/// search is joined by the pool's idle workers (index::QueryEngine).
 class TreeIndex {
  public:
-  /// Builds the index over z-normalized `data` with `scheme`, using
-  /// `pool` (must have ≥ config.num_threads workers available).
+  /// Builds the index over z-normalized `data` with `scheme` on `pool`
+  /// (called from a thread that is not one of its workers); searches
+  /// offer their leaf queue to the same pool's idle workers.
   TreeIndex(const Dataset* data, const quant::SummaryScheme* scheme,
             const IndexConfig& config, ThreadPool* pool);
 

@@ -47,7 +47,7 @@ Compactor::Compactor(service::SearchService* service,
     config_.chunk_capacity = 1024;
   }
   if (config_.max_pending == 0) {
-    config_.max_pending = 8 * config_.compact_threshold * num_shards_;
+    config_.max_pending = 8 * config_.compact_threshold;
   }
   sharded_ = std::move(base);
   // With the rowq tier enabled, buffered rows share the last shard tree's

@@ -120,8 +120,9 @@ struct IngestConfig {
 
   /// Admission bound: inserts are rejected while the buffered rows not
   /// yet in a tree (staged-for-commit ones included) are at or beyond
-  /// this (backpressure when compaction cannot keep up).
-  /// 0 = 8 × compact_threshold × num_shards.
+  /// this (backpressure when compaction cannot keep up). Every such row
+  /// sits in the one insert buffer each query scans, so the default does
+  /// not grow with the shard count. 0 = 8 × compact_threshold.
   std::size_t max_pending = 0;
 
   /// Rows per buffer chunk (storage granularity; chunks never move).

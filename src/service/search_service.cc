@@ -35,12 +35,15 @@ constexpr char kSpanAdmission[] = "admission";
 constexpr char kSpanSearch[] = "search";
 constexpr char kSpanBufferScan[] = "buffer_scan";
 
-// One query over a whole generation: one single-threaded engine search
-// over its shard trees and, when the generation is ingesting, its live
-// insert buffer scanned into the same result set. The query's tombstone
-// view is masked inside both scans, so the engine's answer is final.
+// One query over a whole generation: one engine search over its shard
+// trees and, when the generation is ingesting, its live insert buffer
+// scanned into the same result set. The query's tombstone view is masked
+// inside both scans, so the engine's answer is final. The search runs on
+// the calling worker, and idle workers of `pool` join its leaf queue; at
+// saturation none is idle and the query stays single-threaded.
 std::vector<Neighbor> SearchGeneration(const IndexSnapshot& snapshot,
                                        const SearchRequest& request,
+                                       ThreadPool* pool,
                                        index::QueryProfile* profile,
                                        obs::QueryTrace* trace,
                                        int search_span) {
@@ -65,9 +68,9 @@ std::vector<Neighbor> SearchGeneration(const IndexSnapshot& snapshot,
       }
     };
   }
-  const index::QueryEngine engine(&snapshot.sharded->parts());
+  const index::QueryEngine engine(&snapshot.sharded->parts(), pool);
   return engine.Search(request.query.data(), request.k, request.epsilon,
-                       profile, /*num_threads=*/1, tombstones.get(),
+                       profile, /*num_threads=*/0, tombstones.get(),
                        buffer_scan);
 }
 
@@ -385,18 +388,19 @@ void SearchService::RunQuery(PendingRequest* pending) {
     metrics_.RecordInvalid();
   } else if (trace == nullptr) {
     response.neighbors = SearchGeneration(
-        *pending->snapshot, request,
+        *pending->snapshot, request, pool_,
         request.collect_profile ? &response.profile : nullptr, nullptr, -1);
   } else {
     // A traced query always collects work counters (the trace attaches
     // them) and runs under this worker's hardware counters (one
     // thread_local perf group per worker), so the search span carries
-    // exact cycle/instruction/LLC-miss attribution.
+    // the cycle/instruction/LLC-miss attribution of this worker's share;
+    // helpers that joined its leaf queue count on their own groups.
     obs::PerfCounters& perf = obs::PerfCounters::ForCurrentThread();
     const int search_span = trace->BeginSpan(kSpanSearch);
     perf.Start();
     response.neighbors = SearchGeneration(*pending->snapshot, request,
-                                          &response.profile, trace,
+                                          pool_, &response.profile, trace,
                                           search_span);
     const obs::PerfSample sample = perf.Stop();
     trace->EndSpan(search_span);

@@ -3,12 +3,14 @@
 //
 // Clients Submit() k-NN requests from any number of threads; a bounded
 // admission queue sheds load beyond its capacity (kRejected). Every
-// admitted query runs as one single-threaded task on the service's pool:
-// at most ServiceConfig::num_threads queries execute at once, and the
-// moment one finishes the next admitted query starts — no dispatcher
-// thread, no batches, no worker idling behind a batch's slowest query.
-// Cross-query parallelism fills the cores; each query is one
-// index::QueryEngine search over its whole generation.
+// admitted query runs as one task on the service's pool: at most
+// ServiceConfig::num_threads queries execute at once, and the moment one
+// finishes the next admitted query starts — no dispatcher thread, no
+// batches, no worker idling behind a batch's slowest query. Each query
+// is one index::QueryEngine search over its whole generation, and a pool
+// worker with no query of its own joins a running query's leaf queue
+// until the next query is queued: a lone query spreads over the idle
+// cores, and at saturation every query runs on one worker.
 //
 // Answers are exact and deterministic: identical to a sequential
 // QueryEngine::Search, ascending by (distance, id). The service owns the
@@ -80,7 +82,8 @@ struct ServiceConfig {
   /// priority_reserve guarantees waiting lower classes their slots.
   std::size_t max_batch = 64;
 
-  /// Queries executing at once, one pool worker each (0 = pool size).
+  /// Queries executing at once, each owned by one pool worker (0 = pool
+  /// size); idle workers join running queries.
   std::size_t num_threads = 0;
 
   /// Start paused (requests queue up until Resume()).
@@ -148,7 +151,7 @@ class SearchService {
   /// Blocks until the queue is empty and no query is executing. While
   /// paused with work queued this can only return after a Resume() from
   /// another thread — call Resume() first when staging a backlog
-  /// single-threadedly.
+  /// from a single thread.
   void Drain();
 
   /// Stops accepting work, fails everything still queued with kShutdown

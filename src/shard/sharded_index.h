@@ -113,12 +113,12 @@ class ShardedIndex {
       std::vector<Shard> shards, const ShardingConfig& config,
       std::size_t length, ThreadPool* pool);
 
-  /// Exact global k-NN over every shard as one search on `num_workers`
-  /// workers (0 = pool size) of `pool` (null = the pool the index was
-  /// built with). `profile`, if given, receives the work counters. With
-  /// more than one worker, must be called from a thread that is not a
-  /// worker of the chosen pool (it blocks). With epsilon > 0 every answer
-  /// is within (1+ε) of the exact distance over the whole collection.
+  /// Exact global k-NN over every shard as one search by the caller plus
+  /// up to `num_workers` − 1 idle workers (0 = pool size) of `pool` (null
+  /// = the pool the index was built with); safe from any thread, a worker
+  /// of that pool included. `profile`, if given, receives the work
+  /// counters. With epsilon > 0 every answer is within (1+ε) of the exact
+  /// distance over the whole collection.
   std::vector<Neighbor> SearchKnn(const float* query, std::size_t k,
                                   double epsilon = 0.0,
                                   index::QueryProfile* profile = nullptr,

@@ -30,6 +30,7 @@ void ThreadPool::Submit(std::function<void()> task) {
   {
     std::unique_lock<std::mutex> lock(mutex_);
     queue_.push_back(std::move(task));
+    queued_.store(queue_.size(), std::memory_order_relaxed);
   }
   work_available_.notify_one();
 }
@@ -39,27 +40,90 @@ void ThreadPool::Wait() {
   idle_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
 }
 
-void ThreadPool::WorkerLoop() {
-  while (true) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_available_.wait(
-          lock, [this] { return shutting_down_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        return;  // shutting down and drained
-      }
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      ++in_flight_;
+void ThreadPool::Offer(std::shared_ptr<Joinable> item,
+                       std::size_t max_helpers) {
+  SOFA_DCHECK(item != nullptr);
+  if (max_helpers == 0) {
+    return;
+  }
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    offers_.push_back(OfferSlot{std::move(item), max_helpers, 0});
+  }
+  for (std::size_t i = 0; i < std::min(max_helpers, size()); ++i) {
+    work_available_.notify_one();
+  }
+}
+
+void ThreadPool::Withdraw(const Joinable* item) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  for (auto it = offers_.begin(); it != offers_.end(); ++it) {
+    if (it->item.get() == item) {
+      offers_.erase(it);
+      return;
     }
-    task();
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
+  }
+}
+
+std::size_t ThreadPool::OpenOfferLocked() const {
+  for (std::size_t i = 0; i < offers_.size(); ++i) {
+    const std::size_t at = (next_offer_ + i) % offers_.size();
+    if (offers_[at].helpers < offers_[at].max_helpers) {
+      return at;
+    }
+  }
+  return offers_.size();
+}
+
+// Runs one Join() of the next open offer, outside the lock. The slot is
+// looked up again afterwards: the offer may have been withdrawn (or other
+// offers added or removed) meanwhile.
+void ThreadPool::JoinOfferLocked(std::unique_lock<std::mutex>* lock) {
+  const std::size_t at = OpenOfferLocked();
+  std::shared_ptr<Joinable> item = offers_[at].item;
+  ++offers_[at].helpers;
+  next_offer_ = at + 1;
+  lock->unlock();
+  const bool exhausted = item->Join(*this);
+  lock->lock();
+  for (auto it = offers_.begin(); it != offers_.end(); ++it) {
+    if (it->item == item) {
+      --it->helpers;
+      if (exhausted) {
+        offers_.erase(it);
+      }
+      break;
+    }
+  }
+  lock->unlock();
+  item.reset();  // the last reference may go here: not under the lock
+  lock->lock();
+}
+
+void ThreadPool::WorkerLoop() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  while (true) {
+    work_available_.wait(lock, [this] {
+      return shutting_down_ || !queue_.empty() ||
+             OpenOfferLocked() < offers_.size();
+    });
+    if (!queue_.empty()) {
+      std::function<void()> task = std::move(queue_.front());
+      queue_.pop_front();
+      queued_.store(queue_.size(), std::memory_order_relaxed);
+      ++in_flight_;
+      lock.unlock();
+      task();
+      task = nullptr;
+      lock.lock();
       --in_flight_;
       if (queue_.empty() && in_flight_ == 0) {
         idle_.notify_all();
       }
+    } else if (shutting_down_) {
+      return;  // drained
+    } else {
+      JoinOfferLocked(&lock);
     }
   }
 }

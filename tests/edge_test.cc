@@ -101,7 +101,7 @@ TEST(SmallAlphabetTest, SfaAlphabetTwoTrains) {
 
 // ------------------------------------------------------ engine configs
 
-TEST(EngineConfigTest, MoreQueuesThanThreadsIsExact) {
+TEST(EngineConfigTest, TwoParticipantSearchIsExact) {
   ThreadPool pool(2);
   const Dataset data = Noise(3000, 128, 8);
   sfa::SfaConfig sfa_config;
@@ -109,7 +109,6 @@ TEST(EngineConfigTest, MoreQueuesThanThreadsIsExact) {
   const auto scheme = sfa::TrainSfa(data, sfa_config, &pool);
   index::IndexConfig config;
   config.num_threads = 2;
-  config.num_queues = 7;
   config.leaf_capacity = 150;
   const index::TreeIndex index(&data, scheme.get(), config, &pool);
   const Dataset queries = Noise(6, 128, 9);

@@ -2,7 +2,9 @@
 // exactness property — the index answer equals brute force for every
 // scheme, dataset profile, thread count and k.
 
+#include <chrono>
 #include <cmath>
+#include <future>
 #include <memory>
 #include <set>
 #include <vector>
@@ -379,27 +381,49 @@ TEST(IndexSearchTest, ThreadCountsAgree) {
   }
 }
 
-// A single-threaded search uses one leaf queue whatever the index was
-// configured with, so it pops leaves in LBD order: its work counters equal
-// those of the same tree built with num_queues = 1. (One build worker
-// keeps the two trees identical down to the row order inside leaves.)
-TEST(IndexSearchTest, SingleThreadedSearchUsesOneQueue) {
-  ThreadPool pool(1);
+// Walks two trees side by side and expects the same shape and the same
+// rows, in the same order, in every leaf.
+void ExpectSameTree(const Node& a, const Node& b) {
+  ASSERT_EQ(a.is_leaf(), b.is_leaf());
+  if (a.is_leaf()) {
+    ASSERT_EQ(a.leaf_size(), b.leaf_size());
+    for (std::size_t i = 0; i < a.leaf_size(); ++i) {
+      ASSERT_EQ(a.series_ids[i], b.series_ids[i]) << "row " << i;
+    }
+    return;
+  }
+  ASSERT_EQ(a.split_dim, b.split_dim);
+  ExpectSameTree(*a.left, *b.left);
+  ExpectSameTree(*a.right, *b.right);
+}
+
+// The root scatter keeps rows in id order inside every root child at any
+// worker count, so a tree built on four workers equals the one-worker
+// tree down to the row order inside each leaf, and one-thread searches
+// over the two pop the same leaves in the same order: identical answers
+// and identical work counters.
+TEST(IndexSearchTest, BuildDoesNotDependOnWorkerCount) {
+  ThreadPool one_worker(1);
+  ThreadPool four_workers(4);
   const Dataset data = Walk(6000, 96, 19);
-  const auto scheme = MakeSfaScheme(data, &pool);
+  const auto scheme = MakeSfaScheme(data, &one_worker);
   IndexConfig config;
   config.leaf_capacity = 100;
-  config.num_queues = 4;
-  const TreeIndex pool_queues(&data, scheme.get(), config, &pool);
-  config.num_queues = 1;
-  const TreeIndex one_queue(&data, scheme.get(), config, &pool);
-  const Dataset queries = Walk(12, 96, 20);
+  const TreeIndex serial(&data, scheme.get(), config, &one_worker);
+  const TreeIndex parallel(&data, scheme.get(), config, &four_workers);
+  ASSERT_EQ(serial.subtrees().size(), parallel.subtrees().size());
+  for (std::size_t s = 0; s < serial.subtrees().size(); ++s) {
+    ASSERT_EQ(serial.subtrees()[s].first, parallel.subtrees()[s].first);
+    ExpectSameTree(*serial.subtrees()[s].second,
+                   *parallel.subtrees()[s].second);
+  }
+  const Dataset queries = Walk(50, 96, 20);
   for (std::size_t q = 0; q < queries.size(); ++q) {
     QueryProfile a, b;
     const auto answer_a =
-        QueryEngine(&pool_queues).Search(queries.row(q), 10, 0.0, &a, 1);
+        QueryEngine(&serial).Search(queries.row(q), 10, 0.0, &a, 1);
     const auto answer_b =
-        QueryEngine(&one_queue).Search(queries.row(q), 10, 0.0, &b, 1);
+        QueryEngine(&parallel).Search(queries.row(q), 10, 0.0, &b, 1);
     ASSERT_EQ(answer_a.size(), answer_b.size());
     for (std::size_t i = 0; i < answer_a.size(); ++i) {
       EXPECT_EQ(answer_a[i].id, answer_b[i].id);
@@ -412,6 +436,61 @@ TEST(IndexSearchTest, SingleThreadedSearchUsesOneQueue) {
     EXPECT_EQ(a.series_lbd_checked, b.series_lbd_checked) << "query " << q;
     EXPECT_EQ(a.series_lbd_pruned, b.series_lbd_pruned) << "query " << q;
     EXPECT_EQ(a.series_ed_computed, b.series_ed_computed) << "query " << q;
+  }
+}
+
+// A multi-threaded search run as a task on a one-worker pool: the worker
+// owns the search and no helper can join, so it must drain the queue
+// alone and return the one-thread answer bit for bit, never wait for
+// helpers that cannot start. On timeout the pool and everything the stuck
+// task references are leaked, so the test fails instead of hanging.
+TEST(IndexSearchTest, MultiThreadedSearchFromAPoolWorkerCompletes) {
+  struct State {
+    ThreadPool pool{1};
+    Dataset data = Walk(3000, 96, 23);
+    std::unique_ptr<quant::SummaryScheme> scheme;
+    std::unique_ptr<TreeIndex> index;
+    Dataset queries = Walk(8, 96, 24);
+  };
+  auto state = std::make_unique<State>();
+  state->scheme = MakeSfaScheme(state->data, &state->pool);
+  IndexConfig config;
+  config.leaf_capacity = 100;
+  state->index = std::make_unique<TreeIndex>(&state->data,
+                                             state->scheme.get(), config,
+                                             &state->pool);
+  using Answers = std::vector<std::vector<Neighbor>>;
+  Answers expected;
+  for (std::size_t q = 0; q < state->queries.size(); ++q) {
+    expected.push_back(QueryEngine(state->index.get())
+                           .Search(state->queries.row(q), 10, 0.0, nullptr,
+                                   1));
+  }
+  const auto done = std::make_shared<std::promise<Answers>>();
+  std::future<Answers> answers = done->get_future();
+  State* shared = state.get();
+  state->pool.Submit([shared, done] {
+    Answers result;
+    for (std::size_t q = 0; q < shared->queries.size(); ++q) {
+      result.push_back(QueryEngine(shared->index.get())
+                           .Search(shared->queries.row(q), 10, 0.0, nullptr,
+                                   4));
+    }
+    done->set_value(std::move(result));
+  });
+  if (answers.wait_for(std::chrono::seconds(20)) !=
+      std::future_status::ready) {
+    (void)state.release();  // the only worker is stuck inside the search
+    FAIL() << "a search with num_threads = 4 on a pool worker never returned";
+  }
+  const Answers got = answers.get();
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t q = 0; q < got.size(); ++q) {
+    ASSERT_EQ(got[q].size(), expected[q].size());
+    for (std::size_t i = 0; i < got[q].size(); ++i) {
+      EXPECT_EQ(got[q][i].id, expected[q][i].id) << "query " << q;
+      EXPECT_EQ(got[q][i].distance, expected[q][i].distance) << "query " << q;
+    }
   }
 }
 

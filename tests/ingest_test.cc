@@ -332,14 +332,16 @@ std::vector<Neighbor> OneSearch(const service::IndexSnapshot& snapshot,
                        scan);
 }
 
-// A backlog of profiled queries runs concurrently on the pool; each
-// response's counters equal one single-threaded search over the trees
-// and buffer (so the buffer rows are counted once, inside the same
-// search), and the service metrics merge each response exactly once.
+// A backlog of profiled queries runs through the service; each response's
+// counters equal one single-threaded search over the trees and buffer (so
+// the buffer rows are counted once, inside the same search), and the
+// service metrics merge each response exactly once. One worker: no idle
+// worker can join a query's leaf queue, whose counters would then depend
+// on the schedule.
 TEST(IngestProfileTest, BackloggedShardedProfileMatchesOneSearch) {
-  IngestFixture fx(1200, 60, 96, 3, 98);
+  IngestFixture fx(1200, 60, 96, 3, 98, /*threads=*/1);
   service::ServiceConfig config;
-  config.start_paused = true;  // stage a backlog, then run it concurrently
+  config.start_paused = true;  // stage a backlog, then run it
   service::SearchService svc(service::WrapShardedIndex(fx.sharded), &fx.pool,
                              config);
   IngestConfig ingest_config;
@@ -389,9 +391,9 @@ TEST(IngestProfileTest, BackloggedShardedProfileMatchesOneSearch) {
             responses_total.series_lbd_checked);
 }
 
-// Same invariant one query at a time.
+// Same invariant one query at a time (one worker, as above).
 TEST(IngestProfileTest, SequentialShardedProfileMatchesOneSearch) {
-  IngestFixture fx(900, 40, 64, 2, 101, /*threads=*/2);
+  IngestFixture fx(900, 40, 64, 2, 101, /*threads=*/1);
   service::SearchService svc(service::WrapShardedIndex(fx.sharded), &fx.pool);
   IngestConfig ingest_config;
   ingest_config.auto_compact = false;
@@ -486,6 +488,26 @@ TEST(IngestExactnessTest, AdmissionBoundsAndInvalidRows) {
   // A Flush drains the backlog and reopens admission.
   compactor.Flush();
   EXPECT_EQ(compactor.Insert(rows.row(0), rows.length()), StatusCode::kOk);
+}
+
+// The default admission bound follows the one insert buffer every query
+// scans, not the shard count: 8 × compact_threshold rows, whatever
+// num_shards is.
+TEST(IngestExactnessTest, DefaultAdmissionBoundIgnoresShardCount) {
+  IngestFixture fx(200, 0, 32, 2, 107, /*threads=*/2);
+  service::SearchService svc(service::WrapShardedIndex(fx.sharded), &fx.pool);
+  IngestConfig config;
+  config.auto_compact = false;
+  config.compact_threshold = 4;  // max_pending stays 0: the default
+  Compactor compactor(&svc, fx.sharded, config);
+  const Dataset rows = Walk(33, 32, 108);
+  for (std::size_t i = 0; i + 1 < rows.size(); ++i) {
+    ASSERT_EQ(compactor.Insert(rows.row(i), rows.length()), StatusCode::kOk)
+        << "insert " << i;
+  }
+  EXPECT_EQ(compactor.Insert(rows.row(32), rows.length()),
+            StatusCode::kRejected);
+  EXPECT_EQ(compactor.Metrics().inserted, 32u);
 }
 
 // The acceptance soak: inserts stream in while client threads query and
@@ -866,8 +888,9 @@ TEST(IngestDeleteTest, DeleteOnlyWorkloadCompactsAndPurges) {
 // the deleted rows it reaches past the series LBD — and
 // candidates_filtered counts exactly those, as one single-threaded
 // search over the same generation does. Masked rows cost no distance.
+// One worker, so no helper joins and the counters repeat exactly.
 TEST(IngestDeleteTest, ProfileAccountsFilteredCandidates) {
-  IngestFixture fx(900, 50, 96, 3, 313);
+  IngestFixture fx(900, 50, 96, 3, 313, /*threads=*/1);
   service::ServiceConfig service_config;
   service_config.start_paused = true;
   service::SearchService svc(service::WrapShardedIndex(fx.sharded), &fx.pool,

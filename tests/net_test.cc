@@ -364,8 +364,8 @@ struct ServerFixture {
                          ServerConfig server_config = {},
                          std::size_t base_count = 1200,
                          std::size_t length = 64, std::uint64_t seed = 97,
-                         bool enable_rowq = false)
-      : pool(4), base(Walk(base_count, length, seed)) {
+                         bool enable_rowq = false, std::size_t threads = 4)
+      : pool(threads), base(Walk(base_count, length, seed)) {
     scheme = testing_harness::TrainTestScheme(base, &pool);
     sharded = testing_harness::BuildTestSharded(base, /*num_shards=*/2, scheme,
                                                 &pool, enable_rowq);
@@ -492,8 +492,10 @@ TEST(NetServerTest, NetworkAnswersAreBitIdenticalUnderWireMutations) {
 // directly. Profile counters prove the tier engaged on the server side
 // and never on the baseline.
 TEST(NetServerTest, RowqTierAnswersBitIdenticalOverTheWire) {
+  // One worker: no idle worker joins a query's leaf queue, so the profiled
+  // search repeats its rowq counters exactly over the wire and in process.
   ServerFixture with_rowq({}, {}, /*base_count=*/1200, /*length=*/64,
-                          /*seed=*/97, /*enable_rowq=*/true);
+                          /*seed=*/97, /*enable_rowq=*/true, /*threads=*/1);
   ServerFixture baseline({}, {}, /*base_count=*/1200, /*length=*/64,
                          /*seed=*/97, /*enable_rowq=*/false);
   const std::uint16_t port = with_rowq.Start();

@@ -4,11 +4,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <future>
+#include <memory>
 #include <numeric>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -385,6 +389,100 @@ TEST(ThreadPoolTest, DynamicParallelForCoversRangeExactlyOnce) {
 
 TEST(ThreadPoolTest, HardwareThreadsAtLeastOne) {
   EXPECT_GE(HardwareThreads(), 1u);
+}
+
+// Work whose Join() holds its worker until released (or, with
+// leave_for_tasks, until a task is queued), counting who is inside.
+class GatedWork : public Joinable {
+ public:
+  explicit GatedWork(bool exhausted_on_release, bool leave_for_tasks = false)
+      : exhausted_on_release_(exhausted_on_release),
+        leave_for_tasks_(leave_for_tasks) {}
+
+  bool Join(const ThreadPool& pool) override {
+    joins.fetch_add(1);
+    const int now = inside.fetch_add(1) + 1;
+    int seen = max_inside.load();
+    while (now > seen && !max_inside.compare_exchange_weak(seen, now)) {
+    }
+    while (!released.load() && !(leave_for_tasks_ && pool.HasQueuedTask())) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    inside.fetch_sub(1);
+    return exhausted_on_release_ && released.load();
+  }
+
+  std::atomic<int> joins{0};
+  std::atomic<int> inside{0};
+  std::atomic<int> max_inside{0};
+  std::atomic<bool> released{false};
+
+ private:
+  const bool exhausted_on_release_;
+  const bool leave_for_tasks_;
+};
+
+// Polls `done` for up to 10 s.
+template <typename Pred>
+bool EventuallyTrue(Pred done) {
+  for (int i = 0; i < 10000 && !done(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
+}
+
+TEST(ThreadPoolJoinTest, IdleWorkersJoinAtMostMaxHelpers) {
+  ThreadPool pool(4);
+  const auto work = std::make_shared<GatedWork>(/*exhausted_on_release=*/true);
+  pool.Offer(work, 2);
+  ASSERT_TRUE(EventuallyTrue([&] { return work->inside.load() == 2; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(work->inside.load(), 2);  // the other two idle workers stay out
+  EXPECT_EQ(work->max_inside.load(), 2);
+  work->released = true;
+  ASSERT_TRUE(EventuallyTrue([&] { return work->inside.load() == 0; }));
+  // The first helper out reported the work exhausted: the pool dropped the
+  // offer, so nobody joined again.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(work->joins.load(), 2);
+}
+
+TEST(ThreadPoolJoinTest, QueuedTaskStartsBeforeTheWorkIsExhausted) {
+  ThreadPool pool(2);
+  const auto work = std::make_shared<GatedWork>(
+      /*exhausted_on_release=*/true, /*leave_for_tasks=*/true);
+  pool.Offer(work, 2);
+  ASSERT_TRUE(EventuallyTrue([&] { return work->inside.load() == 2; }));
+  const auto ran = std::make_shared<std::promise<void>>();
+  std::future<void> task_done = ran->get_future();
+  pool.Submit([ran] { ran->set_value(); });
+  // Both workers are inside Join(); one leaves for the task while the
+  // work is still far from exhausted.
+  EXPECT_EQ(task_done.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  EXPECT_FALSE(work->released.load());
+  EXPECT_GE(work->joins.load(), 2);
+  work->released = true;
+  pool.Withdraw(work.get());
+}
+
+TEST(ThreadPoolJoinTest, NothingJoinsAfterWithdraw) {
+  ThreadPool pool(1);
+  // Join() reports work left, so without the withdrawal the worker would
+  // join again as soon as it returned.
+  const auto work = std::make_shared<GatedWork>(/*exhausted_on_release=*/false);
+  pool.Offer(work, 1);
+  ASSERT_TRUE(EventuallyTrue([&] { return work->inside.load() == 1; }));
+  pool.Withdraw(work.get());
+  work->released = true;
+  ASSERT_TRUE(EventuallyTrue([&] { return work->inside.load() == 0; }));
+  const auto ran = std::make_shared<std::promise<void>>();
+  std::future<void> task_done = ran->get_future();
+  pool.Submit([ran] { ran->set_value(); });
+  EXPECT_EQ(task_done.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(work->joins.load(), 1);
 }
 
 // ---------------------------------------------------------------- timer
