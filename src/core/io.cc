@@ -171,5 +171,21 @@ std::optional<Dataset> ReadRawF32(const std::string& path,
   return dataset;
 }
 
+std::optional<Dataset> ReadDataFile(const std::string& path,
+                                    std::size_t raw_length) {
+  const auto has_suffix = [&path](const std::string& suffix) {
+    return path.size() > suffix.size() &&
+           path.compare(path.size() - suffix.size(), suffix.size(),
+                        suffix) == 0;
+  };
+  if (has_suffix(".bvecs")) {
+    return ReadBvecs(path);
+  }
+  if (has_suffix(".fvecs")) {
+    return ReadFvecs(path);
+  }
+  return ReadRawF32(path, raw_length);
+}
+
 }  // namespace io
 }  // namespace sofa

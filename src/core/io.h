@@ -49,6 +49,11 @@ std::optional<Dataset> ReadRawF32(
     const std::string& path, std::size_t length,
     std::size_t max_count = std::numeric_limits<std::size_t>::max());
 
+/// Reads a collection file by its extension: `.fvecs`, `.bvecs`, or else
+/// raw float32 of series length `raw_length` (nullopt when it is 0).
+std::optional<Dataset> ReadDataFile(const std::string& path,
+                                    std::size_t raw_length);
+
 }  // namespace io
 }  // namespace sofa
 

@@ -1,6 +1,7 @@
 #include "ingest/compactor.h"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -8,6 +9,12 @@
 
 namespace sofa {
 namespace ingest {
+namespace {
+
+// Rows per insert-buffer chunk (storage granularity; chunks never move).
+constexpr std::size_t kChunkRows = 1024;
+
+}  // namespace
 
 RecoveredBase MakeRecoveredBase(const persist::LoadedGeneration& loaded) {
   RecoveredBase base;
@@ -43,9 +50,6 @@ Compactor::Compactor(service::SearchService* service,
   if (config_.compact_threshold == 0) {
     config_.compact_threshold = 1;
   }
-  if (config_.chunk_capacity == 0) {
-    config_.chunk_capacity = 1024;
-  }
   if (config_.max_pending == 0) {
     config_.max_pending = 8 * config_.compact_threshold;
   }
@@ -58,7 +62,7 @@ Compactor::Compactor(service::SearchService* service,
   if (sharded_->config().enable_rowq && last_tree.rowq() != nullptr) {
     quantizer = last_tree.rowq()->quantizer_ptr();
   }
-  buffer_ = std::make_shared<InsertBuffer>(length_, config_.chunk_capacity,
+  buffer_ = std::make_shared<InsertBuffer>(length_, kChunkRows,
                                            std::move(quantizer));
   tombstones_ = std::make_shared<TombstoneSet>();
   if (!config_.wal_dir.empty()) {
@@ -501,8 +505,9 @@ bool Compactor::PersistLocked(std::unique_lock<std::mutex>* lock) {
   request.route_total = base_total_;
   request.sharded = sharded_;
   request.tombstones = tombstones_->SortedIds();
-  auto tail = std::make_shared<Dataset>(length_);
-  buffer_->CopyRange(tree_covered_, buffer_->size(), tail.get(),
+  const std::size_t buffered = buffer_->size();
+  auto tail = std::make_shared<Dataset>(buffered - tree_covered_, length_);
+  buffer_->CopyRange(tree_covered_, buffered, tail.get(), 0,
                      &request.buffer_ids);
   request.buffer_rows = std::move(tail);
   std::uint64_t tail_segment = 0;
@@ -764,9 +769,12 @@ void Compactor::CompactShard(std::size_t s) {
   const shard::Shard& old_shard = base->shard(s);
   const std::unordered_set<std::uint32_t>* exclude =
       tomb->empty() ? nullptr : tomb.get();
-  auto data = std::make_shared<Dataset>(length_);
+  // Storage for every candidate row, sized once; each kept row is
+  // copied once and the excluded ones trim the end.
+  auto data = std::make_shared<Dataset>(
+      old_shard.data->size() + (cut - start), length_);
   auto ids = std::make_shared<std::vector<std::uint32_t>>();
-  ids->reserve(old_shard.data->size() + (cut - start));
+  ids->reserve(data->size());
   // Ids excluded here leave every structure of the generation published
   // below — the slice loses them now, the buffer view starts past them —
   // so their tombstones become purgeable once older generations retire.
@@ -777,11 +785,13 @@ void Compactor::CompactShard(std::size_t s) {
       purgeable.push_back(old_ids[i]);
       continue;
     }
-    data->Append(old_shard.data->row(i));
+    std::memcpy(data->mutable_row(ids->size()), old_shard.data->row(i),
+                length_ * sizeof(float));
     ids->push_back(old_ids[i]);
   }
-  buffer_->CopyRange(start, cut, data.get(), ids.get(), exclude,
+  buffer_->CopyRange(start, cut, data.get(), ids->size(), ids.get(), exclude,
                      &purgeable);
+  data->Resize(ids->size());
 
   // Deterministic rebuild over (slice ∪ buffered rows) \ tombstones with
   // the build-time scheme and per-shard index config; runs on the serving

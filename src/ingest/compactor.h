@@ -125,9 +125,6 @@ struct IngestConfig {
   /// not grow with the shard count. 0 = 8 × compact_threshold.
   std::size_t max_pending = 0;
 
-  /// Rows per buffer chunk (storage granularity; chunks never move).
-  std::size_t chunk_capacity = 1024;
-
   /// When false, no threshold-triggered compactions run — only Flush()
   /// compacts (deterministic stepping for tests and benches).
   bool auto_compact = true;

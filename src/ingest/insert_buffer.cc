@@ -66,21 +66,6 @@ InsertBuffer::View InsertBuffer::Snapshot() const {
   return view;
 }
 
-std::size_t InsertBuffer::SearchKnn(
-    const float* query, std::size_t k, std::size_t begin,
-    std::vector<Neighbor>* out,
-    const std::unordered_set<std::uint32_t>* exclude) const {
-  SOFA_CHECK(out != nullptr);
-  ScanStats stats;
-  if (k > 0) {
-    index::ResultSet results(k);
-    Scan(query, begin, exclude, &results, &stats);
-    const std::vector<Neighbor> found = results.Finish();
-    out->insert(out->end(), found.begin(), found.end());
-  }
-  return stats.scanned;
-}
-
 void InsertBuffer::Scan(const float* query, std::size_t begin,
                         const std::unordered_set<std::uint32_t>* exclude,
                         index::ResultSet* results, ScanStats* stats) const {
@@ -145,25 +130,27 @@ void InsertBuffer::Scan(const float* query, std::size_t begin,
 }
 
 void InsertBuffer::CopyRange(std::size_t begin, std::size_t end, Dataset* rows,
-                             std::vector<std::uint32_t>* ids,
+                             std::size_t at, std::vector<std::uint32_t>* ids,
                              const std::unordered_set<std::uint32_t>* exclude,
                              std::vector<std::uint32_t>* excluded) const {
   SOFA_CHECK(rows != nullptr && ids != nullptr);
   SOFA_CHECK_EQ(rows->length(), length_);
   const View view = Snapshot();
   SOFA_CHECK(begin >= view.base && end <= view.count && begin <= end);
+  SOFA_CHECK(at + (end - begin) <= rows->size());
   for (std::size_t r = begin; r < end; ++r) {
     const std::size_t slot = r - view.base;
     const Chunk& chunk = *view.chunks[slot / chunk_capacity_];
-    const std::size_t at = slot % chunk_capacity_;
-    if (exclude != nullptr && exclude->count(chunk.ids[at]) != 0) {
+    const std::size_t in_chunk = slot % chunk_capacity_;
+    if (exclude != nullptr && exclude->count(chunk.ids[in_chunk]) != 0) {
       if (excluded != nullptr) {
-        excluded->push_back(chunk.ids[at]);
+        excluded->push_back(chunk.ids[in_chunk]);
       }
       continue;
     }
-    rows->Append(chunk.rows.row(at));
-    ids->push_back(chunk.ids[at]);
+    std::memcpy(rows->mutable_row(at++), chunk.rows.row(in_chunk),
+                length_ * sizeof(float));
+    ids->push_back(chunk.ids[in_chunk]);
   }
 }
 

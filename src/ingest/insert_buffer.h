@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "core/dataset.h"
-#include "core/neighbor.h"
 #include "index/result_set.h"
 #include "quant/rowq.h"
 #include "util/aligned.h"
@@ -80,39 +79,32 @@ class InsertBuffer {
 
   std::size_t length() const { return length_; }
 
-  /// Exact top-k over rows [begin, size()-at-call), appended to `out` as
-  /// neighbors with *global* ids, ascending by (distance, id) — on ties
-  /// the lowest global id wins, deterministically. Rows whose global id
+  /// The flat scan: offers rows [begin, size()-at-call) under their
+  /// global ids to a result set that other scans of the same query share
+  /// (the tree phases of an ingesting generation's search), so every row
+  /// is pruned against, and may tighten, the one shared bound; ties
+  /// resolve to the lowest global id inside the set. Rows whose global id
   /// is in `exclude` (the live tombstone view of the generation being
   /// queried) are masked: skipped without a distance evaluation, exactly
-  /// as if the row had never been inserted. Returns the number of rows
-  /// actually scanned (one early-abandoning distance evaluation each,
-  /// for QueryProfile accounting — masked rows are not counted). `begin`
-  /// must be >= first_retained(). Thread-safe against concurrent appends
-  /// and trims; the scan sees every row published before the call.
-  std::size_t SearchKnn(
-      const float* query, std::size_t k, std::size_t begin,
-      std::vector<Neighbor>* out,
-      const std::unordered_set<std::uint32_t>* exclude = nullptr) const;
-
-  /// The flat scan behind SearchKnn, offering rows [begin, size()-at-call)
-  /// under their global ids to a result set that other scans of the same
-  /// query share (the tree phases of an ingesting generation's search):
-  /// every row is pruned against, and may tighten, the one shared bound.
-  /// `exclude` masks as in SearchKnn; `stats` (required) accumulates.
+  /// as if the row had never been inserted. `stats` (required)
+  /// accumulates. `begin` must be >= first_retained(). Thread-safe
+  /// against concurrent appends and trims; the scan sees every row
+  /// published before the call.
   void Scan(const float* query, std::size_t begin,
             const std::unordered_set<std::uint32_t>* exclude,
             index::ResultSet* results, ScanStats* stats) const;
 
-  /// Copies rows [begin, end) and their global ids into `rows`/`ids`
-  /// (appending) — the compaction handoff into the rebuilt shard slice.
-  /// Rows whose global id is in `exclude` are dropped instead (the
-  /// delete-before-compaction case: a tombstoned buffered row must not
-  /// enter the rebuilt tree) and their ids are appended to `excluded`
-  /// when non-null, so the compaction can queue the tombstones for
-  /// purging once no live generation still scans this range.
+  /// Copies rows [begin, end) into `rows` from row `at` on, and appends
+  /// their global ids to `ids` — the compaction handoff into the rebuilt
+  /// shard slice, whose storage the caller sizes once (`rows` must hold
+  /// at + end − begin rows). Rows whose global id is in `exclude` are
+  /// dropped instead (the delete-before-compaction case: a tombstoned
+  /// buffered row must not enter the rebuilt tree) and their ids are
+  /// appended to `excluded` when non-null, so the compaction can queue
+  /// the tombstones for purging once no live generation still scans this
+  /// range.
   void CopyRange(std::size_t begin, std::size_t end, Dataset* rows,
-                 std::vector<std::uint32_t>* ids,
+                 std::size_t at, std::vector<std::uint32_t>* ids,
                  const std::unordered_set<std::uint32_t>* exclude = nullptr,
                  std::vector<std::uint32_t>* excluded = nullptr) const;
 

@@ -77,7 +77,7 @@ bool SendAll(int fd, const std::uint8_t* data, std::size_t n) {
 }  // namespace
 
 SofaServer::SofaServer(service::SearchService* service,
-                       ingest::Compactor* compactor, ServerConfig config)
+                       ingest::Compactor& compactor, ServerConfig config)
     : service_(service), compactor_(compactor), config_(std::move(config)),
       registry_(service->registry()) {
   SOFA_CHECK(service_ != nullptr);
@@ -332,13 +332,8 @@ SofaServer::PendingReply SofaServer::HandleInsert(
     reply.payload = EncodeInsertResponse(decoded, 0);
     return reply;
   }
-  if (compactor_ == nullptr) {
-    reply.payload = EncodeInsertResponse(
-        UnavailableError("server is read-only (no ingest attached)"), 0);
-    return reply;
-  }
   const StatusOr<std::uint32_t> inserted =
-      compactor_->Insert(row.data(), row.size());
+      compactor_.Insert(row.data(), row.size());
   reply.payload = EncodeInsertResponse(inserted.status(),
                                        inserted.ok() ? *inserted : 0);
   return reply;
@@ -358,12 +353,7 @@ SofaServer::PendingReply SofaServer::HandleDelete(
     reply.payload = EncodeDeleteResponse(decoded);
     return reply;
   }
-  if (compactor_ == nullptr) {
-    reply.payload = EncodeDeleteResponse(
-        UnavailableError("server is read-only (no ingest attached)"));
-    return reply;
-  }
-  reply.payload = EncodeDeleteResponse(compactor_->Delete(id));
+  reply.payload = EncodeDeleteResponse(compactor_.Delete(id));
   return reply;
 }
 
@@ -416,17 +406,11 @@ SofaServer::PendingReply SofaServer::HandleAdmin(
   std::uint64_t version = 0;
   switch (op) {
     case AdminOp::kPersist:
-      status = compactor_ != nullptr
-                   ? compactor_->PersistNow()
-                   : UnavailableError("no ingest attached");
+      status = compactor_.PersistNow();
       break;
     case AdminOp::kCompact:
-      if (compactor_ == nullptr) {
-        status = UnavailableError("no ingest attached");
-      } else {
-        compactor_->Flush();
-        status = OkStatus();
-      }
+      compactor_.Flush();
+      status = OkStatus();
       break;
     case AdminOp::kSwap:
       // Hot-swap republish: push the currently-live snapshot through

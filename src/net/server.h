@@ -76,11 +76,10 @@ struct ServerStats {
 
 class SofaServer {
  public:
-  /// Serves `service` (required) and, when non-null, `compactor` for the
-  /// mutation + admin surface; without a compactor, INSERT/DELETE and
-  /// the compactor-backed admin ops answer kUnavailable. Both must
-  /// outlive the server. Instruments register into service->registry().
-  SofaServer(service::SearchService* service, ingest::Compactor* compactor,
+  /// Serves `service` (required) and `compactor`, its mutation + admin
+  /// surface. Both must outlive the server. Instruments register into
+  /// service->registry().
+  SofaServer(service::SearchService* service, ingest::Compactor& compactor,
              ServerConfig config = ServerConfig{});
 
   /// Shutdown() if still running.
@@ -154,7 +153,7 @@ class SofaServer {
   void ReapFinishedLocked();
 
   service::SearchService* service_;
-  ingest::Compactor* compactor_;
+  ingest::Compactor& compactor_;
   ServerConfig config_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;

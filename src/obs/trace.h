@@ -142,10 +142,6 @@ struct TraceConfig {
   /// Ring-buffer capacity of the slow-query log.
   std::size_t slow_log_capacity = 64;
 
-  /// Span slots preallocated per traced query. Must cover the sequential
-  /// stages plus one slot per (shard + buffer) task.
-  std::size_t max_spans = 128;
-
   bool TracingEnabled() const {
     return sample_every > 0 || slow_query_ms > 0.0;
   }

@@ -43,7 +43,7 @@ using RequestStatus = ::sofa::StatusCode;
 
 /// Admission priority class of a request. Admission ordering serves
 /// interactive before batch before background (with a bounded
-/// anti-starvation reserve — see ServiceConfig::priority_reserve).
+/// anti-starvation reserve — see service::kRoundReserve).
 enum class Priority : std::uint8_t {
   kInteractive = 0,  // latency-sensitive user traffic
   kBatch = 1,        // bulk analytical queries

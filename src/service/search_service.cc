@@ -35,6 +35,10 @@ constexpr char kSpanAdmission[] = "admission";
 constexpr char kSpanSearch[] = "search";
 constexpr char kSpanBufferScan[] = "buffer_scan";
 
+// Span slots preallocated per traced query: the three spans above, with
+// room to spare.
+constexpr std::size_t kQuerySpans = 8;
+
 // One query over a whole generation: one engine search over its shard
 // trees and, when the generation is ingesting, its live insert buffer
 // scanned into the same result set. The query's tombstone view is masked
@@ -85,9 +89,6 @@ SearchService::SearchService(std::shared_ptr<const IndexSnapshot> snapshot,
   SOFA_CHECK(pool_ != nullptr);
   SOFA_CHECK(snapshot_ != nullptr && snapshot_->sharded != nullptr);
   SOFA_CHECK(config_.max_pending > 0);
-  if (config_.max_batch == 0) {
-    config_.max_batch = 1;
-  }
   max_running_ =
       config_.num_threads == 0 ? pool_->size() : config_.num_threads;
   obs::Registry* registry = metrics_.registry();
@@ -157,7 +158,7 @@ std::future<SearchResponse> SearchService::Submit(SearchRequest request) {
   // one branch + one relaxed load — the zero-cost path.
   if (pending.request.collect_trace || config_.trace.slow_query_ms > 0.0 ||
       sampler_.ShouldSample()) {
-    pending.trace.reset(new obs::QueryTrace(config_.trace.max_spans));
+    pending.trace.reset(new obs::QueryTrace(kQuerySpans));
     pending.query_id =
         next_query_id_.fetch_add(1, std::memory_order_relaxed) + 1;
     pending.admission_span = pending.trace->BeginSpan(kSpanAdmission);
@@ -308,10 +309,9 @@ void SearchService::ReleaseTenantLocked(const std::string& tenant) {
 }
 
 // Strict priority order — except for a small reserve of every round of
-// max_batch starts, granted to waiting lower classes (batch before
+// kRoundStarts starts, granted to waiting lower classes (batch before
 // background), so a steady interactive flood cannot starve them forever.
-// The reserved slots come last in a round, and never take the whole
-// round while interactive work waits.
+// The reserved slots come last in a round.
 SearchService::PendingRequest SearchService::PopNextLocked() {
   const auto pop = [this](std::size_t cls) {
     PendingRequest next = std::move(queues_[cls].front());
@@ -321,17 +321,9 @@ SearchService::PendingRequest SearchService::PopNextLocked() {
   };
   while (true) {
     if (round_left_ == 0) {
-      const std::size_t max_batch = config_.max_batch;
-      const std::size_t reserve_cap =
-          config_.priority_reserve != 0
-              ? config_.priority_reserve
-              : std::max<std::size_t>(1, max_batch / 8);
       round_reserved_ =
-          std::min(reserve_cap, queues_[1].size() + queues_[2].size());
-      if (!queues_[0].empty()) {
-        round_reserved_ = std::min(round_reserved_, max_batch - 1);
-      }
-      round_left_ = max_batch;
+          std::min(kRoundReserve, queues_[1].size() + queues_[2].size());
+      round_left_ = kRoundStarts;
     }
     if (round_left_ > round_reserved_) {
       for (std::size_t cls = 0; cls < kNumPriorities; ++cls) {

@@ -31,7 +31,7 @@
 // Admission understands per-request priority classes (interactive >
 // batch > background): each class has its own FIFO inside the shared
 // admission bound, and queries start strictly by class, except that in
-// every round of max_batch starts a small reserve of slots goes to
+// every round of kRoundStarts starts a small reserve of slots goes to
 // waiting lower classes (no total starvation). Requests are
 // tenant-tagged; with ServiceConfig::tenant_max_in_flight set, each
 // tenant is capped to that many requests in flight (queued + executing)
@@ -73,14 +73,17 @@
 namespace sofa {
 namespace service {
 
+/// Query starts per scheduling round, and the last slots of each round
+/// guaranteed to waiting non-interactive requests (filled
+/// batch-before-background) while interactive traffic floods the queue —
+/// the anti-starvation bound. Priority order is otherwise strict.
+inline constexpr std::size_t kRoundStarts = 64;
+inline constexpr std::size_t kRoundReserve = 8;
+
 /// Service tuning knobs.
 struct ServiceConfig {
   /// Admission bound: requests beyond this many pending are kRejected.
   std::size_t max_pending = 1024;
-
-  /// Query starts per scheduling round: the span over which
-  /// priority_reserve guarantees waiting lower classes their slots.
-  std::size_t max_batch = 64;
 
   /// Queries executing at once, each owned by one pool worker (0 = pool
   /// size); idle workers join running queries.
@@ -88,13 +91,6 @@ struct ServiceConfig {
 
   /// Start paused (requests queue up until Resume()).
   bool start_paused = false;
-
-  /// Per round of max_batch starts, the number of slots guaranteed to
-  /// waiting non-interactive requests (filled batch-before-background)
-  /// while interactive traffic floods the queue — the anti-starvation
-  /// bound. 0 = max(1, max_batch / 8). Priority order is otherwise
-  /// strict.
-  std::size_t priority_reserve = 0;
 
   /// Per-tenant cap on requests in flight (queued + executing); requests
   /// over the cap are shed as kQuotaExceeded at Submit(). 0 = no quotas

@@ -35,8 +35,8 @@ enum class StatusCode : std::uint16_t {
   kAlreadyDeleted = 6,   // delete of an id that is already deleted
   kIoError = 7,          // durable write failed — not applied; may retry
   kQuotaExceeded = 8,    // per-tenant in-flight quota hit — retry later
-  kUnavailable = 9,      // the capability is not attached (e.g. mutations
-                         // on a read-only server, admin op without store)
+  kUnavailable = 9,      // the capability is not attached (e.g. persist
+                         // without a generation store)
   kProtocolError = 10,   // wire framing/payload could not be understood
   kInternal = 11,        // invariant violation on the far side
 };

@@ -131,6 +131,37 @@ TEST(IoTest, RawF32RejectsMisalignedSize) {
   EXPECT_FALSE(io::ReadRawF32(file.path(), 96).has_value());
 }
 
+TEST(IoTest, ReadDataFileDispatchesOnExtension) {
+  const Dataset original = Walk(5, 32, 6);
+  const std::string stem = TempPath("dispatch");
+  struct Cleanup {
+    std::string stem;
+    ~Cleanup() {
+      for (const char* ext : {".fvecs", ".bvecs", ".f32"}) {
+        std::remove((stem + ext).c_str());
+      }
+    }
+  } cleanup{stem};
+  ASSERT_TRUE(io::WriteFvecs(original, stem + ".fvecs"));
+  ASSERT_TRUE(io::WriteBvecs(original, stem + ".bvecs"));
+  ASSERT_TRUE(io::WriteRawF32(original, stem + ".f32"));
+  // .fvecs and .bvecs carry their length; raw length is ignored there.
+  const auto fvecs = io::ReadDataFile(stem + ".fvecs", 0);
+  ASSERT_TRUE(fvecs.has_value());
+  ASSERT_EQ(fvecs->size(), original.size());
+  EXPECT_EQ(fvecs->row(4)[31], original.row(4)[31]);
+  const auto bvecs = io::ReadDataFile(stem + ".bvecs", 7);
+  ASSERT_TRUE(bvecs.has_value());
+  EXPECT_EQ(bvecs->size(), original.size());
+  EXPECT_EQ(bvecs->length(), original.length());
+  // Any other name is raw float32, which needs its series length.
+  EXPECT_FALSE(io::ReadDataFile(stem + ".f32", 0).has_value());
+  const auto raw = io::ReadDataFile(stem + ".f32", 32);
+  ASSERT_TRUE(raw.has_value());
+  ASSERT_EQ(raw->size(), original.size());
+  EXPECT_EQ(raw->row(4)[31], original.row(4)[31]);
+}
+
 // ------------------------------------------------------- serialization
 
 TEST(SerializationTest, SofaIndexRoundTripAnswersIdentically) {

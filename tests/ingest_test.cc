@@ -103,6 +103,23 @@ void RemoveWalDir(const std::string& dir) {
 
 // ---------------------------------------------------------- InsertBuffer
 
+// A buffer scan from `begin` collected alone, as the query path collects
+// it: Scan into one ResultSet of size k.
+struct BufferScan {
+  std::vector<Neighbor> found;  // ascending by (distance, id)
+  std::size_t scanned = 0;      // non-masked rows considered
+};
+
+BufferScan ScanBuffer(
+    const InsertBuffer& buffer, const float* query, std::size_t k,
+    std::size_t begin,
+    const std::unordered_set<std::uint32_t>* exclude = nullptr) {
+  index::ResultSet results(k);
+  InsertBuffer::ScanStats stats;
+  buffer.Scan(query, begin, exclude, &results, &stats);
+  return BufferScan{results.Finish(), stats.scanned};
+}
+
 TEST(InsertBufferTest, ScanMatchesBruteForceAcrossChunks) {
   const std::size_t length = 48;
   const Dataset rows = Walk(37, length, 91);
@@ -113,8 +130,7 @@ TEST(InsertBufferTest, ScanMatchesBruteForceAcrossChunks) {
   }
   const Dataset queries = Walk(6, length, 92);
   for (std::size_t q = 0; q < queries.size(); ++q) {
-    std::vector<Neighbor> found;
-    const std::size_t scanned = buffer.SearchKnn(queries.row(q), 5, 0, &found);
+    const auto [found, scanned] = ScanBuffer(buffer, queries.row(q), 5, 0);
     EXPECT_EQ(scanned, rows.size());
     const auto expected = BruteForceKnn(rows, queries.row(q), 5);
     ASSERT_EQ(found.size(), expected.size());
@@ -132,9 +148,8 @@ TEST(InsertBufferTest, ScanFromOffsetSeesOnlyNewerRows) {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     buffer.Append(rows.row(i), static_cast<std::uint32_t>(i));
   }
-  std::vector<Neighbor> found;
-  const std::size_t scanned =
-      buffer.SearchKnn(rows.row(0), rows.size(), 12, &found);
+  const auto [found, scanned] =
+      ScanBuffer(buffer, rows.row(0), rows.size(), 12);
   EXPECT_EQ(scanned, rows.size() - 12);
   ASSERT_EQ(found.size(), rows.size() - 12);
   for (const Neighbor& nb : found) {
@@ -154,14 +169,12 @@ TEST(InsertBufferTest, TiesKeepLowestGlobalIdDeterministically) {
     }
   }
   // k = 1: both copies of row 0 are at distance 0; the lower id must win.
-  std::vector<Neighbor> found;
-  buffer.SearchKnn(distinct.row(0), 1, 0, &found);
+  std::vector<Neighbor> found = ScanBuffer(buffer, distinct.row(0), 1, 0).found;
   ASSERT_EQ(found.size(), 1u);
   EXPECT_EQ(found[0].id, 10u);
   EXPECT_EQ(found[0].distance, 0.0f);
   // k = 4: ascending (distance, id) throughout the tie runs.
-  found.clear();
-  buffer.SearchKnn(distinct.row(0), 4, 0, &found);
+  found = ScanBuffer(buffer, distinct.row(0), 4, 0).found;
   ASSERT_EQ(found.size(), 4u);
   EXPECT_EQ(found[0].id, 10u);
   EXPECT_EQ(found[1].id, 13u);
@@ -182,8 +195,8 @@ TEST(InsertBufferTest, TrimBelowReclaimsOnlyWholeChunks) {
   buffer.TrimBelow(10);  // chunks [0,4) and [4,8) go; [8,12) stays (row 10,11)
   EXPECT_EQ(buffer.first_retained(), 8u);
   EXPECT_EQ(buffer.size(), rows.size());
-  std::vector<Neighbor> found;
-  buffer.SearchKnn(rows.row(12), rows.size(), 10, &found);
+  const std::vector<Neighbor> found =
+      ScanBuffer(buffer, rows.row(12), rows.size(), 10).found;
   EXPECT_EQ(found.size(), rows.size() - 10);
   // Appends continue seamlessly after a trim.
   buffer.Append(rows.row(0), 99);
@@ -522,10 +535,7 @@ TEST(IngestExactnessTest, DefaultAdmissionBoundIgnoresShardCount) {
 // concurrency label.
 void RunConcurrentTrafficSoak(bool enable_rowq) {
   IngestFixture fx(1200, 600, 64, 3, 107, /*threads=*/4, enable_rowq);
-  service::ServiceConfig service_config;
-  service_config.max_batch = 8;
-  service::SearchService svc(service::WrapShardedIndex(fx.sharded), &fx.pool,
-                             service_config);
+  service::SearchService svc(service::WrapShardedIndex(fx.sharded), &fx.pool);
   IngestConfig config;
   config.compact_threshold = 64;
   // A tight admission bound throttles the inserter behind the compactor
@@ -693,27 +703,32 @@ TEST(InsertBufferTest, SearchAndCopyRangeMaskExcludedIds) {
   const std::unordered_set<std::uint32_t> dead = {3, 7};
   // Query = row 3 exactly: without masking it wins at distance 0; with
   // masking it must vanish and the scan count must drop by |dead|.
-  std::vector<Neighbor> found;
-  const std::size_t scanned =
-      buffer.SearchKnn(rows.row(3), rows.size(), 0, &found, &dead);
+  const auto [found, scanned] =
+      ScanBuffer(buffer, rows.row(3), rows.size(), 0, &dead);
   EXPECT_EQ(scanned, rows.size() - dead.size());
   for (const Neighbor& nb : found) {
     EXPECT_NE(nb.id, 3u);
     EXPECT_NE(nb.id, 7u);
   }
-  // CopyRange drops the same ids and reports them.
-  Dataset copied(length);
+  // CopyRange drops the same ids and reports them; the kept rows fill
+  // the caller's storage from row `at` on, in buffer order.
+  const std::size_t at = 2;
+  Dataset copied(at + rows.size(), length);
   std::vector<std::uint32_t> ids;
   std::vector<std::uint32_t> excluded;
-  buffer.CopyRange(0, rows.size(), &copied, &ids, &dead, &excluded);
-  EXPECT_EQ(copied.size(), rows.size() - dead.size());
-  EXPECT_EQ(ids.size(), copied.size());
+  buffer.CopyRange(0, rows.size(), &copied, at, &ids, &dead, &excluded);
+  EXPECT_EQ(ids.size(), rows.size() - dead.size());
   ASSERT_EQ(excluded.size(), dead.size());
   EXPECT_EQ(excluded[0], 3u);
   EXPECT_EQ(excluded[1], 7u);
-  for (const std::uint32_t id : ids) {
-    EXPECT_EQ(dead.count(id), 0u);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(dead.count(ids[i]), 0u);
+    EXPECT_EQ(std::memcmp(copied.row(at + i), rows.row(ids[i]),
+                          length * sizeof(float)),
+              0)
+        << "row " << i;
   }
+  EXPECT_EQ(copied.row(0)[0], 0.0f);  // rows below `at` are untouched
 }
 
 // ------------------------------------------------------------- deletes
@@ -1019,10 +1034,7 @@ void RunTrafficDeletesSoak(bool enable_rowq) {
                  delete_inserted.end());
   ExactOracle oracle(fx.combined, deleted, fx.scheme, &fx.pool);
 
-  service::ServiceConfig service_config;
-  service_config.max_batch = 8;
-  service::SearchService svc(service::WrapShardedIndex(fx.sharded), &fx.pool,
-                             service_config);
+  service::SearchService svc(service::WrapShardedIndex(fx.sharded), &fx.pool);
   IngestConfig config;
   config.compact_threshold = 64;
   config.max_pending = 128;  // throttle the mutator behind the compactor

@@ -376,7 +376,7 @@ struct ServerFixture {
     ingest_config.compact_threshold = 64;
     ingest_config.registry = &registry;
     compactor.emplace(service.get(), sharded, ingest_config);
-    server = std::make_unique<SofaServer>(service.get(), &*compactor,
+    server = std::make_unique<SofaServer>(service.get(), *compactor,
                                           server_config);
   }
 
@@ -781,12 +781,13 @@ TEST(NetServerTest, PrioritySchedulingIsVisibleOverTheWire) {
   // queued before the next is sent, so scheduling order (not arrival
   // timing across the two connections) decides completion order — and
   // run one query at a time, so a worker the OS preempts mid-query cannot
-  // let later-started queries overtake it.
+  // let later-started queries overtake it. Every query is traced into
+  // the slow-query log, which then lists them in start order.
   service::ServiceConfig config;
   config.start_paused = true;
   config.num_threads = 1;
-  config.max_batch = 4;
-  config.priority_reserve = 1;
+  config.trace.slow_query_ms = 1e-9;
+  config.trace.slow_log_capacity = 256;
   ServerFixture fx(config);
   const std::uint16_t port = fx.Start();
 
@@ -838,10 +839,11 @@ TEST(NetServerTest, PrioritySchedulingIsVisibleOverTheWire) {
   EXPECT_EQ(metrics.completed_by_priority[0], kInteractive);
   EXPECT_EQ(metrics.completed_by_priority[2], kBackground);
 
-  // Part 2 — anti-starvation: under an interactive flood, the reserve
-  // slot keeps background queries flowing instead of starving them.
+  // Part 2 — anti-starvation: under an interactive flood longer than one
+  // round of starts, the reserved slots keep background queries flowing
+  // instead of starving them.
   fx.service->Pause();
-  constexpr std::size_t kFlood = 40;
+  constexpr std::size_t kFlood = 2 * service::kRoundStarts;
   for (std::size_t i = 0; i < kFlood; ++i) {
     service::SearchRequest request = MakeSearchRequest(queries, i % 8, 3);
     request.priority = service::Priority::kInteractive;
@@ -873,10 +875,29 @@ TEST(NetServerTest, PrioritySchedulingIsVisibleOverTheWire) {
     ASSERT_EQ(response.status, StatusCode::kOk);
     flood_max = std::max(flood_max, response.latency_ms);
   }
-  // One reserved slot per round of 4 starts drains all 4 background queries
-  // within 4 rounds, while the 40-query interactive flood takes ~13 —
-  // without the reserve the background max would exceed the flood max.
+  // The last kRoundReserve slots of a round of kRoundStarts starts go to
+  // waiting lower classes, so all 4 background queries start by the end
+  // of the flood's first round, while the flood needs two.
   EXPECT_LT(starved_max, flood_max);
+  // Latencies alone cannot show the reserve: the starved queries were
+  // sent after the flood was queued, so even starting last they finish
+  // sooner after their own submission than the flood's slowest. Start
+  // order can: query ids follow submission, so the starved queries hold
+  // the highest ids, and a whole round of the flood still waits when the
+  // last of them starts.
+  const std::vector<obs::TraceRecord> started =
+      fx.service->slow_query_log().Dump();
+  ASSERT_EQ(started.size(), kBackground + kInteractive + kFlood + kStarved);
+  const std::uint64_t first_starved_id = started.size() - kStarved + 1;
+  std::size_t flood_after_starved = 0;
+  for (const obs::TraceRecord& record : started) {
+    if (record.query_id >= first_starved_id) {
+      flood_after_starved = 0;
+    } else {
+      ++flood_after_starved;
+    }
+  }
+  EXPECT_GE(flood_after_starved, kFlood - service::kRoundStarts);
   fx.server->Shutdown();
 }
 

@@ -615,7 +615,7 @@ TEST(GenerationStoreTest, AcknowledgedNetworkInsertsSurviveRetiredAdminOp) {
         DurableConfig(root, store.get(), 60, /*auto_compact=*/false));
     ASSERT_TRUE(compactor.Recover().ok);
     ASSERT_TRUE(compactor.PersistNow().ok());  // the bootstrap persist
-    net::SofaServer server(&svc, &compactor);
+    net::SofaServer server(&svc, compactor);
     ASSERT_TRUE(server.Start().ok());
     net::SofaClient client;
     ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());

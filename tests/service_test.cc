@@ -93,9 +93,7 @@ TEST(SearchServiceTest, SingleQueriesMatchSequentialSearch) {
 
 TEST(SearchServiceTest, ConcurrentClientsStayExact) {
   Engine engine(2000, 96, 43);
-  ServiceConfig config;
-  config.max_batch = 8;
-  SearchService service(engine.snapshot(), &engine.pool, config);
+  SearchService service(engine.snapshot(), &engine.pool);
   const Dataset queries = Walk(24, 96, 44);
 
   constexpr std::size_t kClients = 3;

@@ -452,10 +452,7 @@ TEST(ShardedServiceTest, BackloggedServiceBitExact) {
 TEST(ShardedServiceTest, ConcurrentClientsStayBitExact) {
   Fixture fx;
   const auto sharded = fx.MakeSharded(3);
-  service::ServiceConfig config;
-  config.max_batch = 8;
-  service::SearchService svc(service::WrapShardedIndex(sharded), &fx.pool,
-                             config);
+  service::SearchService svc(service::WrapShardedIndex(sharded), &fx.pool);
   const Dataset queries = Walk(24, 96, 82);
   // Precompute expected answers so client threads only compare.
   std::vector<std::vector<Neighbor>> expected;
