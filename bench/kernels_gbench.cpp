@@ -225,21 +225,33 @@ void BM_Lbd_Avx2(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Lbd_Avx2)->Arg(16)->Arg(32);
-
-void BM_LbdEarlyAbandon_Avx2(benchmark::State& state) {
-  LbdSetup setup(16, 256);
-  const float exact = quant::LbdSquared(setup.table, setup.weights.data(),
-                                        setup.query.data(),
-                                        setup.word.data());
-  const float bound = 0.25f * exact;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(quant::avx2::LbdSquaredEarlyAbandon(
-        setup.table, setup.weights.data(), setup.query.data(),
-        setup.word.data(), bound));
-  }
-}
-BENCHMARK(BM_LbdEarlyAbandon_Avx2);
 #endif
+
+// The query engine's series-LBD pass: one query's lookup table over a
+// block of words, best tier. Reports ns per word.
+void BM_LbdTable(benchmark::State& state) {
+  const std::size_t l = static_cast<std::size_t>(state.range(0));
+  LbdSetup setup(l, 256);
+  const quant::LbdTable table(setup.table, setup.weights.data(),
+                              setup.query.data());
+  constexpr std::size_t kWords = 2048;
+  std::vector<std::uint8_t> words(kWords * l);
+  Rng rng(8);
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    words[i] = setup.table.Quantize(i % l, static_cast<float>(rng.Gaussian()));
+  }
+  std::vector<float> out(kWords);
+  for (auto _ : state) {
+    quant::LbdSquaredBlock(table, words.data(), kWords, out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["per_word"] = benchmark::Counter(
+      static_cast<double>(kWords),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_LbdTable)->Arg(16)->Arg(32);
 
 // ----------------------------------------------------- summarizations
 

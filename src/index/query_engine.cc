@@ -20,6 +20,25 @@ namespace {
 
 constexpr float kInf = std::numeric_limits<float>::infinity();
 
+// Series LBDs computed per call of the block kernel before they are tested
+// against the live bound.
+constexpr std::size_t kLbdBlock = 128;
+
+// Phase-3 work the owner of a search does alone before it offers the rest
+// of its leaf queue to idle workers, in units of one series-LBD check; an
+// exact distance counts kExactDistanceWork (about 8 ns against 190 ns for
+// 256-point series on an AVX-512 Xeon). Short queries (most PNW-like ones)
+// finish under the budget and leave idle workers to the queries and
+// inserts queued behind them; queries that scan most of a collection
+// (SCEDC-like ones) pass it early and still split.
+constexpr std::uint64_t kSoloWorkBudget = 200000;
+constexpr std::uint64_t kExactDistanceWork = 24;
+
+std::uint64_t Phase3Work(const QueryProfile& profile) {
+  return profile.series_lbd_checked +
+         kExactDistanceWork * profile.series_ed_computed;
+}
+
 struct LeafEntry {
   float lbd_sq;
   const Node* leaf;
@@ -64,12 +83,19 @@ class LeafQueue {
   std::atomic<std::size_t> next_{0};
 };
 
-// Per-tree immutable query state: the query in that tree's summary space.
+// The query in one scheme's summary space, shared by every tree that
+// holds that scheme object.
+struct SchemeQuery {
+  std::vector<float> projection;   // query in summary space
+  std::vector<std::uint8_t> word;  // query's own word
+  quant::LbdTable lbd;             // series-LBD lookup table
+};
+
+// Per-tree immutable query state.
 struct PartContext {
   const TreeIndex* index = nullptr;
   const std::vector<std::uint32_t>* global_ids = nullptr;  // null = identity
-  std::vector<float> projection;   // query in summary space
-  std::vector<std::uint8_t> word;  // query's own word
+  const SchemeQuery* summary = nullptr;
   // Compressed pruning tier (engaged when the tree carries a rowq
   // sidecar): quantized-row lower bounds evaluated between the summary
   // LBD and the exact kernel.
@@ -88,6 +114,7 @@ struct QueryContext {
   float lbd_inflation_sq = 1.0f;
   // Deleted global ids, masked before any distance work (null = none).
   const std::unordered_set<std::uint32_t>* exclude = nullptr;
+  std::vector<SchemeQuery> schemes;  // parts point into it: never resized
   std::vector<PartContext> parts;
 
   bool Masked(std::uint32_t global_id, QueryProfile* profile) const {
@@ -141,39 +168,29 @@ inline void ScanRow(const QueryContext& ctx, const PartContext& part,
   }
 }
 
-// Scans every series of a leaf with the real distance only (approximate
-// search seeding the BSF).
-void ScanLeafExact(const QueryContext& ctx, const PartContext& part,
-                   const Node& leaf, ResultSet* results,
-                   QueryProfile* profile) {
-  for (std::size_t i = 0; i < leaf.leaf_size(); ++i) {
-    const std::uint32_t id = leaf.series_ids[i];
-    if (!ctx.Masked(part.GlobalId(id), profile)) {
-      ScanRow(ctx, part, id, results->bound_sq(), results, profile);
-    }
-  }
-}
-
-// Scans a leaf with the LBD → real-distance cascade (Algorithm 3 call site).
-void ScanLeafPruned(const QueryContext& ctx, const PartContext& part,
-                    const Node& leaf, ResultSet* results,
-                    QueryProfile* profile) {
-  const quant::SummaryScheme& scheme = part.index->scheme();
-  const std::size_t l = scheme.word_length();
+// Scans a leaf with the LBD → real-distance cascade: the series LBDs come
+// from the query's lookup table a block at a time, and each is tested
+// against the bound live at its turn.
+void ScanLeaf(const QueryContext& ctx, const PartContext& part,
+              const Node& leaf, ResultSet* results, QueryProfile* profile) {
+  const quant::LbdTable& lbd = part.summary->lbd;
+  const std::size_t l = lbd.word_length();
   const float inflation = ctx.lbd_inflation_sq;
-  for (std::size_t i = 0; i < leaf.leaf_size(); ++i) {
-    const float bound = results->bound_sq();
-    const float lbd_sq = quant::LbdSquaredEarlyAbandon(
-        scheme.table(), scheme.weights(), part.projection.data(),
-        leaf.words.data() + i * l, bound / inflation);
-    ++profile->series_lbd_checked;
-    if (lbd_sq * inflation >= bound) {
-      ++profile->series_lbd_pruned;
-      continue;
-    }
-    const std::uint32_t id = leaf.series_ids[i];
-    if (!ctx.Masked(part.GlobalId(id), profile)) {
-      ScanRow(ctx, part, id, bound, results, profile);
+  float lbd_sq[kLbdBlock] = {};
+  for (std::size_t first = 0; first < leaf.leaf_size(); first += kLbdBlock) {
+    const std::size_t count = std::min(kLbdBlock, leaf.leaf_size() - first);
+    quant::LbdSquaredBlock(lbd, leaf.words.data() + first * l, count, lbd_sq);
+    profile->series_lbd_checked += count;
+    for (std::size_t i = 0; i < count; ++i) {
+      const float bound = results->bound_sq();
+      if (lbd_sq[i] * inflation >= bound) {
+        ++profile->series_lbd_pruned;
+        continue;
+      }
+      const std::uint32_t id = leaf.series_ids[first + i];
+      if (!ctx.Masked(part.GlobalId(id), profile)) {
+        ScanRow(ctx, part, id, bound, results, profile);
+      }
     }
   }
 }
@@ -184,7 +201,8 @@ const Node* DescendToLeaf(const PartContext& part, const Node* node) {
   while (!node->is_leaf()) {
     const std::size_t dim = node->split_dim;
     const std::uint32_t child_card = node->left->cards[dim];
-    const std::uint32_t bit = (part.word[dim] >> (bits - child_card)) & 1u;
+    const std::uint32_t bit =
+        (part.summary->word[dim] >> (bits - child_card)) & 1u;
     node = bit == 0 ? node->left.get() : node->right.get();
   }
   return node;
@@ -199,7 +217,7 @@ const Node* ApproximateLeaf(const PartContext& part) {
   const std::uint32_t bits = index.scheme().bits();
   std::uint32_t key = 0;
   for (std::size_t dim = 0; dim < root_bits; ++dim) {
-    key = (key << 1) | (part.word[dim] >> (bits - 1));
+    key = (key << 1) | (part.summary->word[dim] >> (bits - 1));
   }
   const Node* start = index.root_child(key);
   if (start == nullptr) {
@@ -207,7 +225,8 @@ const Node* ApproximateLeaf(const PartContext& part) {
     for (const auto& [subtree_key, node] : index.subtrees()) {
       const float lbd = quant::NodeLbdSquared(
           index.scheme().table(), index.scheme().weights(),
-          part.projection.data(), node->prefixes.data(), node->cards.data());
+          part.summary->projection.data(), node->prefixes.data(),
+          node->cards.data());
       if (lbd < best_lbd) {
         best_lbd = lbd;
         start = node;
@@ -228,7 +247,7 @@ void CollectLeaves(const QueryContext& ctx, std::uint32_t part_index,
   const PartContext& part = ctx.parts[part_index];
   const quant::SummaryScheme& scheme = part.index->scheme();
   const float lbd_sq = quant::NodeLbdSquared(
-      scheme.table(), scheme.weights(), part.projection.data(),
+      scheme.table(), scheme.weights(), part.summary->projection.data(),
       node->prefixes.data(), node->cards.data());
   ++profile->nodes_visited;
   if (lbd_sq * ctx.lbd_inflation_sq >= results.bound_sq()) {
@@ -246,8 +265,8 @@ void CollectLeaves(const QueryContext& ctx, std::uint32_t part_index,
                 profile);
 }
 
-// Builds the per-query context: one projection + word per tree (trees
-// sharing one scheme object share the computation).
+// Builds the per-query context: one projection, word and LBD table per
+// scheme object (consecutive trees that share one share them).
 QueryContext MakeContext(const TreePart* parts, std::size_t num_parts,
                          const float* query, double epsilon,
                          const std::unordered_set<std::uint32_t>* exclude) {
@@ -256,6 +275,7 @@ QueryContext MakeContext(const TreePart* parts, std::size_t num_parts,
   const double inflation = (1.0 + epsilon) * (1.0 + epsilon);
   ctx.lbd_inflation_sq = static_cast<float>(inflation);
   ctx.exclude = exclude != nullptr && !exclude->empty() ? exclude : nullptr;
+  ctx.schemes.reserve(num_parts);
   ctx.parts.resize(num_parts);
   for (std::size_t p = 0; p < num_parts; ++p) {
     PartContext& part = ctx.parts[p];
@@ -263,17 +283,21 @@ QueryContext MakeContext(const TreePart* parts, std::size_t num_parts,
     part.global_ids = parts[p].global_ids;
     const quant::SummaryScheme& scheme = part.index->scheme();
     if (p > 0 && &parts[p - 1].tree->scheme() == &scheme) {
-      part.projection = ctx.parts[p - 1].projection;
-      part.word = ctx.parts[p - 1].word;
+      part.summary = ctx.parts[p - 1].summary;
     } else {
+      SchemeQuery& summary = ctx.schemes.emplace_back();
       const std::size_t l = scheme.word_length();
-      part.projection.resize(l);
-      part.word.resize(l);
+      summary.projection.resize(l);
+      summary.word.resize(l);
       auto scratch = scheme.NewScratch();
-      scheme.Project(query, part.projection.data(), scratch.get());
+      scheme.Project(query, summary.projection.data(), scratch.get());
       for (std::size_t dim = 0; dim < l; ++dim) {
-        part.word[dim] = scheme.table().Quantize(dim, part.projection[dim]);
+        summary.word[dim] =
+            scheme.table().Quantize(dim, summary.projection[dim]);
       }
+      summary.lbd = quant::LbdTable(scheme.table(), scheme.weights(),
+                                    summary.projection.data());
+      part.summary = &summary;
     }
     if (part.index->rowq() != nullptr) {
       part.rowq.emplace(part.index->rowq().get(), query);
@@ -282,13 +306,13 @@ QueryContext MakeContext(const TreePart* parts, std::size_t num_parts,
   return ctx;
 }
 
-// Phase 3 as work that idle pool workers join: the owner and its helpers
-// pop leaves off one queue in LBD order and scan them into the shared
-// result set; the first popped leaf whose LBD reaches the bound abandons
-// the queue. A helper leaves between two leaves as soon as a task waits
-// in the pool. The owner drains until the queue is empty, then waits only
-// for helpers still inside a leaf; one that joins later finds the drain
-// closed and never touches the query's (owner-held) state.
+// Phase 3: the owner and, once it has spent kSoloWorkBudget alone, idle
+// pool workers pop leaves off one queue in LBD order and scan them into
+// the shared result set; the first popped leaf whose LBD reaches the bound
+// abandons the queue. A helper leaves between two leaves as soon as a task
+// waits in the pool. The owner drains until the queue is empty, then waits
+// only for helpers still inside a leaf; one that joins later finds the
+// drain closed and never touches the query's (owner-held) state.
 class LeafDrain : public Joinable,
                   public std::enable_shared_from_this<LeafDrain> {
  public:
@@ -304,7 +328,8 @@ class LeafDrain : public Joinable,
       ++active_;
     }
     QueryProfile profile;
-    const bool exhausted = Drain(&pool, &profile);
+    const bool exhausted =
+        Drain(&profile, [&pool] { return pool.HasQueuedTask(); });
     std::lock_guard<std::mutex> lock(mutex_);
     helper_profile_.Merge(profile);
     if (--active_ == 0 && closed_) {
@@ -313,18 +338,24 @@ class LeafDrain : public Joinable,
     return exhausted;
   }
 
-  // The owner's share: offers the drain to up to `max_helpers` idle
+  // The owner's share: drains alone until the queue is done or the solo
+  // budget is spent, then offers the rest to up to `max_helpers` idle
   // workers of `pool` and drains alongside them. Returns once every leaf
   // is scanned or abandoned, with the helpers' counters merged into
   // `profile`.
   void Run(ThreadPool* pool, std::size_t max_helpers, QueryProfile* profile) {
-    if (max_helpers > 0) {
+    const std::uint64_t solo_end = Phase3Work(*profile) + kSoloWorkBudget;
+    const bool offer =
+        !Drain(profile, [&] { return Phase3Work(*profile) >= solo_end; }) &&
+        max_helpers > 0;
+    if (offer) {
       pool->Offer(shared_from_this(), max_helpers);
     }
-    Drain(nullptr, profile);
-    if (max_helpers > 0) {
-      pool->Withdraw(this);
+    Drain(profile, [] { return false; });
+    if (!offer) {
+      return;  // no helper can be inside
     }
+    pool->Withdraw(this);
     std::unique_lock<std::mutex> lock(mutex_);
     closed_ = true;
     helpers_done_.wait(lock, [this] { return active_ == 0; });
@@ -332,10 +363,11 @@ class LeafDrain : public Joinable,
   }
 
  private:
-  // Pops and scans leaves until none is left (true) or, for a helper
-  // (`pool` set), until a task waits in the pool (false).
-  bool Drain(const ThreadPool* pool, QueryProfile* profile) {
-    while (pool == nullptr || !pool->HasQueuedTask()) {
+  // Pops and scans leaves until none is left (true) or until `stop()`
+  // holds between two leaves (false).
+  template <typename Stop>
+  bool Drain(QueryProfile* profile, Stop stop) {
+    while (!stop()) {
       const LeafEntry* entry = queue_->PopMin();
       if (entry == nullptr) {
         return true;
@@ -345,8 +377,8 @@ class LeafDrain : public Joinable,
         profile->leaves_abandoned += 1 + queue_->Clear();
         return true;
       }
-      ScanLeafPruned(*ctx_, ctx_->parts[entry->part], *entry->leaf, results_,
-                     profile);
+      ScanLeaf(*ctx_, ctx_->parts[entry->part], *entry->leaf, results_,
+               profile);
     }
     return false;
   }
@@ -404,8 +436,8 @@ std::vector<Neighbor> QueryEngine::Search(
   for (; approx_part < num_parts_; ++approx_part) {
     approx_leaf = ApproximateLeaf(ctx.parts[approx_part]);
     if (approx_leaf != nullptr) {
-      ScanLeafExact(ctx, ctx.parts[approx_part], *approx_leaf, &results,
-                    &local_profile);
+      ScanLeaf(ctx, ctx.parts[approx_part], *approx_leaf, &results,
+               &local_profile);
       break;
     }
   }
@@ -429,8 +461,9 @@ std::vector<Neighbor> QueryEngine::Search(
   }
   queue.Seal();
 
-  // Phase 3: drain the queue with BSF pruning and abandonment, joined by
-  // up to num_threads - 1 idle workers (never more than leaves to share).
+  // Phase 3: drain the queue with BSF pruning and abandonment; past the
+  // solo budget, joined by up to num_threads - 1 idle workers (never more
+  // than leaves to share).
   const std::size_t participants = std::min(num_threads, queue.size());
   std::make_shared<LeafDrain>(&ctx, &queue, &results)
       ->Run(pool_, participants == 0 ? 0 : participants - 1, &local_profile);
@@ -453,7 +486,7 @@ std::vector<Neighbor> QueryEngine::SearchLeafOnly(const float* query,
   }
   ResultSet results(k);
   QueryProfile profile;
-  ScanLeafExact(ctx, ctx.parts[0], *leaf, &results, &profile);
+  ScanLeaf(ctx, ctx.parts[0], *leaf, &results, &profile);
   return results.Finish();
 }
 

@@ -1,24 +1,32 @@
 // Exact GEMINI query answering over a TreeIndex (paper Section IV-C) —
 // or over every tree of a sharded generation at once.
 //
-// Per query:
+// Per query, once per scheme object its trees hold: project the query,
+// quantize its word, and build its LBD lookup table (weight·mindist² of
+// every symbol of every dimension, quant::LbdTable). Then:
 //   1. Approximate search: descend one tree along the query's own word to
-//      one leaf and compute real distances there — the initial best-so-far
-//      (BSF). With several trees, the first tree that has such a leaf
-//      seeds; the other trees' own leaves are pruned like any other leaf.
+//      one leaf and scan it like any other leaf (below) — the initial
+//      best-so-far (BSF). With several trees, the first tree that has such
+//      a leaf seeds; the other trees' own leaves are pruned like any other
+//      leaf.
 //   2. Collect: the calling thread alone walks all subtrees of all trees,
 //      prunes nodes whose summary LBD exceeds the BSF, and queues the
 //      surviving leaves in one queue ordered by leaf LBD.
 //   3. Process: the caller repeatedly pops the minimum-LBD leaf. If its
 //      LBD exceeds the BSF the whole queue is abandoned (everything behind
-//      it is farther). Otherwise the leaf is scanned: per series a SIMD
-//      early-abandoning LBD, then, if still promising, the early-
-//      abandoning real distance; improvements update the shared result
-//      set. The queue is offered to the pool (ThreadPool::Offer): idle
-//      workers join the drain and leave it between two leaves as soon as
-//      a task is queued, so a query spreads over cores only while they
-//      would otherwise sit idle. The caller never waits for a helper that
-//      has not started, so a search is safe from a pool worker.
+//      it is farther). Otherwise the leaf is scanned: the series LBDs are
+//      looked up in the table a block of words at a time, each is tested
+//      against the BSF live at its turn, and a series still promising gets
+//      the early-abandoning real distance; improvements update the shared
+//      result set. The caller drains alone until it has spent a solo work
+//      budget (200 000 series-LBD checks, an exact distance counting 24).
+//      Only a query past it offers the rest of its queue to the pool
+//      (ThreadPool::Offer): idle workers join the drain and leave it
+//      between two leaves as soon as a task is queued, so a long query
+//      spreads over cores only while they would otherwise sit idle, and a
+//      short one leaves them to the requests behind it. The caller never
+//      waits for a helper that has not started, so a search is safe from
+//      a pool worker.
 //
 // One ResultSet keyed by global id serves all trees and any flat scans
 // offered alongside (the insert buffer of an ingesting generation), so
@@ -72,9 +80,10 @@ class QueryEngine {
   /// `num_threads` caps the participants: the caller plus up to
   /// `num_threads` − 1 idle pool workers (0 = the index configuration's
   /// num_threads, itself 0 = the pool size). Answers are bit-identical at
-  /// any count; the phase-3 work counters depend on how many helpers
-  /// joined, so a search with num_threads = 1 is the one whose counters
-  /// repeat exactly.
+  /// any count. Helpers join only a search past the solo work budget, and
+  /// its phase-3 work counters then depend on how many joined; a search
+  /// under the budget, or with num_threads = 1, repeats its counters
+  /// exactly.
   std::vector<Neighbor> Search(const float* query, std::size_t k,
                                double epsilon = 0.0,
                                QueryProfile* profile = nullptr,

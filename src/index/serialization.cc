@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "sax/sax_scheme.h"
@@ -31,11 +32,14 @@ using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 class Writer {
  public:
   explicit Writer(std::FILE* file) : file_(file) {}
+  explicit Writer(std::string* bytes) : bytes_(bytes) {}
 
   bool ok() const { return ok_; }
 
   void Bytes(const void* data, std::size_t size) {
-    if (ok_ && std::fwrite(data, 1, size, file_) != size) {
+    if (bytes_ != nullptr) {
+      bytes_->append(static_cast<const char*>(data), size);
+    } else if (ok_ && std::fwrite(data, 1, size, file_) != size) {
       ok_ = false;
     }
   }
@@ -55,7 +59,8 @@ class Writer {
   }
 
  private:
-  std::FILE* file_;
+  std::FILE* file_ = nullptr;
+  std::string* bytes_ = nullptr;  // set: append here instead of the file
   bool ok_ = true;
 };
 
@@ -73,6 +78,48 @@ void WriteNode(Writer* w, const Node& node) {
   }
   WriteNode(w, *node.left);
   WriteNode(w, *node.right);
+}
+
+// The scheme kind and payload; false for a scheme type the format does
+// not know.
+bool WriteScheme(Writer* w, const quant::SummaryScheme& scheme) {
+  if (const auto* sfa = dynamic_cast<const sfa::SfaScheme*>(&scheme)) {
+    w->U8(kSchemeSfa);
+    w->U64(sfa->series_length());
+    w->U64(sfa->alphabet());
+    w->U64(sfa->word_length());
+    w->String(sfa->name());
+    for (const auto ref : sfa->selected_values()) {
+      w->Pod(static_cast<std::uint16_t>(ref.coeff));
+      w->U8(ref.imag ? 1 : 0);
+    }
+    // Interior edges come back out of the padded bound arrays.
+    for (std::size_t d = 0; d < sfa->word_length(); ++d) {
+      for (std::size_t s = 1; s < sfa->alphabet(); ++s) {
+        w->Pod(sfa->table().lower_bounds()[d * sfa->alphabet() + s]);
+      }
+    }
+    return true;
+  }
+  if (dynamic_cast<const sax::SaxScheme*>(&scheme) != nullptr) {
+    w->U8(kSchemeSax);
+    w->U64(scheme.series_length());
+    w->U64(scheme.word_length());
+    w->U64(scheme.alphabet());
+    return true;
+  }
+  return false;
+}
+
+// True when both schemes serialize to the same bytes.
+bool SameScheme(const quant::SummaryScheme& a,
+                const quant::SummaryScheme& b) {
+  std::string a_bytes;
+  std::string b_bytes;
+  Writer a_writer(&a_bytes);
+  Writer b_writer(&b_bytes);
+  return WriteScheme(&a_writer, a) && WriteScheme(&b_writer, b) &&
+         a_bytes == b_bytes;
 }
 
 // ------------------------------------------------------------- reading
@@ -164,30 +211,7 @@ bool SaveIndex(const TreeIndex& index, const std::string& path) {
   Writer w(file.get());
   w.Bytes(kMagic, sizeof(kMagic));
 
-  // Scheme.
-  const quant::SummaryScheme& scheme = index.scheme();
-  if (const auto* sfa = dynamic_cast<const sfa::SfaScheme*>(&scheme)) {
-    w.U8(kSchemeSfa);
-    w.U64(sfa->series_length());
-    w.U64(sfa->alphabet());
-    w.U64(sfa->word_length());
-    w.String(sfa->name());
-    for (const auto ref : sfa->selected_values()) {
-      w.Pod(static_cast<std::uint16_t>(ref.coeff));
-      w.U8(ref.imag ? 1 : 0);
-    }
-    // Interior edges come back out of the padded bound arrays.
-    for (std::size_t d = 0; d < sfa->word_length(); ++d) {
-      for (std::size_t s = 1; s < sfa->alphabet(); ++s) {
-        w.Pod(sfa->table().lower_bounds()[d * sfa->alphabet() + s]);
-      }
-    }
-  } else if (dynamic_cast<const sax::SaxScheme*>(&scheme) != nullptr) {
-    w.U8(kSchemeSax);
-    w.U64(scheme.series_length());
-    w.U64(scheme.word_length());
-    w.U64(scheme.alphabet());
-  } else {
+  if (!WriteScheme(&w, index.scheme())) {
     return false;  // unknown scheme type
   }
 
@@ -208,8 +232,9 @@ bool SaveIndex(const TreeIndex& index, const std::string& path) {
   return w.ok();
 }
 
-std::optional<LoadedIndex> LoadIndex(const std::string& path,
-                                     const Dataset* data, ThreadPool* pool) {
+std::optional<LoadedIndex> LoadIndex(
+    const std::string& path, const Dataset* data, ThreadPool* pool,
+    std::shared_ptr<const quant::SummaryScheme> reuse) {
   if (data == nullptr || pool == nullptr) {
     return std::nullopt;
   }
@@ -298,6 +323,9 @@ std::optional<LoadedIndex> LoadIndex(const std::string& path,
     }
   }
 
+  if (reuse != nullptr && SameScheme(*result.scheme, *reuse)) {
+    result.scheme = std::move(reuse);
+  }
   result.tree = TreeIndex::FromParts(data, result.scheme.get(), config, pool,
                                      std::move(root_children), root_bits);
   return result;

@@ -23,9 +23,9 @@
 namespace sofa {
 namespace index {
 
-/// A deserialized index with the scheme it owns.
+/// A deserialized index with the scheme it holds.
 struct LoadedIndex {
-  std::unique_ptr<quant::SummaryScheme> scheme;
+  std::shared_ptr<const quant::SummaryScheme> scheme;
   std::unique_ptr<TreeIndex> tree;
 };
 
@@ -36,8 +36,13 @@ bool SaveIndex(const TreeIndex& index, const std::string& path);
 
 /// Loads an index previously saved with SaveIndex; `data` must be the
 /// identical collection (shape-checked) and must outlive the result.
-std::optional<LoadedIndex> LoadIndex(const std::string& path,
-                                     const Dataset* data, ThreadPool* pool);
+/// When the file's scheme serializes to the same bytes as `reuse`, the
+/// tree is built on `reuse` and the result holds it instead of a decoded
+/// copy — the trees of one generation then share one scheme object, and
+/// a query projects once for all of them.
+std::optional<LoadedIndex> LoadIndex(
+    const std::string& path, const Dataset* data, ThreadPool* pool,
+    std::shared_ptr<const quant::SummaryScheme> reuse = nullptr);
 
 }  // namespace index
 }  // namespace sofa

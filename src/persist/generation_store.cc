@@ -764,7 +764,10 @@ std::optional<LoadedGeneration> GenerationStore::LoadGeneration(
                            /*out=*/nullptr)) {
       return std::nullopt;
     }
-    auto tree = index::LoadIndex(idx, rows.get(), pool);
+    // Shards 1… reuse shard 0's scheme object when theirs decodes to the
+    // same bytes, so a query projects once for the whole generation.
+    auto tree = index::LoadIndex(idx, rows.get(), pool,
+                                 s == 0 ? nullptr : shards[0].scheme);
     if (!tree.has_value()) {
       return std::nullopt;
     }
@@ -789,8 +792,7 @@ std::optional<LoadedGeneration> GenerationStore::LoadGeneration(
       tree->tree->AttachRowQuant(std::move(rowq));
     }
     shards[s].data = rows;
-    shards[s].scheme = std::shared_ptr<const quant::SummaryScheme>(
-        std::move(tree->scheme));
+    shards[s].scheme = std::move(tree->scheme);
     shards[s].tree = std::shared_ptr<const index::TreeIndex>(
         std::move(tree->tree));
     shards[s].global_ids =

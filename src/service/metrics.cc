@@ -58,7 +58,7 @@ MetricsCollector::MetricsCollector(obs::Registry* registry) {
   for (std::size_t i = 0; i < 10; ++i) {
     profile_counters_[i] = registry_->GetCounter(
         "sofa_service_profile_total", {{"counter", kProfileCounterNames[i]}},
-        "Merged QueryProfile work counters of profiled queries");
+        "Merged QueryProfile work counters of completed queries");
   }
   rowq_checked_total_ = registry_->GetCounter(
       "sofa_query_rowq_checked_total", {},

@@ -1,7 +1,7 @@
 // Serving metrics: what a production deployment watches while the engine
 // answers traffic — admission counts, a latency histogram (p50/p95/p99),
 // QPS, hot-swap count, and the merged
-// QueryProfile pruning counters of profiled queries.
+// QueryProfile pruning counters of every completed query.
 //
 // Since the unified observability layer (src/obs/), the collector is a
 // facade over registry instruments: every Record* call lands in a named
@@ -48,13 +48,13 @@ struct MetricsSnapshot {
   double latency_p99_ms = 0.0;
   double latency_max_ms = 0.0;
 
-  /// Merged pruning counters of all profile-opted queries.
+  /// Merged pruning counters of every completed query.
   index::QueryProfile profile;
 };
 
 /// Thread-safe aggregation; Record* calls are cheap enough for the
 /// query completion path (lock-free registry instruments; only the
-/// optional profile merge takes a mutex).
+/// profile merge takes a mutex).
 class MetricsCollector {
  public:
   /// Registers the service instruments into `registry`; with nullptr the

@@ -43,8 +43,9 @@ constexpr std::size_t kQuerySpans = 8;
 // trees and, when the generation is ingesting, its live insert buffer
 // scanned into the same result set. The query's tombstone view is masked
 // inside both scans, so the engine's answer is final. The search runs on
-// the calling worker, and idle workers of `pool` join its leaf queue; at
-// saturation none is idle and the query stays single-threaded.
+// the calling worker; once it passes the engine's solo work budget, idle
+// workers of `pool` join its leaf queue (at saturation none is idle and
+// the query stays single-threaded).
 std::vector<Neighbor> SearchGeneration(const IndexSnapshot& snapshot,
                                        const SearchRequest& request,
                                        ThreadPool* pool,
@@ -379,9 +380,8 @@ void SearchService::RunQuery(PendingRequest* pending) {
     response.status = RequestStatus::kInvalidArgument;
     metrics_.RecordInvalid();
   } else if (trace == nullptr) {
-    response.neighbors = SearchGeneration(
-        *pending->snapshot, request, pool_,
-        request.collect_profile ? &response.profile : nullptr, nullptr, -1);
+    response.neighbors = SearchGeneration(*pending->snapshot, request, pool_,
+                                          &response.profile, nullptr, -1);
   } else {
     // A traced query always collects work counters (the trace attaches
     // them) and runs under this worker's hardware counters (one
@@ -402,10 +402,13 @@ void SearchService::RunQuery(PendingRequest* pending) {
 
   response.latency_ms = ElapsedMs(pending->submit_time);
   if (response.status == RequestStatus::kOk) {
-    metrics_.RecordCompleted(
-        response.latency_ms,
-        request.collect_profile ? &response.profile : nullptr,
-        request.priority);
+    // Every completed query's work counts in the metrics; the response
+    // carries it only when asked (or traced).
+    metrics_.RecordCompleted(response.latency_ms, &response.profile,
+                             request.priority);
+    if (!request.collect_profile && trace == nullptr) {
+      response.profile = index::QueryProfile{};
+    }
   }
   if (trace != nullptr) {
     FinishTrace(pending, &response);

@@ -42,9 +42,9 @@ struct SfaSpec {
   std::size_t series_length = 0;
   std::size_t alphabet = 256;
   std::string name = "SFA";
-  /// The word_length selected values, in LBD-evaluation order (the trainer
-  /// orders them by descending variance so early abandoning sees the most
-  /// discriminative values first).
+  /// The word_length selected values, in word order (the trainer orders
+  /// them by descending variance, so the tree's root key, built from the
+  /// first dimensions, splits on the most discriminative values).
   std::vector<ValueRef> selected;
   /// Learned interior edges per selected value (alphabet−1 each).
   std::vector<std::vector<float>> edges;

@@ -152,9 +152,12 @@ std::shared_ptr<const ShardedIndex> LoadShardedIndex(
       data, config.num_shards, ShardAssignment::kContiguous);
   std::vector<Shard> shards(config.num_shards);
   for (std::size_t s = 0; s < config.num_shards; ++s) {
+    // Every shard file carries the build's one scheme: shards 1… reuse
+    // shard 0's object when theirs decodes to the same bytes.
     auto loaded =
         index::LoadIndex(ShardPath(index_path, s, config.num_shards),
-                         partition.data[s].get(), pool);
+                         partition.data[s].get(), pool,
+                         s == 0 ? nullptr : shards[0].scheme);
     if (!loaded.has_value()) {
       return nullptr;
     }

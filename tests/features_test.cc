@@ -555,37 +555,6 @@ TEST_F(Avx512Test, LbdMatchesScalar) {
   }
 }
 
-TEST_F(Avx512Test, LbdEarlyAbandonDecisionsConsistent) {
-  Rng rng(35);
-  quant::BreakpointTable table(16, 256);
-  std::vector<float> sample(500);
-  for (std::size_t d = 0; d < 16; ++d) {
-    for (auto& v : sample) {
-      v = static_cast<float>(rng.Gaussian());
-    }
-    table.SetDimension(d, quant::EquiWidthBreakpoints(sample, 256));
-  }
-  std::vector<float> weights(16, 2.0f);
-  for (int trial = 0; trial < 300; ++trial) {
-    std::vector<float> query(16);
-    std::vector<std::uint8_t> word(16);
-    for (std::size_t d = 0; d < 16; ++d) {
-      query[d] = static_cast<float>(rng.Gaussian(0.0, 2.0));
-      word[d] = table.Quantize(d, static_cast<float>(rng.Gaussian()));
-    }
-    const float exact = quant::scalar::LbdSquared(table, weights.data(),
-                                                  query.data(), word.data());
-    const float bound = static_cast<float>(rng.Uniform(0.0, exact + 1.0));
-    const float result = quant::avx512::LbdSquaredEarlyAbandon(
-        table, weights.data(), query.data(), word.data(), bound);
-    if (result > bound) {
-      ASSERT_GT(exact, bound * (1.0f - 1e-4f));
-    } else {
-      ASSERT_NEAR(result, exact, 1e-4f * (exact + 1.0f));
-    }
-  }
-}
-
 #endif  // SOFA_COMPILE_AVX512
 
 }  // namespace

@@ -397,6 +397,18 @@ void ExpectSameTree(const Node& a, const Node& b) {
   ExpectSameTree(*a.right, *b.right);
 }
 
+// Every work counter of two searches' profiles is equal.
+void ExpectSameCounters(const QueryProfile& a, const QueryProfile& b,
+                        std::size_t q) {
+  EXPECT_EQ(a.nodes_visited, b.nodes_visited) << "query " << q;
+  EXPECT_EQ(a.nodes_pruned, b.nodes_pruned) << "query " << q;
+  EXPECT_EQ(a.leaves_collected, b.leaves_collected) << "query " << q;
+  EXPECT_EQ(a.leaves_abandoned, b.leaves_abandoned) << "query " << q;
+  EXPECT_EQ(a.series_lbd_checked, b.series_lbd_checked) << "query " << q;
+  EXPECT_EQ(a.series_lbd_pruned, b.series_lbd_pruned) << "query " << q;
+  EXPECT_EQ(a.series_ed_computed, b.series_ed_computed) << "query " << q;
+}
+
 // The root scatter keeps rows in id order inside every root child at any
 // worker count, so a tree built on four workers equals the one-worker
 // tree down to the row order inside each leaf, and one-thread searches
@@ -429,13 +441,7 @@ TEST(IndexSearchTest, BuildDoesNotDependOnWorkerCount) {
       EXPECT_EQ(answer_a[i].id, answer_b[i].id);
       EXPECT_EQ(answer_a[i].distance, answer_b[i].distance);
     }
-    EXPECT_EQ(a.nodes_visited, b.nodes_visited) << "query " << q;
-    EXPECT_EQ(a.nodes_pruned, b.nodes_pruned) << "query " << q;
-    EXPECT_EQ(a.leaves_collected, b.leaves_collected) << "query " << q;
-    EXPECT_EQ(a.leaves_abandoned, b.leaves_abandoned) << "query " << q;
-    EXPECT_EQ(a.series_lbd_checked, b.series_lbd_checked) << "query " << q;
-    EXPECT_EQ(a.series_lbd_pruned, b.series_lbd_pruned) << "query " << q;
-    EXPECT_EQ(a.series_ed_computed, b.series_ed_computed) << "query " << q;
+    ExpectSameCounters(a, b, q);
   }
 }
 
@@ -491,6 +497,72 @@ TEST(IndexSearchTest, MultiThreadedSearchFromAPoolWorkerCompletes) {
       EXPECT_EQ(got[q][i].id, expected[q][i].id) << "query " << q;
       EXPECT_EQ(got[q][i].distance, expected[q][i].distance) << "query " << q;
     }
+  }
+}
+
+// The engine's solo work budget (query_engine.cc): the owner of a search
+// offers its leaf queue to idle workers only after this much phase-3 work,
+// counting a series-LBD check as 1 and an exact distance as 24.
+constexpr std::uint64_t kSoloWorkBudget = 200000;
+
+std::uint64_t WorkUnits(const QueryProfile& profile) {
+  return profile.series_lbd_checked + 24 * profile.series_ed_computed;
+}
+
+// A query whose whole work fits in the solo budget never offers its queue,
+// so a four-worker search over idle workers pops the same leaves in the
+// same order as a one-thread search and reports its counters exactly.
+TEST(IndexSearchTest, SearchUnderTheSoloBudgetRepeatsOneThreadCounters) {
+  ThreadPool pool(4);
+  const Dataset data = Walk(3000, 96, 25);
+  const auto scheme = MakeSfaScheme(data, &pool);
+  IndexConfig config;
+  config.leaf_capacity = 100;
+  config.num_threads = 4;
+  const TreeIndex index(&data, scheme.get(), config, &pool);
+  const QueryEngine engine(&index);
+  const Dataset queries = Walk(20, 96, 26);
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    QueryProfile one, four;
+    const auto expected = engine.Search(queries.row(q), 10, 0.0, &one, 1);
+    const auto got = engine.Search(queries.row(q), 10, 0.0, &four, 4);
+    ASSERT_LT(WorkUnits(one), kSoloWorkBudget) << "query " << q;
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].id, expected[i].id) << "query " << q;
+      EXPECT_EQ(got[i].distance, expected[i].distance) << "query " << q;
+    }
+    ExpectSameCounters(one, four, q);
+  }
+}
+
+// White noise defeats the summary bounds, so each query LBD-checks and
+// measures nearly every row: far past the solo budget, and the rest of
+// its queue goes to idle workers (the concurrency sweeps run this under
+// TSan). The answers stay bit-identical to the one-thread search and to
+// brute force.
+TEST(IndexSearchTest, SearchPastTheSoloBudgetSplitsAndStaysExact) {
+  ThreadPool pool(4);
+  const Dataset data = Noise(12000, 64, 27);
+  const auto scheme = MakeSfaScheme(data, &pool);
+  IndexConfig config;
+  config.leaf_capacity = 200;
+  config.num_threads = 4;
+  const TreeIndex index(&data, scheme.get(), config, &pool);
+  const QueryEngine engine(&index);
+  const Dataset queries = Noise(6, 64, 28);
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    QueryProfile one, four;
+    const auto expected = engine.Search(queries.row(q), 10, 0.0, &one, 1);
+    const auto got = engine.Search(queries.row(q), 10, 0.0, &four, 4);
+    ASSERT_GT(WorkUnits(one), kSoloWorkBudget + 20000) << "query " << q;
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].id, expected[i].id) << "query " << q;
+      EXPECT_EQ(got[i].distance, expected[i].distance) << "query " << q;
+    }
+    EXPECT_TRUE(SameDistances(got, BruteForceKnn(data, queries.row(q), 10)))
+        << "query " << q;
   }
 }
 

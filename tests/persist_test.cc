@@ -169,6 +169,13 @@ TEST(GenerationStoreTest, PersistLoadRoundTripAndGc) {
   EXPECT_EQ(loaded->manifest.generation_seq, seqs.back());
   EXPECT_EQ(loaded->manifest.route_total, Workload::kBase);
   EXPECT_EQ(loaded->sharded->num_shards(), Workload::kShards);
+  // Every shard file holds the same scheme, so one object serves them all
+  // and a query projects once for the generation.
+  for (std::size_t s = 1; s < loaded->sharded->num_shards(); ++s) {
+    EXPECT_EQ(&loaded->sharded->shard(s).tree->scheme(),
+              &loaded->sharded->shard(0).tree->scheme())
+        << "shard " << s;
+  }
   EXPECT_EQ(loaded->manifest.next_id,
             Workload::kBase + Workload::InsertsBefore(300));
   // After Flush every mutation is in the trees: no buffered tail, and

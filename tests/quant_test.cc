@@ -1,8 +1,9 @@
 // Tests for the quantization substrate: binning rules, normal quantiles,
 // breakpoint tables with hierarchical cardinality, and the LBD kernels
-// (scalar vs AVX2, early abandoning, node-level prefixes).
+// (scalar vs SIMD, the per-query table kernel, node-level prefixes).
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -330,29 +331,6 @@ TEST_P(LbdDimsTest, Avx2MatchesScalar) {
   }
 }
 
-TEST_P(LbdDimsTest, Avx2EarlyAbandonDecisionsMatchScalarExact) {
-  const std::size_t dims = GetParam();
-  LbdFixture fx(dims, 64, 25);
-  Rng rng(26);
-  for (int trial = 0; trial < 200; ++trial) {
-    std::vector<float> query(dims);
-    std::vector<std::uint8_t> word(dims);
-    for (std::size_t d = 0; d < dims; ++d) {
-      query[d] = static_cast<float>(rng.Gaussian(0.0, 2.0));
-      word[d] = fx.table.Quantize(d, static_cast<float>(rng.Gaussian()));
-    }
-    const float exact = scalar::LbdSquared(fx.table, fx.weights.data(),
-                                           query.data(), word.data());
-    const float bound = static_cast<float>(rng.Uniform(0.0, exact + 1.0));
-    const float result = avx2::LbdSquaredEarlyAbandon(
-        fx.table, fx.weights.data(), query.data(), word.data(), bound);
-    if (result > bound) {
-      ASSERT_GT(exact, bound * (1.0f - 1e-4f));
-    } else {
-      ASSERT_NEAR(result, exact, 1e-4f * (exact + 1.0f));
-    }
-  }
-}
 #endif  // SOFA_HAVE_AVX2
 
 #if defined(SOFA_COMPILE_AVX512)
@@ -378,50 +356,7 @@ TEST_P(LbdDimsTest, Avx512MatchesScalar) {
   }
 }
 
-TEST_P(LbdDimsTest, Avx512EarlyAbandonDecisionsMatchScalarExact) {
-  if (!CpuSupportsAvx512()) {
-    GTEST_SKIP() << "AVX512 not available on this machine";
-  }
-  const std::size_t dims = GetParam();
-  LbdFixture fx(dims, 64, 43);
-  Rng rng(44);
-  for (int trial = 0; trial < 200; ++trial) {
-    std::vector<float> query(dims);
-    std::vector<std::uint8_t> word(dims);
-    for (std::size_t d = 0; d < dims; ++d) {
-      query[d] = static_cast<float>(rng.Gaussian(0.0, 2.0));
-      word[d] = fx.table.Quantize(d, static_cast<float>(rng.Gaussian()));
-    }
-    const float exact = scalar::LbdSquared(fx.table, fx.weights.data(),
-                                           query.data(), word.data());
-    const float bound = static_cast<float>(rng.Uniform(0.0, exact + 1.0));
-    const float result = avx512::LbdSquaredEarlyAbandon(
-        fx.table, fx.weights.data(), query.data(), word.data(), bound);
-    if (result > bound) {
-      ASSERT_GT(exact, bound * (1.0f - 1e-4f));
-    } else {
-      ASSERT_NEAR(result, exact, 1e-4f * (exact + 1.0f));
-    }
-  }
-}
 #endif  // SOFA_COMPILE_AVX512
-
-TEST_P(LbdDimsTest, EarlyAbandonWithInfiniteBoundIsExact) {
-  const std::size_t dims = GetParam();
-  LbdFixture fx(dims, 128, 27);
-  Rng rng(28);
-  std::vector<float> query(dims);
-  std::vector<std::uint8_t> word(dims);
-  for (std::size_t d = 0; d < dims; ++d) {
-    query[d] = static_cast<float>(rng.Gaussian(0.0, 2.0));
-    word[d] = fx.table.Quantize(d, static_cast<float>(rng.Gaussian()));
-  }
-  const float exact =
-      LbdSquared(fx.table, fx.weights.data(), query.data(), word.data());
-  const float ea = LbdSquaredEarlyAbandon(fx.table, fx.weights.data(),
-                                          query.data(), word.data(), kInf);
-  EXPECT_NEAR(ea, exact, 1e-4f * (exact + 1.0f));
-}
 
 INSTANTIATE_TEST_SUITE_P(Dims, LbdDimsTest,
                          ::testing::Values(1, 4, 7, 8, 9, 15, 16, 17, 24, 32));
@@ -507,9 +442,13 @@ TEST(LbdGoldenTest, PinnedVectorsMatchEveryIsa) {
                                word.data()),
             72.0f);
   EXPECT_EQ(LbdSquared(table, unit.data(), query.data(), word.data()), 56.0f);
-  EXPECT_EQ(LbdSquaredEarlyAbandon(table, unit.data(), query.data(),
-                                   word.data(), kInf),
-            56.0f);
+  float block = 0.0f;
+  LbdSquaredBlock(LbdTable(table, unit.data(), query.data()), word.data(), 1,
+                  &block);
+  EXPECT_EQ(block, 56.0f);
+  LbdSquaredBlock(LbdTable(table, alternating.data(), query.data()),
+                  word.data(), 1, &block);
+  EXPECT_EQ(block, 72.0f);
 #if defined(SOFA_HAVE_AVX2)
   EXPECT_EQ(avx2::LbdSquared(table, unit.data(), query.data(), word.data()),
             56.0f);
@@ -526,6 +465,134 @@ TEST(LbdGoldenTest, PinnedVectorsMatchEveryIsa) {
                                  word.data()),
               72.0f);
   }
+#endif
+}
+
+// ------------------------------------------------------ LBD table kernel
+
+// The block kernel's documented sum, evaluated independently: terms
+// weight·(d·d) from BreakpointTable::MinDist, each 16-dim chunk (zero
+// padded) summed in _mm512_reduce_add_ps's pairing, chunks in order.
+float ReferenceBlockLbd(const LbdFixture& fx, const float* query,
+                        const std::uint8_t* word) {
+  const std::size_t l = fx.table.word_length();
+  float sum = 0.0f;
+  for (std::size_t chunk = 0; chunk < l; chunk += 16) {
+    float t[16] = {};
+    for (std::size_t lane = 0; lane < 16 && chunk + lane < l; ++lane) {
+      const std::size_t dim = chunk + lane;
+      const float d = fx.table.MinDist(dim, word[dim], query[dim]);
+      t[lane] = fx.weights[dim] * (d * d);
+    }
+    float s8[8];
+    for (int i = 0; i < 8; ++i) {
+      s8[i] = t[i] + t[i + 8];
+    }
+    const float s4[4] = {s8[0] + s8[4], s8[1] + s8[5], s8[2] + s8[6],
+                         s8[3] + s8[7]};
+    sum += (s4[0] + s4[2]) + (s4[1] + s4[3]);
+  }
+  return sum;
+}
+
+std::uint32_t Bits(float v) {
+  std::uint32_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+class LbdBlockTest : public ::testing::TestWithParam<
+                         std::tuple<std::size_t, std::size_t>> {};
+
+// Every compiled tier returns the reference sum bit for bit, for any word
+// length, alphabet and block length (including blocks that are not a
+// multiple of 16 words and words that are not a multiple of 16 symbols).
+TEST_P(LbdBlockTest, EveryTierMatchesTheReferenceBitForBit) {
+  const auto [l, alphabet] = GetParam();
+  LbdFixture fx(l, alphabet, 60 + l + alphabet);
+  Rng rng(61 + l * alphabet);
+  std::vector<float> query(l);
+  for (auto& q : query) {
+    q = static_cast<float>(rng.Gaussian(0.0, 2.0));
+  }
+  const LbdTable table(fx.table, fx.weights.data(), query.data());
+  ASSERT_EQ(table.word_length(), l);
+  ASSERT_EQ(table.alphabet(), alphabet);
+  for (const std::size_t count : {0u, 1u, 15u, 16u, 17u, 2000u}) {
+    // Sized exactly, so a kernel that reads past the last word trips ASan.
+    std::vector<std::uint8_t> words(count * l);
+    for (auto& symbol : words) {
+      symbol = static_cast<std::uint8_t>(rng.Below(alphabet));
+    }
+    std::vector<float> expected(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      expected[i] = ReferenceBlockLbd(fx, query.data(), words.data() + i * l);
+      double direct = 0.0;  // the LBD itself, in double
+      for (std::size_t dim = 0; dim < l; ++dim) {
+        const double d = fx.table.MinDist(dim, words[i * l + dim], query[dim]);
+        direct += fx.weights[dim] * d * d;
+      }
+      ASSERT_NEAR(expected[i], direct, 1e-5 * direct + 1e-6);
+    }
+    const auto check = [&](const char* tier, auto kernel) {
+      std::vector<float> got(count + 1, -1.0f);  // one guard slot
+      kernel(table, words.data(), count, got.data());
+      for (std::size_t i = 0; i < count; ++i) {
+        ASSERT_EQ(Bits(got[i]), Bits(expected[i]))
+            << tier << " word " << i << " of " << count << ": " << got[i]
+            << " vs " << expected[i];
+      }
+      ASSERT_EQ(got[count], -1.0f) << tier << " wrote past the block";
+    };
+    check("scalar", scalar::LbdSquaredBlock);
+    check("dispatch", LbdSquaredBlock);
+#if defined(SOFA_HAVE_AVX2)
+    check("avx2", avx2::LbdSquaredBlock);
+#endif
+#if defined(SOFA_COMPILE_AVX512)
+    if (CpuSupportsAvx512()) {
+      check("avx512", avx512::LbdSquaredBlock);
+    }
+#endif
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, LbdBlockTest,
+    ::testing::Combine(::testing::Values(1, 7, 8, 15, 16, 17, 32),
+                       ::testing::Values(2, 4, 16, 256)));
+
+// At the shipped shape (word 16, alphabet 256) the table kernel returns
+// exactly what the paper's AVX-512 kernel returns, so a search makes the
+// same pruning decisions with either.
+TEST(LbdBlockTest, ShippedShapeEqualsAvx512Algorithm3) {
+#if defined(SOFA_COMPILE_AVX512)
+  if (!CpuSupportsAvx512()) {
+    GTEST_SKIP() << "AVX512 not available on this machine";
+  }
+  LbdFixture fx(16, 256, 70);
+  Rng rng(71);
+  for (int trial = 0; trial < 50; ++trial) {
+    std::vector<float> query(16);
+    for (auto& q : query) {
+      q = static_cast<float>(rng.Gaussian(0.0, 2.0));
+    }
+    const LbdTable table(fx.table, fx.weights.data(), query.data());
+    std::vector<std::uint8_t> words(100 * 16);
+    for (std::size_t i = 0; i < words.size(); ++i) {
+      words[i] = fx.table.Quantize(i % 16, static_cast<float>(rng.Gaussian()));
+    }
+    std::vector<float> got(100);
+    LbdSquaredBlock(table, words.data(), 100, got.data());
+    for (std::size_t i = 0; i < 100; ++i) {
+      const float paper = avx512::LbdSquared(fx.table, fx.weights.data(),
+                                             query.data(), &words[i * 16]);
+      ASSERT_EQ(Bits(got[i]), Bits(paper)) << "trial " << trial << " word "
+                                           << i;
+    }
+  }
+#else
+  GTEST_SKIP() << "AVX512 kernels not compiled";
 #endif
 }
 

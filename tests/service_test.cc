@@ -465,6 +465,30 @@ TEST(SearchServiceTest, MetricsAccountingAndProfiles) {
   EXPECT_GT(metrics.profile.series_lbd_checked, 0u);
 }
 
+// The metrics count every query's work, not only that of queries that ask
+// for their profile (the TCP load generators never do); the response
+// still carries counters only on request.
+TEST(SearchServiceTest, MetricsCountUnprofiledQueries) {
+  Engine engine(2000, 96, 67);
+  SearchService service(engine.snapshot(), &engine.pool);
+  const Dataset queries = Walk(10, 96, 68);
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    SearchRequest request;
+    request.query = QueryVector(queries, q);
+    request.k = 5;
+    const SearchResponse response = service.Search(std::move(request));
+    ASSERT_EQ(response.status, RequestStatus::kOk);
+    EXPECT_EQ(response.profile.nodes_visited, 0u);
+    EXPECT_EQ(response.profile.series_lbd_checked, 0u);
+    EXPECT_EQ(response.profile.series_ed_computed, 0u);
+  }
+  const MetricsSnapshot metrics = service.Metrics();
+  EXPECT_EQ(metrics.completed, queries.size());
+  EXPECT_GT(metrics.profile.nodes_visited, 0u);
+  EXPECT_GT(metrics.profile.series_lbd_checked, 0u);
+  EXPECT_GT(metrics.profile.series_ed_computed, 0u);
+}
+
 }  // namespace
 }  // namespace service
 }  // namespace sofa

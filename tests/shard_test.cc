@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "index/query_engine.h"
+#include "index/serialization.h"
 #include "index/tree_index.h"
 #include "ingest/compactor.h"
 #include "service/search_service.h"
@@ -335,6 +336,54 @@ TEST(ShardPersistenceTest, ReloadedShardsCompactWithTheirBuildConfig) {
   for (std::size_t s = 0; s < config.num_shards; ++s) {
     std::remove(ShardPath(path, s, config.num_shards).c_str());
   }
+}
+
+// Every shard file of a build carries the build's scheme, so the loader
+// hands all shards shard 0's object (a query then projects once for the
+// generation); a file whose scheme differs keeps its own.
+TEST(ShardPersistenceTest, ReloadedShardsShareOneScheme) {
+  Fixture fx(800, 64, 91, /*threads=*/2);
+  const auto built = fx.MakeSharded(4);
+  const std::string path = ::testing::TempDir() + "/one_scheme_sharded";
+  ASSERT_TRUE(SaveShardedIndex(*built, path));
+  ShardingConfig config;
+  config.num_shards = 4;
+  const auto loaded = LoadShardedIndex(path, fx.data, config, &fx.pool);
+  ASSERT_NE(loaded, nullptr);
+  for (std::size_t s = 1; s < config.num_shards; ++s) {
+    EXPECT_EQ(&loaded->shard(s).tree->scheme(),
+              &loaded->shard(0).tree->scheme())
+        << "shard " << s;
+    EXPECT_EQ(loaded->shard(s).scheme, loaded->shard(0).scheme);
+  }
+  const Dataset queries = Walk(4, 64, 92);
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    EXPECT_TRUE(BitIdentical(loaded->SearchKnn(queries.row(q), 5),
+                             built->SearchKnn(queries.row(q), 5)))
+        << "query " << q;
+  }
+
+  for (std::size_t s = 0; s < config.num_shards; ++s) {
+    std::remove(ShardPath(path, s, config.num_shards).c_str());
+  }
+
+  // LoadIndex reuses only an equal scheme.
+  const std::string single_path = ::testing::TempDir() + "/one_scheme_single";
+  ASSERT_TRUE(index::SaveIndex(*fx.single, single_path));
+  const auto same =
+      index::LoadIndex(single_path, &fx.data, &fx.pool, fx.scheme);
+  ASSERT_TRUE(same.has_value());
+  EXPECT_EQ(same->scheme, fx.scheme);
+  sfa::SfaConfig other_config;
+  other_config.word_length = 8;
+  const std::shared_ptr<const quant::SummaryScheme> other =
+      sfa::TrainSfa(fx.data, other_config, &fx.pool);
+  const auto own = index::LoadIndex(single_path, &fx.data, &fx.pool, other);
+  ASSERT_TRUE(own.has_value());
+  EXPECT_NE(own->scheme, other);
+  EXPECT_EQ(&own->tree->scheme(), own->scheme.get());
+  EXPECT_EQ(own->scheme->word_length(), 16u);
+  std::remove(single_path.c_str());
 }
 
 // ------------------------------------------------- per-shard republish
