@@ -1,5 +1,4 @@
-// Section V-E ablation (text claims): pruning power of the summarizations,
-// plus the engine's compressed pruning tier.
+// Section V-E ablation (text claims): pruning power of the summarizations.
 //
 // The paper explains the speedups via pruning power — "in the SCEDC
 // dataset … we can prune 98% of all data series at the first level of the
@@ -7,37 +6,13 @@
 // fraction of candidates whose lower bound alone exceeds the exact 1-NN
 // distance for SFA (EW+VAR) vs iSAX, together with the observed in-engine
 // counters (share of series discarded before any raw-data access).
-//
-// The second table sweeps the rowq tier (src/quant/rowq.h): the same SOFA
-// tree answers the same queries with and without the quantized-row lower
-// bound ahead of the exact kernel. Reported per dataset: the fraction of
-// summary-LBD survivors the tier prunes, the raw bytes each configuration
-// touches past the summaries (4·length per exact evaluation vs 1 byte per
-// padded dimension per quantized check), and the wall-clock speedup, with
-// tier-off and tier-on timed back to back per query.
-// Answers are bit-identical by construction (tests/rowq_test.cc), so the
-// tier is pure profit whenever the prune rate beats its bandwidth cost.
-//
-// --stats-json=FILE writes the rowq sweep as JSON for machine consumption
-// (what the bench-smoke CI step validates).
 
 #include <cstdio>
 #include <string>
 
 #include "bench_common.h"
-#include "quant/rowq.h"
 #include "sfa/tlb.h"
-#include "util/stats.h"
 #include "util/table_printer.h"
-#include "util/timer.h"
-
-namespace {
-
-std::string FormatMiB(double bytes) {
-  return sofa::FormatDouble(bytes / (1024.0 * 1024.0), 2);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace sofa;
@@ -52,15 +27,10 @@ int main(int argc, char** argv) {
   ThreadPool pool(threads);
   TablePrinter table({"Dataset", "SFA pruning power", "iSAX pruning power",
                       "SFA engine prune%", "MESSI engine prune%"});
-  TablePrinter rowq_table({"Dataset", "rowq prune%", "MiB touched (off)",
-                           "MiB touched (on)", "query ms (off)",
-                           "query ms (on)", "speedup"});
-  std::string json = "{\n  \"rowq_ablation\": [";
-  bool first_entry = true;
   for (const std::string& name : options.dataset_names) {
     const LabeledDataset ds = MakeBenchDataset(name, options, &pool);
 
-    SofaIndex sofa = BuildSofa(ds.data, options, &pool, threads);
+    const SofaIndex sofa = BuildSofa(ds.data, options, &pool, threads);
     const MessiIndex messi = BuildMessi(ds.data, options, &pool, threads);
 
     // Metric level: summarization-only pruning power.
@@ -84,94 +54,11 @@ int main(int argc, char** argv) {
          FormatDouble(sax_power * 100.0, 1) + "%",
          FormatDouble(sofa_profile.SeriesPruningRatio() * 100.0, 1) + "%",
          FormatDouble(messi_profile.SeriesPruningRatio() * 100.0, 1) + "%"});
-
-    // Rowq tier sweep on the same tree: every query runs with the tier
-    // off and on back to back, the first of the pair alternating from
-    // query to query, so machine drift lands on both sides alike. Same
-    // index, same queries, bit-identical answers.
-    constexpr std::size_t kRowqK = 10;
-    const auto rowq = quant::RowQuant::Build(ds.data);
-    const std::size_t padded = rowq->quantizer().padded_length();
-    index::QueryProfile off_profile;
-    index::QueryProfile on_profile;
-    std::vector<double> off_ms;
-    std::vector<double> on_ms;
-    const auto time_query = [&](const float* query, bool tier_on) {
-      sofa.tree->AttachRowQuant(tier_on ? rowq : nullptr);
-      WallTimer timer;
-      (void)sofa.tree->SearchKnn(query, kRowqK,
-                                 tier_on ? &on_profile : &off_profile);
-      (tier_on ? on_ms : off_ms).push_back(timer.Millis());
-    };
-    for (std::size_t q = 0; q < ds.queries.size(); ++q) {
-      const bool on_first = q % 2 == 1;
-      time_query(ds.queries.row(q), on_first);
-      time_query(ds.queries.row(q), !on_first);
-    }
-    sofa.tree->AttachRowQuant(nullptr);
-
-    const double prune_rate =
-        on_profile.rowq_checked == 0
-            ? 0.0
-            : static_cast<double>(on_profile.rowq_pruned) /
-                  static_cast<double>(on_profile.rowq_checked);
-    // Raw bytes read past the summaries: every exact evaluation streams
-    // the full float row; every quantized check streams the u8 codes.
-    const double row_bytes = static_cast<double>(ds.data.length()) * 4.0;
-    const double off_bytes =
-        static_cast<double>(off_profile.series_ed_computed) * row_bytes;
-    const double on_bytes =
-        static_cast<double>(on_profile.series_ed_computed) * row_bytes +
-        static_cast<double>(on_profile.rowq_checked) *
-            static_cast<double>(padded);
-    const double off_mean = stats::Mean(off_ms);
-    const double on_mean = stats::Mean(on_ms);
-    const double speedup = on_mean > 0.0 ? off_mean / on_mean : 0.0;
-    rowq_table.AddRow({name, FormatDouble(prune_rate * 100.0, 1) + "%",
-                       FormatMiB(off_bytes), FormatMiB(on_bytes),
-                       FormatDouble(off_mean, 3), FormatDouble(on_mean, 3),
-                       FormatDouble(speedup, 2) + "x"});
-    json += first_entry ? "\n" : ",\n";
-    first_entry = false;
-    json += "    {\"dataset\": \"" + name + "\", \"rowq_checked\": " +
-            std::to_string(on_profile.rowq_checked) +
-            ", \"rowq_pruned\": " + std::to_string(on_profile.rowq_pruned) +
-            ", \"prune_rate\": " + FormatDouble(prune_rate, 4) +
-            ", \"bytes_off\": " + FormatDouble(off_bytes, 0) +
-            ", \"bytes_on\": " + FormatDouble(on_bytes, 0) +
-            ", \"query_ms_off\": " + FormatDouble(off_mean, 4) +
-            ", \"query_ms_on\": " + FormatDouble(on_mean, 4) +
-            ", \"speedup\": " + FormatDouble(speedup, 3) + "}";
   }
-  json += "\n  ]\n}\n";
   std::printf("%s", table.ToString().c_str());
   std::printf(
       "\npaper shape: SFA pruning power above iSAX everywhere, with the "
       "widest margins on\nhigh-frequency datasets (paper: 98%% vs 38%% on "
       "SCEDC at the first tree level).\n");
-  std::printf("\nrowq tier sweep (same tree, same queries, exact answers "
-              "unchanged):\n%s", rowq_table.ToString().c_str());
-
-  const std::string stats_path = flags.GetString("stats-json", "");
-  if (!stats_path.empty()) {
-    // Same run-identity block as the registry-backed benches.
-    json = WithBenchMetadata(
-        json, BenchMetadataJson(
-                  "ablation_pruning_power",
-                  {{"n_series", std::to_string(options.n_series)},
-                   {"n_queries", std::to_string(options.n_queries)},
-                   {"leaf_size", std::to_string(options.leaf_size)},
-                   {"seed", std::to_string(options.seed)},
-                   {"threads", std::to_string(threads)}}));
-    std::FILE* out = std::fopen(stats_path.c_str(), "wb");
-    if (out == nullptr ||
-        std::fwrite(json.data(), 1, json.size(), out) != json.size() ||
-        std::fclose(out) != 0) {
-      std::fprintf(stderr, "failed to write --stats-json %s\n",
-                   stats_path.c_str());
-      return 1;
-    }
-    std::printf("wrote rowq sweep to %s\n", stats_path.c_str());
-  }
   return 0;
 }

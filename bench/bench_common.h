@@ -109,8 +109,8 @@ std::string BenchMetadataJson(const std::string& bench,
 /// Splices `metadata_json` into a stats document as a leading top-level
 /// "metadata" key: {"metadata": {...}, "metrics": [...]}. ParseStatsJson
 /// ignores unknown top-level keys, so every existing reader keeps
-/// working. The document must open with '{' (RenderJson and the rowq
-/// ablation dump both do); anything else is returned unchanged.
+/// working. The document must open with '{' (RenderJson's does);
+/// anything else is returned unchanged.
 std::string WithBenchMetadata(const std::string& stats_json,
                               const std::string& metadata_json);
 

@@ -14,11 +14,9 @@
 #include "quant/binning.h"
 #include "quant/breakpoint_table.h"
 #include "quant/lbd.h"
-#include "quant/rowq.h"
 #include "sax/paa.h"
 #include "sax/sax_scheme.h"
 #include "sfa/mcb.h"
-#include "util/aligned.h"
 #include "util/rng.h"
 
 namespace {
@@ -97,89 +95,6 @@ void BM_DotProduct(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_DotProduct)->Arg(96)->Arg(256);
-
-// ----------------------------------------------------------- rowq kernel
-
-// The compressed pruning tier's quantized-row lower bound: u8 codes
-// against a padded query. One fixture per length, shared across the
-// scalar/SIMD/early-abandon variants below.
-struct RowqSetup {
-  std::shared_ptr<const quant::RowQuant> rowq;
-  AlignedVector<float> padded_query;
-
-  explicit RowqSetup(std::size_t n) {
-    Dataset data(n);
-    std::vector<float> row(n);
-    Rng rng(13);
-    for (int i = 0; i < 64; ++i) {
-      for (auto& x : row) {
-        x = static_cast<float>(rng.Gaussian());
-      }
-      ZNormalize(row.data(), n);
-      data.Append(row.data());
-    }
-    rowq = quant::RowQuant::Build(data);
-    const auto query = RandomSeries(n, 14);
-    padded_query.assign(rowq->quantizer().padded_length(), 0.0f);
-    rowq->quantizer().PadQuery(query.data(), padded_query.data());
-  }
-};
-
-void BM_RowqLowerBound_Scalar(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  RowqSetup setup(n);
-  const quant::RowQuantizer& q = setup.rowq->quantizer();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(quant::scalar::RowqLowerBoundSquared(
-        setup.padded_query.data(), q.mins(), q.deltas(), setup.rowq->code(0),
-        q.padded_length()));
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_RowqLowerBound_Scalar)->Arg(96)->Arg(128)->Arg(256);
-
-void BM_RowqLowerBound_Dispatch(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  RowqSetup setup(n);
-  const quant::RowQuantizer& q = setup.rowq->quantizer();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(quant::RowqLowerBoundSquared(
-        setup.padded_query.data(), q.mins(), q.deltas(), setup.rowq->code(0),
-        q.padded_length()));
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_RowqLowerBound_Dispatch)->Arg(96)->Arg(128)->Arg(256);
-
-void BM_RowqEarlyAbandon_TightBound(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  RowqSetup setup(n);
-  const quant::RowQuantizer& q = setup.rowq->quantizer();
-  // A threshold at 10% of the full sum stops the scan within the first
-  // blocks — the serving shape when the BSF is already tight.
-  const float full = quant::RowqLowerBoundSquared(
-      setup.padded_query.data(), q.mins(), q.deltas(), setup.rowq->code(0),
-      q.padded_length());
-  const float abandon = 0.1f * full;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(quant::RowqLowerBoundSquaredEarlyAbandon(
-        setup.padded_query.data(), q.mins(), q.deltas(), setup.rowq->code(0),
-        q.padded_length(), abandon));
-  }
-}
-BENCHMARK(BM_RowqEarlyAbandon_TightBound)->Arg(256);
-
-void BM_RowqEarlyAbandon_LooseBound(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  RowqSetup setup(n);
-  const quant::RowQuantizer& q = setup.rowq->quantizer();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(quant::RowqLowerBoundSquaredEarlyAbandon(
-        setup.padded_query.data(), q.mins(), q.deltas(), setup.rowq->code(0),
-        q.padded_length(), kInf));
-  }
-}
-BENCHMARK(BM_RowqEarlyAbandon_LooseBound)->Arg(256);
 
 // ----------------------------------------------------------- LBD kernel
 

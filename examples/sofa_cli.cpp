@@ -9,12 +9,13 @@
 //                      index.sofa.shard0 … shardN-1; build refuses any
 //                      flag it does not read)
 //   sofa_cli query    --data=data.fvecs --index=index.sofa
-//                     --queries=queries.fvecs [--k=10] [--epsilon=0]
-//                     [--rowq] (compressed pruning tier; bit-identical
-//                      answers, fewer float rows touched)
-//   sofa_cli info     --data=data.fvecs --index=index.sofa
+//                     --queries=queries.fvecs [--k=1] [--epsilon=0]
+//                     [--length=N]
+//   sofa_cli info     --data=data.fvecs --index=index.sofa [--length=N]
+//                     (query and info, like build, refuse any flag they
+//                      do not read)
 //   sofa_cli serve    --listen=HOST:PORT --data=data.fvecs --index=index.sofa
-//                     [--shards=N] [--rowq] [--data-dir=DIR]
+//                     [--shards=N] [--data-dir=DIR]
 //                     [--port-file=PATH] [--max-connections=64]
 //                     [--max-pending=4096] [--tenant-quota=N]
 //                     [--compact-threshold=1024] [--wal-sync=64]
@@ -71,7 +72,6 @@
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "persist/generation_store.h"
-#include "quant/rowq.h"
 #include "sax/sax_scheme.h"
 #include "service/search_service.h"
 #include "service/snapshot.h"
@@ -203,6 +203,12 @@ int Build(const Flags& flags, ThreadPool* pool) {
 }
 
 int Query(const Flags& flags, ThreadPool* pool) {
+  const std::string unknown = FirstUnknownFlag(
+      flags, {"data", "length", "queries", "index", "k", "epsilon"});
+  if (!unknown.empty()) {
+    std::fprintf(stderr, "query: unknown flag --%s\n", unknown.c_str());
+    return 1;
+  }
   const auto data = LoadData(flags, "data");
   if (!data.has_value()) {
     return 1;
@@ -216,11 +222,6 @@ int Query(const Flags& flags, ThreadPool* pool) {
   if (!loaded.has_value()) {
     std::fprintf(stderr, "failed to load index (wrong dataset?)\n");
     return 1;
-  }
-  if (flags.GetBool("rowq", false)) {
-    // Answers are bit-identical with the tier on or off; --rowq only
-    // changes how many float rows the exact kernel has to touch.
-    loaded->tree->AttachRowQuant(quant::RowQuant::Build(*data));
   }
   const std::size_t k = static_cast<std::size_t>(flags.GetInt("k", 1));
   const double epsilon = flags.GetDouble("epsilon", 0.0);
@@ -238,6 +239,12 @@ int Query(const Flags& flags, ThreadPool* pool) {
 }
 
 int Info(const Flags& flags, ThreadPool* pool) {
+  const std::string unknown =
+      FirstUnknownFlag(flags, {"data", "length", "index"});
+  if (!unknown.empty()) {
+    std::fprintf(stderr, "info: unknown flag --%s\n", unknown.c_str());
+    return 1;
+  }
   const auto data = LoadData(flags, "data");
   if (!data.has_value()) {
     return 1;
@@ -342,9 +349,6 @@ int StatsCommand(const Flags& flags) {
     "index file (per-shard suffixes with --shards)")                          \
   X(length, "length", Int, 0, "series length for raw float32 files")          \
   X(shards, "shards", Int, 1, "shard count (must match `build --shards`)")    \
-  X(rowq, "rowq", Bool, false,                                                \
-    "enable the compressed (quantized-row) pruning tier — answers stay "      \
-    "bit-identical, fewer float rows reach the exact kernel")                 \
   X(max_pending, "max-pending", Int, 4096,                                    \
     "admission queue bound (beyond it, shed kRejected)")                      \
   X(tenant_quota, "tenant-quota", Int, 0,                                     \
@@ -375,7 +379,6 @@ int StatsCommand(const Flags& flags) {
 using ServeString = std::string;
 using ServeInt = std::int64_t;
 using ServeDouble = double;
-using ServeBool = bool;
 
 struct ServeOptions {
 #define SOFA_SERVE_DECLARE(field, flag, type, default_value, help) \
@@ -554,7 +557,7 @@ int Serve(const Flags& flags, ThreadPool* pool) {
       std::fprintf(stderr, "cannot open --data-dir %s\n", data_dir.c_str());
       return 1;
     }
-    restored = store->LoadLatest(pool, opts.rowq);
+    restored = store->LoadLatest(pool);
   }
   // Every generation served is sharded — one shard for a single index
   // file — so every request runs the same query path.
@@ -575,7 +578,6 @@ int Serve(const Flags& flags, ThreadPool* pool) {
     }
     shard::ShardingConfig shard_config;
     shard_config.num_shards = static_cast<std::size_t>(opts.shards);
-    shard_config.enable_rowq = opts.rowq;  // compactions keep the tier
     sharded = shard::LoadShardedIndex(opts.index, *data, shard_config, pool);
     if (sharded == nullptr) {
       std::fprintf(stderr, "failed to load %s (wrong dataset or --shards?)\n",

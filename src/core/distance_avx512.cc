@@ -9,7 +9,20 @@
 
 #if defined(SOFA_COMPILE_AVX512)
 
+// GCC's avx512fintrin.h self-initializes the results of its
+// _mm512_undefined_* helpers (`__m512 __Y = __Y;`), which -Wall reports as
+// an uninitialized read wherever an intrinsic built on them is inlined.
+// The warnings are silenced for that system header alone, so this file's
+// own code still warns. (clang does not know the warning groups.)
+#if !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#endif
 #include <immintrin.h>
+#if !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace sofa {
 namespace avx512 {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <optional>
 #include <queue>
 
 #include "core/distance.h"
@@ -42,26 +41,6 @@ IndexFlatL2::IndexFlatL2(const Dataset* data, ThreadPool* pool)
   build_seconds_ = timer.Seconds();
 }
 
-void IndexFlatL2::AttachRowQuant(std::shared_ptr<const quant::RowQuant> rowq) {
-  rowq_ = std::move(rowq);
-  if (rowq_ == nullptr) {
-    return;
-  }
-  SOFA_CHECK(rowq_->rows() == data_->size());
-  max_norm_sq_ = 0.0f;
-  for (std::size_t i = 0; i < norms_sq_.size(); ++i) {
-    max_norm_sq_ = std::max(max_norm_sq_, norms_sq_[i]);
-  }
-  // Absolute slack coefficient for the dot-trick rounding: every term of
-  // ‖q‖² + ‖y‖² − 2·q·y is bounded in magnitude by ‖q‖² + ‖y‖², and its
-  // float evaluation accumulates O(n) roundings of such magnitudes, so
-  // (n + 64)·2⁻²¹ · (‖q‖² + max‖y‖²) over-covers the worst downward
-  // error by a wide margin (the admissibility property test exercises
-  // this bound against adversarial values).
-  slack_coeff_ = static_cast<float>(
-      static_cast<double>(data_->length() + 64) * 4.76837158203125e-7);
-}
-
 std::vector<Neighbor> IndexFlatL2::SearchKnn(const float* query,
                                              std::size_t k) const {
   if (data_->empty() || k == 0) {
@@ -70,27 +49,8 @@ std::vector<Neighbor> IndexFlatL2::SearchKnn(const float* query,
   k = std::min(k, data_->size());
   const std::size_t n = data_->length();
   const float query_norm_sq = SquaredNorm(query, n);
-  std::optional<quant::RowQuantView> rowq_view;
-  float slack = 0.0f;
-  if (rowq_ != nullptr) {
-    rowq_view.emplace(rowq_.get(), query);
-    slack = slack_coeff_ * (query_norm_sq + max_norm_sq_);
-  }
   std::priority_queue<HeapEntry> heap;
   for (std::size_t i = 0; i < data_->size(); ++i) {
-    // Compressed tier: skip a row whose quantized bound (minus the
-    // dot-trick slack) already meets the k-th best. Admission below is
-    // strict `<`, so answers — ids and distances — are bit-identical
-    // with the tier on or off.
-    if (rowq_view && heap.size() == k && rowq_view->prunable(i) &&
-        heap.top().dist_sq < kInf &&
-        rowq_view->LowerBoundEarlyAbandon(
-            i, rowq_view->RawAbandonThreshold(
-                   heap.top().dist_sq + slack, 1.0f)) -
-                slack >=
-            heap.top().dist_sq) {
-      continue;
-    }
     // d² = ‖q‖² + ‖y‖² − 2·q·y; clamp tiny negative rounding to 0.
     const float d = std::max(
         0.0f, query_norm_sq + norms_sq_[i] -

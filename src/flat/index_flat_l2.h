@@ -11,12 +11,10 @@
 #define SOFA_FLAT_INDEX_FLAT_L2_H_
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "core/dataset.h"
 #include "core/neighbor.h"
-#include "quant/rowq.h"
 #include "util/aligned.h"
 
 namespace sofa {
@@ -48,29 +46,11 @@ class IndexFlatL2 {
 
   const Dataset& data() const { return *data_; }
 
-  /// Attaches the compressed pruning tier (quant::RowQuant over the same
-  /// dataset, row-aligned). SearchKnn then skips rows whose quantized
-  /// lower bound — minus a per-query absolute slack covering the
-  /// ‖x‖²+‖y‖²−2x·y formulation's magnitude-scaled rounding — already
-  /// meets the k-th best, without changing any reported id or distance.
-  /// Not thread-safe: attach before issuing queries. Null detaches.
-  void AttachRowQuant(std::shared_ptr<const quant::RowQuant> rowq);
-  const std::shared_ptr<const quant::RowQuant>& rowq() const { return rowq_; }
-
  private:
   const Dataset* data_;
   ThreadPool* pool_;
   AlignedVector<float> norms_sq_;
   double build_seconds_ = 0.0;
-
-  // Compressed pruning tier (null = off) and the ingredients of its
-  // per-query slack: the dot-trick distance can round *below* the true
-  // value by an amount scaling with the operand magnitudes, so flat
-  // pruning subtracts slack_coeff_ * (‖q‖² + max_i ‖y_i‖²) from every
-  // quantized bound before comparing.
-  std::shared_ptr<const quant::RowQuant> rowq_;
-  float max_norm_sq_ = 0.0f;
-  float slack_coeff_ = 0.0f;
 };
 
 }  // namespace flat

@@ -6,12 +6,10 @@
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <utility>
 
 #include "core/distance.h"
 #include "quant/lbd.h"
-#include "quant/rowq.h"
 #include "util/check.h"
 
 namespace sofa {
@@ -96,10 +94,6 @@ struct PartContext {
   const TreeIndex* index = nullptr;
   const std::vector<std::uint32_t>* global_ids = nullptr;  // null = identity
   const SchemeQuery* summary = nullptr;
-  // Compressed pruning tier (engaged when the tree carries a rowq
-  // sidecar): quantized-row lower bounds evaluated between the summary
-  // LBD and the exact kernel.
-  std::optional<quant::RowQuantView> rowq;
 
   std::uint32_t GlobalId(std::uint32_t local) const {
     return global_ids == nullptr ? local : (*global_ids)[local];
@@ -126,48 +120,6 @@ struct QueryContext {
   }
 };
 
-// The rowq tier: true when the quantized lower bound proves row `id`
-// cannot be admitted at `bound`. The result set admits only d < bound,
-// and the deflated bound never exceeds the float the exact kernel
-// reports, so pruning at lb ≥ bound is answer-preserving bit for bit
-// (ties included). The bound < kInf guard keeps the tier out of the
-// heap-filling phase, where inflated products could overflow to +inf
-// and compare ≥ an infinite bound.
-inline bool RowqPrunes(const QueryContext& ctx, const PartContext& part,
-                       std::uint32_t id, float bound, QueryProfile* profile) {
-  if (!part.rowq || !(bound < kInf) || !part.rowq->prunable(id)) {
-    return false;
-  }
-  ++profile->rowq_checked;
-  // The kernel may stop scanning once its partial sum crosses the raw
-  // threshold; the predicate below is applied to whatever (partial or
-  // full) adjusted bound comes back, so the abandon point affects cost
-  // only, never the decision's soundness.
-  const float lb = part.rowq->LowerBoundEarlyAbandon(
-      id, part.rowq->RawAbandonThreshold(bound, ctx.lbd_inflation_sq));
-  if (lb * ctx.lbd_inflation_sq >= bound) {
-    ++profile->rowq_pruned;
-    return true;
-  }
-  return false;
-}
-
-// Rowq tier, then the early-abandoning real distance, then the offer.
-inline void ScanRow(const QueryContext& ctx, const PartContext& part,
-                    std::uint32_t id, float bound, ResultSet* results,
-                    QueryProfile* profile) {
-  if (RowqPrunes(ctx, part, id, bound, profile)) {
-    return;
-  }
-  const Dataset& data = part.index->data();
-  const float d = SquaredEuclideanEarlyAbandon(ctx.query, data.row(id),
-                                               data.length(), bound);
-  ++profile->series_ed_computed;
-  if (d < bound) {
-    results->Offer(part.GlobalId(id), d);
-  }
-}
-
 // Scans a leaf with the LBD → real-distance cascade: the series LBDs come
 // from the query's lookup table a block at a time, and each is tested
 // against the bound live at its turn.
@@ -176,6 +128,7 @@ void ScanLeaf(const QueryContext& ctx, const PartContext& part,
   const quant::LbdTable& lbd = part.summary->lbd;
   const std::size_t l = lbd.word_length();
   const float inflation = ctx.lbd_inflation_sq;
+  const Dataset& data = part.index->data();
   float lbd_sq[kLbdBlock] = {};
   for (std::size_t first = 0; first < leaf.leaf_size(); first += kLbdBlock) {
     const std::size_t count = std::min(kLbdBlock, leaf.leaf_size() - first);
@@ -188,8 +141,15 @@ void ScanLeaf(const QueryContext& ctx, const PartContext& part,
         continue;
       }
       const std::uint32_t id = leaf.series_ids[first + i];
-      if (!ctx.Masked(part.GlobalId(id), profile)) {
-        ScanRow(ctx, part, id, bound, results, profile);
+      const std::uint32_t global_id = part.GlobalId(id);
+      if (ctx.Masked(global_id, profile)) {
+        continue;
+      }
+      const float d = SquaredEuclideanEarlyAbandon(ctx.query, data.row(id),
+                                                   data.length(), bound);
+      ++profile->series_ed_computed;
+      if (d < bound) {
+        results->Offer(global_id, d);
       }
     }
   }
@@ -298,9 +258,6 @@ QueryContext MakeContext(const TreePart* parts, std::size_t num_parts,
       summary.lbd = quant::LbdTable(scheme.table(), scheme.weights(),
                                     summary.projection.data());
       part.summary = &summary;
-    }
-    if (part.index->rowq() != nullptr) {
-      part.rowq.emplace(part.index->rowq().get(), query);
     }
   }
   return ctx;

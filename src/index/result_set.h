@@ -5,7 +5,7 @@
 // Candidates are ordered by (squared distance, global id), so the set is
 // the k lexicographically smallest pairs offered, whatever the order of
 // the offers. The published pruning bound sits one float above the k-th
-// distance: every pruning test (node LBD, series LBD, rowq, queue
+// distance: every pruning test (node LBD, series LBD, queue
 // abandonment, the early-abandoning kernel) drops a candidate only when
 // its bound is >= bound_sq(), i.e. strictly farther than the k-th. A row
 // tied with the k-th is therefore always examined and the id decides, so

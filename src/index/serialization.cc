@@ -1,5 +1,7 @@
 #include "index/serialization.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -7,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "dft/real_dft.h"
 #include "sax/sax_scheme.h"
 #include "sfa/sfa_scheme.h"
 
@@ -163,16 +166,60 @@ class Reader {
   bool ok_ = true;
 };
 
-std::unique_ptr<Node> ReadNode(Reader* r, std::size_t word_length,
-                               std::size_t data_size, int depth) {
+// The BreakpointTable every scheme builds aborts on an alphabet it cannot
+// split by cardinality bits.
+bool ValidAlphabet(std::uint64_t alphabet) {
+  return alphabet >= 2 && alphabet <= 256 && (alphabet & (alphabet - 1)) == 0;
+}
+
+// The checks SfaScheme's constructor aborts on, made on a decoded spec:
+// every selected value names a coefficient of the series' DFT and no
+// imaginary part of DC/Nyquist, and every dimension's edges are numbers
+// in non-decreasing order.
+bool ValidSfaSpec(const sfa::SfaSpec& spec) {
+  if (spec.series_length < 2) {
+    return false;
+  }
+  const dft::RealDftPlan plan(spec.series_length);
+  for (const sfa::ValueRef ref : spec.selected) {
+    if (ref.coeff >= plan.num_coefficients() ||
+        (ref.imag && plan.IsUnpaired(ref.coeff))) {
+      return false;
+    }
+  }
+  for (const std::vector<float>& edges : spec.edges) {
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      if (std::isnan(edges[i]) || (i > 0 && !(edges[i - 1] <= edges[i]))) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+// Reads one subtree in preorder. Every field the search indexes with is
+// range-checked: a node's cardinality bits stay within the scheme's, its
+// prefixes fit them, and a leaf's ids and symbols lie inside the
+// collection and the alphabet. `listed` marks the ids read so far: a
+// forest lists every row of the collection exactly once.
+std::unique_ptr<Node> ReadNode(Reader* r, const quant::SummaryScheme& scheme,
+                               std::vector<bool>* listed, int depth) {
   if (!r->ok() || depth > 200) {  // depth bound guards corrupted files
     return nullptr;
   }
+  const std::size_t data_size = listed->size();
+  const std::size_t word_length = scheme.word_length();
   const bool is_leaf = r->U8() != 0;
   auto node = std::make_unique<Node>(word_length);
   r->Bytes(node->prefixes.data(), word_length);
   r->Bytes(node->cards.data(), word_length);
   node->split_dim = r->Pod<std::uint16_t>();
+  for (std::size_t dim = 0; dim < word_length; ++dim) {
+    if (node->cards[dim] > scheme.bits() ||
+        (node->prefixes[dim] >> node->cards[dim]) != 0) {
+      return nullptr;
+    }
+  }
   if (is_leaf) {
     const std::uint64_t count = r->U64();
     if (count > data_size) {
@@ -185,15 +232,21 @@ std::unique_ptr<Node> ReadNode(Reader* r, std::size_t word_length,
     if (!r->ok()) {
       return nullptr;
     }
-    for (std::size_t i = 0; i < count; ++i) {
-      if (node->series_ids[i] >= data_size) {
+    for (const std::uint32_t id : node->series_ids) {
+      if (id >= data_size || (*listed)[id]) {
+        return nullptr;
+      }
+      (*listed)[id] = true;
+    }
+    for (const std::uint8_t symbol : node->words) {
+      if (symbol >= scheme.alphabet()) {
         return nullptr;
       }
     }
     return node;
   }
-  node->left = ReadNode(r, word_length, data_size, depth + 1);
-  node->right = ReadNode(r, word_length, data_size, depth + 1);
+  node->left = ReadNode(r, scheme, listed, depth + 1);
+  node->right = ReadNode(r, scheme, listed, depth + 1);
   if (node->left == nullptr || node->right == nullptr ||
       node->split_dim >= word_length) {
     return nullptr;
@@ -257,7 +310,7 @@ std::optional<LoadedIndex> LoadIndex(
     spec.alphabet = r.U64();
     const std::uint64_t word_length = r.U64();
     if (!r.ok() || word_length == 0 || word_length > 4096 ||
-        spec.alphabet < 2 || spec.alphabet > 256) {
+        !ValidAlphabet(spec.alphabet)) {
       return std::nullopt;
     }
     spec.name = r.String();
@@ -272,7 +325,8 @@ std::optional<LoadedIndex> LoadIndex(
       r.Bytes(edges.data(), edges.size() * sizeof(float));
       spec.edges.push_back(std::move(edges));
     }
-    if (!r.ok() || spec.series_length != data->length()) {
+    if (!r.ok() || spec.series_length != data->length() ||
+        !ValidSfaSpec(spec)) {
       return std::nullopt;
     }
     result.scheme = std::make_unique<sfa::SfaScheme>(spec);
@@ -281,7 +335,7 @@ std::optional<LoadedIndex> LoadIndex(
     const std::uint64_t word_length = r.U64();
     const std::uint64_t alphabet = r.U64();
     if (!r.ok() || series_length != data->length() || word_length == 0 ||
-        word_length > series_length || alphabet < 2 || alphabet > 256) {
+        word_length > series_length || !ValidAlphabet(alphabet)) {
       return std::nullopt;
     }
     result.scheme =
@@ -291,36 +345,44 @@ std::optional<LoadedIndex> LoadIndex(
     return std::nullopt;
   }
 
+  // A rebuild (compaction) builds a tree with this configuration, and
+  // the root key is read off the first root_bits dimensions of a word.
+  const std::size_t word_length = result.scheme->word_length();
   IndexConfig config;
   config.leaf_capacity = r.U64();
-  config.split_policy =
-      r.U8() == 0 ? SplitPolicy::kBestBalance : SplitPolicy::kRoundRobin;
+  const std::uint8_t split_policy = r.U8();
+  config.split_policy = split_policy == 0 ? SplitPolicy::kBestBalance
+                                          : SplitPolicy::kRoundRobin;
   const std::uint64_t root_bits = r.U64();
   const std::uint64_t data_size = r.U64();
   const std::uint64_t data_length = r.U64();
-  if (!r.ok() || root_bits == 0 || root_bits > 16 ||
+  if (!r.ok() || config.leaf_capacity == 0 || split_policy > 1 ||
+      root_bits == 0 || root_bits > 16 || root_bits > word_length ||
       data_size != data->size() || data_length != data->length()) {
     return std::nullopt;
   }
   config.root_bits = root_bits;
 
-  const std::size_t word_length = result.scheme->word_length();
   std::vector<std::unique_ptr<Node>> root_children(std::size_t{1}
                                                    << root_bits);
   const std::uint64_t num_subtrees = r.U64();
   if (!r.ok() || num_subtrees > root_children.size()) {
     return std::nullopt;
   }
+  std::vector<bool> listed(data->size(), false);
   for (std::uint64_t s = 0; s < num_subtrees; ++s) {
     const std::uint32_t key = r.Pod<std::uint32_t>();
     if (!r.ok() || key >= root_children.size() ||
         root_children[key] != nullptr) {
       return std::nullopt;
     }
-    root_children[key] = ReadNode(&r, word_length, data->size(), 0);
+    root_children[key] = ReadNode(&r, *result.scheme, &listed, 0);
     if (root_children[key] == nullptr) {
       return std::nullopt;
     }
+  }
+  if (std::find(listed.begin(), listed.end(), false) != listed.end()) {
+    return std::nullopt;  // a row no leaf lists could never be answered
   }
 
   if (reuse != nullptr && SameScheme(*result.scheme, *reuse)) {

@@ -36,6 +36,8 @@ bool SaveIndex(const TreeIndex& index, const std::string& path);
 
 /// Loads an index previously saved with SaveIndex; `data` must be the
 /// identical collection (shape-checked) and must outlive the result.
+/// A malformed file (a field out of the range a search or a rebuild
+/// relies on) yields nullopt, never an abort.
 /// When the file's scheme serializes to the same bytes as `reuse`, the
 /// tree is built on `reuse` and the result holds it instead of a decoded
 /// copy — the trees of one generation then share one scheme object, and

@@ -88,8 +88,6 @@ void QueryProfile::Merge(const QueryProfile& other) {
   series_lbd_pruned += other.series_lbd_pruned;
   series_ed_computed += other.series_ed_computed;
   candidates_filtered += other.candidates_filtered;
-  rowq_checked += other.rowq_checked;
-  rowq_pruned += other.rowq_pruned;
 }
 
 Neighbor TreeIndex::Search1Nn(const float* query) const {

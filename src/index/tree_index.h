@@ -21,7 +21,6 @@
 #include "core/dataset.h"
 #include "core/neighbor.h"
 #include "index/node.h"
-#include "quant/rowq.h"
 #include "quant/summary_scheme.h"
 #include "util/thread_pool.h"
 
@@ -74,10 +73,11 @@ struct QueryProfile {
                                          // present in a tree or buffer; a
                                          // tree row counts once it passes
                                          // the series LBD)
-  std::uint64_t rowq_checked = 0;  // quantized-row lower-bound evaluations
-  std::uint64_t rowq_pruned = 0;   // series cut by the rowq tier (survived
-                                   // the summary LBD, never reached the
-                                   // exact kernel)
+  // Always 0. They counted a deleted compressed pruning tier; they stay
+  // because protocol v2 still carries two slots for them and
+  // perfbench/src/layers.cc reads them.
+  std::uint64_t rowq_checked = 0;
+  std::uint64_t rowq_pruned = 0;
 
   /// Fraction of LBD-checked series pruned before any raw-data access.
   double SeriesPruningRatio() const {
@@ -142,17 +142,6 @@ class TreeIndex {
   /// Number of bits of the root fan-out (min(word_length, 16)).
   std::size_t root_bits() const { return root_bits_; }
 
-  /// Attaches a quantized-row sidecar (quant::RowQuant over the same
-  /// `data`, local row i aligned with data().row(i)). Queries then run
-  /// the compressed pruning tier between the per-series LBD and the
-  /// exact kernel; answers stay bit-identical to the detached
-  /// configuration. Not thread-safe: attach before publishing the index
-  /// to queries. Null detaches.
-  void AttachRowQuant(std::shared_ptr<const quant::RowQuant> rowq) {
-    rowq_ = std::move(rowq);
-  }
-  const std::shared_ptr<const quant::RowQuant>& rowq() const { return rowq_; }
-
   /// Non-empty root children, as (root key, subtree) pairs.
   const std::vector<std::pair<std::uint32_t, Node*>>& subtrees() const {
     return subtrees_;
@@ -194,9 +183,6 @@ class TreeIndex {
   // Dense root fan-out (size 2^root_bits_) plus the compact non-empty list.
   std::vector<std::unique_ptr<Node>> root_children_;
   std::vector<std::pair<std::uint32_t, Node*>> subtrees_;
-
-  // Optional compressed pruning tier (null = tier off).
-  std::shared_ptr<const quant::RowQuant> rowq_;
 };
 
 }  // namespace index

@@ -54,16 +54,7 @@ Compactor::Compactor(service::SearchService* service,
     config_.max_pending = 8 * config_.compact_threshold;
   }
   sharded_ = std::move(base);
-  // With the rowq tier enabled, buffered rows share the last shard tree's
-  // quantization grid so a row prunes on the same bound whether it is
-  // answered from the buffer or, post-compaction, from the tree.
-  const index::TreeIndex& last_tree = *sharded_->shard(num_shards_ - 1).tree;
-  std::shared_ptr<const quant::RowQuantizer> quantizer;
-  if (sharded_->config().enable_rowq && last_tree.rowq() != nullptr) {
-    quantizer = last_tree.rowq()->quantizer_ptr();
-  }
-  buffer_ = std::make_shared<InsertBuffer>(length_, kChunkRows,
-                                           std::move(quantizer));
+  buffer_ = std::make_shared<InsertBuffer>(length_, kChunkRows);
   tombstones_ = std::make_shared<TombstoneSet>();
   if (!config_.wal_dir.empty()) {
     if (config_.wal.registry == nullptr) {
@@ -800,12 +791,8 @@ void Compactor::CompactShard(std::size_t s) {
   rebuilt.data = data;
   rebuilt.scheme = old_shard.scheme;
   rebuilt.global_ids = ids;
-  auto rebuilt_tree = std::make_shared<index::TreeIndex>(
+  rebuilt.tree = std::make_shared<index::TreeIndex>(
       data.get(), old_shard.scheme.get(), base->config().index, base->pool());
-  if (base->config().enable_rowq) {
-    rebuilt_tree->AttachRowQuant(quant::RowQuant::Build(*data));
-  }
-  rebuilt.tree = std::move(rebuilt_tree);
   std::shared_ptr<const shard::ShardedIndex> derived =
       base->WithShardReplaced(s, std::move(rebuilt));
 

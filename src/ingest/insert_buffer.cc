@@ -2,48 +2,29 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 
 #include "core/distance.h"
 #include "util/check.h"
 
 namespace sofa {
 namespace ingest {
-namespace {
 
-constexpr float kInf = std::numeric_limits<float>::infinity();
-
-}  // namespace
-
-InsertBuffer::InsertBuffer(std::size_t length, std::size_t chunk_capacity,
-                           std::shared_ptr<const quant::RowQuantizer> quantizer)
-    : length_(length),
-      chunk_capacity_(chunk_capacity),
-      quantizer_(std::move(quantizer)) {
+InsertBuffer::InsertBuffer(std::size_t length, std::size_t chunk_capacity)
+    : length_(length), chunk_capacity_(chunk_capacity) {
   SOFA_CHECK(length_ > 0);
   SOFA_CHECK(chunk_capacity_ > 0);
-  SOFA_CHECK(quantizer_ == nullptr || quantizer_->length() == length_);
 }
 
 std::size_t InsertBuffer::Append(const float* row, std::uint32_t global_id) {
   std::lock_guard<std::mutex> lock(mutex_);
   const std::size_t slot = count_ - base_;
   if (slot == chunks_.size() * chunk_capacity_) {
-    chunks_.push_back(std::make_shared<Chunk>(
-        length_, chunk_capacity_,
-        quantizer_ == nullptr ? 0 : quantizer_->padded_length()));
+    chunks_.push_back(std::make_shared<Chunk>(length_, chunk_capacity_));
   }
   Chunk& chunk = *chunks_[slot / chunk_capacity_];
   const std::size_t at = slot % chunk_capacity_;
   std::memcpy(chunk.rows.mutable_row(at), row, length_ * sizeof(float));
   chunk.ids[at] = global_id;
-  if (quantizer_ != nullptr) {
-    chunk.prunable[at] =
-        quantizer_->Encode(
-            row, chunk.codes.data() + at * quantizer_->padded_length())
-            ? 1
-            : 0;
-  }
   return ++count_;  // row fully written before the count publishes it
 }
 
@@ -79,22 +60,13 @@ void InsertBuffer::Scan(const float* query, std::size_t begin,
   if (begin >= view.count) {
     return;
   }
-  // The rowq tier shares one padded query across the scan.
-  AlignedVector<float> padded_query;
-  if (quantizer_ != nullptr) {
-    padded_query.resize(quantizer_->padded_length());
-    quantizer_->PadQuery(query, padded_query.data());
-  }
   // Flat scan with the tree engine's early-abandoning kernel against the
   // result set's bound, which sits just above its k-th distance: a row
   // tied with the k-th still reaches the set, where (distance, id) order
   // decides. A completed (non-abandoned) sum is the exact distance,
   // bit-identical to what the tree reports for the same row. Tombstoned
   // rows are masked before any distance work: the scan behaves as if
-  // they were never appended. With a quantizer, rows whose quantized
-  // lower bound already meets the bound are cut without touching float
-  // data — the deflated bound never exceeds the exact kernel's float, so
-  // the set's content is bit-identical to the unquantized scan.
+  // they were never appended.
   for (std::size_t r = begin; r < view.count; ++r) {
     const std::size_t slot = r - view.base;
     const Chunk& chunk = *view.chunks[slot / chunk_capacity_];
@@ -105,23 +77,6 @@ void InsertBuffer::Scan(const float* query, std::size_t begin,
     }
     ++stats->scanned;
     const float bound = results->bound_sq();
-    if (quantizer_ != nullptr && bound < kInf && chunk.prunable[at] != 0) {
-      ++stats->rowq_checked;
-      // The kernel may stop early once its partial sum crosses the raw
-      // threshold; the adjusted bound of a partial sum is still
-      // admissible and the lb >= bound predicate below decides as
-      // before, so the abandon point affects cost only.
-      const float lb =
-          quantizer_->AdjustedLowerBound(quant::RowqLowerBoundSquaredEarlyAbandon(
-              padded_query.data(), quantizer_->mins(), quantizer_->deltas(),
-              chunk.codes.data() + at * quantizer_->padded_length(),
-              quantizer_->padded_length(),
-              quantizer_->RawAbandonThreshold(bound, 1.0f)));
-      if (lb >= bound) {
-        ++stats->rowq_pruned;
-        continue;
-      }
-    }
     const float d = SquaredEuclideanEarlyAbandon(query, chunk.rows.row(at),
                                                  length_, bound);
     ++stats->ed_computed;

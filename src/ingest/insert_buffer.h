@@ -35,8 +35,6 @@
 
 #include "core/dataset.h"
 #include "index/result_set.h"
-#include "quant/rowq.h"
-#include "util/aligned.h"
 
 namespace sofa {
 namespace ingest {
@@ -46,21 +44,14 @@ class InsertBuffer {
   /// Work counters of buffer scans (Scan accumulates into them) — the
   /// per-buffer slice of QueryProfile accounting.
   struct ScanStats {
-    std::size_t scanned = 0;       // non-masked rows considered
-    std::size_t masked = 0;        // tombstoned rows skipped unscanned
-    std::size_t ed_computed = 0;   // early-abandoning distance evaluations
-    std::size_t rowq_checked = 0;  // quantized lower bounds evaluated
-    std::size_t rowq_pruned = 0;   // rows cut before any float row access
+    std::size_t scanned = 0;      // non-masked rows considered
+    std::size_t masked = 0;       // tombstoned rows skipped unscanned
+    std::size_t ed_computed = 0;  // early-abandoning distance evaluations
   };
 
   /// Buffer for rows of `length` floats, stored in chunks of
-  /// `chunk_capacity` rows. With `quantizer` set (the compressed pruning
-  /// tier of the owning shard), every appended row also gets a quantized
-  /// code, and scans prune on the quantized lower bound before touching
-  /// float rows — answers stay bit-identical to the unquantized buffer.
-  explicit InsertBuffer(
-      std::size_t length, std::size_t chunk_capacity = 1024,
-      std::shared_ptr<const quant::RowQuantizer> quantizer = nullptr);
+  /// `chunk_capacity` rows.
+  explicit InsertBuffer(std::size_t length, std::size_t chunk_capacity = 1024);
 
   InsertBuffer(const InsertBuffer&) = delete;
   InsertBuffer& operator=(const InsertBuffer&) = delete;
@@ -115,16 +106,12 @@ class InsertBuffer {
 
  private:
   // One fixed-capacity chunk; `rows` is pre-sized so row storage never
-  // moves after construction. With a quantizer, `codes`/`prunable` hold
-  // the quantized sidecar (row at slot `at` starts at at*padded codes).
+  // moves after construction.
   struct Chunk {
-    Chunk(std::size_t length, std::size_t capacity, std::size_t padded)
-        : rows(capacity, length), ids(capacity, 0), codes(capacity * padded),
-          prunable(capacity, 0) {}
+    Chunk(std::size_t length, std::size_t capacity)
+        : rows(capacity, length), ids(capacity, 0) {}
     Dataset rows;
     std::vector<std::uint32_t> ids;
-    AlignedVector<std::uint8_t> codes;  // empty when unquantized
-    std::vector<std::uint8_t> prunable;
   };
 
   // Snapshot of the readable state: chunks (shared — survive a concurrent
@@ -138,7 +125,6 @@ class InsertBuffer {
 
   const std::size_t length_;
   const std::size_t chunk_capacity_;
-  const std::shared_ptr<const quant::RowQuantizer> quantizer_;  // may be null
 
   mutable std::mutex mutex_;
   std::vector<std::shared_ptr<Chunk>> chunks_;  // chunk c starts at row

@@ -43,8 +43,9 @@ std::uint64_t GetU64(const std::uint8_t* in) {
 }
 
 // The profile travels as its counters in declaration order: 8 at
-// protocol v1, 10 at v2 (the rowq tier counters joined the struct after
-// v1 froze).
+// protocol v1, 10 at v2. The two v2-only slots, rowq_checked and
+// rowq_pruned, counted a deleted pruning tier and are always 0; they stay
+// so the v2 layout does not change under existing peers.
 void WriteProfile(PayloadWriter* writer, const index::QueryProfile& profile,
                   std::uint8_t version) {
   writer->U64(profile.nodes_visited);

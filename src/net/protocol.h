@@ -40,9 +40,9 @@ namespace net {
 constexpr std::uint32_t kMagic = 0x41464F53u;  // "SOFA" little-endian
 
 /// v1: original frame set. v2: SEARCH responses carry the full
-/// 10-counter profile (rowq tier included) plus the serialized trace
-/// blob (obs/trace_serde.h). Servers accept both versions and answer
-/// each request at the version it arrived with; clients speak the
+/// 10-counter profile (its last two slots always 0) plus the serialized
+/// trace blob (obs/trace_serde.h). Servers accept both versions and
+/// answer each request at the version it arrived with; clients speak the
 /// newest. See docs/PROTOCOL.md, "Versioning".
 constexpr std::uint8_t kProtocolVersion = 2;
 constexpr std::uint8_t kMinProtocolVersion = 1;
@@ -173,12 +173,12 @@ Status DecodeSearchRequest(const std::uint8_t* data, std::size_t size,
 
 /// SEARCH response: status + message, index_version, latency_ms,
 /// neighbors, profile, rendered trace text. At `version` >= 2 the
-/// profile includes the rowq tier counters and the payload ends with a
+/// profile includes two always-0 slots and the payload ends with a
 /// structured trace section: `trace_blob` is a SerializeTraceRecord
 /// blob, or empty for "no trace" (obs/trace_serde.h); the server then
 /// leaves the text field empty and the client renders it from the
 /// blob. At version 1 the layout is byte-identical to the original
-/// protocol — the rowq counters and the blob never reach a v1 peer,
+/// protocol — the two extra slots and the blob never reach a v1 peer,
 /// which gets the rendered text.
 std::vector<std::uint8_t> EncodeSearchResponse(
     const service::SearchResponse& response, const Status& status,

@@ -13,7 +13,6 @@
 #include <unistd.h>
 
 #include "index/serialization.h"
-#include "quant/rowq.h"
 #include "util/check.h"
 #include "util/crc32.h"
 #include "util/fsutil.h"
@@ -24,9 +23,10 @@ namespace {
 
 constexpr char kManifestMagic[8] = {'S', 'O', 'F', 'A', 'M', 'A', 'N', '1'};
 constexpr char kSliceMagic[8] = {'S', 'O', 'F', 'A', 'S', 'L', 'C', '1'};
-constexpr char kRowqMagic[8] = {'S', 'O', 'F', 'A', 'R', 'Q', '0', '1'};
-// v2: per-shard .rq accounting (rq_bytes, rq_crc) after the tail fields.
-// The pre-rowq v1 layout is no longer read.
+// v2: per-shard rq_bytes and rq_crc after the tail fields. They accounted
+// for the shard-<s>.rq sidecar of a deleted pruning tier: written as 0 and
+// ignored on read (as is any .rq file an old generation holds), so data
+// directories written with the tier on still load. v1 is no longer read.
 constexpr std::uint32_t kManifestVersion = 2;
 constexpr char kGenPrefix[] = "gen-";
 constexpr char kTmpSuffix[] = ".tmp";
@@ -324,67 +324,6 @@ bool ParseSliceFile(const std::vector<unsigned char>& bytes,
   return true;
 }
 
-// Writes one shard's quantized sidecar (the compressed pruning tier's
-// grid + codes + prunability flags) and reports its size + CRC. Layout:
-// magic; u64 rows, length, padded; float mins[padded], deltas[padded];
-// u8 prunable[rows]; u8 codes[rows * padded].
-bool WriteRowqFile(const std::string& path, const quant::RowQuant& rowq,
-                   std::uint64_t* bytes, std::uint32_t* crc,
-                   std::uint64_t* fsyncs = nullptr) {
-  const quant::RowQuantizer& q = rowq.quantizer();
-  CrcFileWriter w(path, fsyncs);
-  w.Write(kRowqMagic, sizeof(kRowqMagic));
-  w.Pod(static_cast<std::uint64_t>(rowq.rows()));
-  w.Pod(static_cast<std::uint64_t>(q.length()));
-  w.Pod(static_cast<std::uint64_t>(q.padded_length()));
-  w.Write(q.mins(), q.padded_length() * sizeof(float));
-  w.Write(q.deltas(), q.padded_length() * sizeof(float));
-  w.Write(rowq.prunable_flags().data(), rowq.rows());
-  w.Write(rowq.codes().data(), rowq.rows() * q.padded_length());
-  *bytes = w.bytes();
-  *crc = w.crc();
-  return w.Commit();
-}
-
-// Parses a sidecar already validated against its manifest size + CRC.
-// The persisted grid is reassembled verbatim (FromParts), never
-// retrained: the bounds a restarted process prunes on are bit-identical
-// to the ones the writing process used.
-bool ParseRowqFile(const std::vector<unsigned char>& bytes,
-                   std::size_t expected_length, std::size_t expected_rows,
-                   std::shared_ptr<const quant::RowQuant>* out) {
-  Decoder d(bytes.data(), bytes.size());
-  char magic[8];
-  if (!d.Bytes(magic, sizeof(magic)) ||
-      std::memcmp(magic, kRowqMagic, sizeof(kRowqMagic)) != 0) {
-    return false;
-  }
-  const std::uint64_t rows = d.U64();
-  const std::uint64_t length = d.U64();
-  const std::uint64_t padded = d.U64();
-  if (!d.ok() || rows != expected_rows || length != expected_length ||
-      padded != RoundUp(length, quant::kRowqLanes) ||
-      d.remaining() != (padded * 2) * sizeof(float) + rows + rows * padded) {
-    return false;
-  }
-  AlignedVector<float> mins(static_cast<std::size_t>(padded));
-  AlignedVector<float> deltas(static_cast<std::size_t>(padded));
-  d.Bytes(mins.data(), padded * sizeof(float));
-  d.Bytes(deltas.data(), padded * sizeof(float));
-  std::vector<std::uint8_t> prunable(static_cast<std::size_t>(rows));
-  AlignedVector<std::uint8_t> codes(static_cast<std::size_t>(rows * padded));
-  d.Bytes(prunable.data(), rows);
-  d.Bytes(codes.data(), rows * padded);
-  if (!d.ok()) {
-    return false;
-  }
-  *out = quant::RowQuant::FromParts(
-      quant::RowQuantizer::FromParts(static_cast<std::size_t>(length),
-                                     std::move(mins), std::move(deltas)),
-      std::move(codes), std::move(prunable), static_cast<std::size_t>(rows));
-  return true;
-}
-
 std::vector<unsigned char> EncodeManifest(const GenerationManifest& m) {
   std::vector<unsigned char> payload;
   PutU64(&payload, m.generation_seq);
@@ -403,8 +342,8 @@ std::vector<unsigned char> EncodeManifest(const GenerationManifest& m) {
     PutU32(&payload, s.slice_crc);
     PutU64(&payload, s.tail_bytes);
     PutU32(&payload, s.tail_crc);
-    PutU64(&payload, s.rq_bytes);
-    PutU32(&payload, s.rq_crc);
+    PutU64(&payload, 0);  // rq_bytes
+    PutU32(&payload, 0);  // rq_crc
   }
   PutU64(&payload, m.tombstones.size());
   for (const std::uint32_t id : m.tombstones) {
@@ -454,11 +393,13 @@ bool DecodeManifest(const std::vector<unsigned char>& bytes,
     s.slice_crc = d.U32();
     s.tail_bytes = d.U64();
     s.tail_crc = d.U32();
-    s.rq_bytes = d.U64();
-    s.rq_crc = d.U32();
+    d.U64();  // rq_bytes, ignored
+    d.U32();  // rq_crc, ignored
   }
+  // The count is checked before it is multiplied: a corrupt one must not
+  // wrap the product into a match and then drive the allocation.
   const std::uint64_t num_tombstones = d.U64();
-  if (!d.ok() ||
+  if (!d.ok() || num_tombstones > d.remaining() / sizeof(std::uint32_t) ||
       d.remaining() != num_tombstones * sizeof(std::uint32_t)) {
     return false;
   }
@@ -624,29 +565,20 @@ bool GenerationStore::PersistImpl(const PersistRequest& request,
     entry.shard_generation = shard.generation;
     const std::string idx = ShardFile(tmp_dir, s, "idx");
     const std::string rows = ShardFile(tmp_dir, s, "rows");
-    const std::string rq = ShardFile(tmp_dir, s, "rq");
-    const bool want_rq = shard.tree->rowq() != nullptr;
     // Compaction replaces one shard per publish; every other shard's
-    // tree, slice and quantized sidecar are bit-identical to the
-    // previous commit, so a hardlink (copy on filesystems without them)
-    // makes the steady-state persist O(changed shard), not
-    // O(collection). Reuse additionally requires the previous commit's
-    // sidecar presence to match the tree's current tier state (a tier
-    // toggle between persists falls back to a fresh write).
+    // tree and slice are bit-identical to the previous commit, so a
+    // hardlink (copy on filesystems without them) makes the steady-state
+    // persist O(changed shard), not O(collection).
     const bool reused =
         can_reuse &&
         last_manifest_->shards[s].shard_generation == shard.generation &&
-        (last_manifest_->shards[s].rq_bytes > 0) == want_rq &&
         LinkOrCopy(ShardFile(last_dir_, s, "idx"), idx, fsyncs) &&
-        LinkOrCopy(ShardFile(last_dir_, s, "rows"), rows, fsyncs) &&
-        (!want_rq || LinkOrCopy(ShardFile(last_dir_, s, "rq"), rq, fsyncs));
+        LinkOrCopy(ShardFile(last_dir_, s, "rows"), rows, fsyncs);
     if (reused) {
       entry.index_bytes = last_manifest_->shards[s].index_bytes;
       entry.index_crc = last_manifest_->shards[s].index_crc;
       entry.slice_bytes = last_manifest_->shards[s].slice_bytes;
       entry.slice_crc = last_manifest_->shards[s].slice_crc;
-      entry.rq_bytes = last_manifest_->shards[s].rq_bytes;
-      entry.rq_crc = last_manifest_->shards[s].rq_crc;
     } else {
       if (!index::SaveIndex(*shard.tree, idx)) {
         return false;
@@ -658,10 +590,6 @@ bool GenerationStore::PersistImpl(const PersistRequest& request,
       }
       if (!WriteSliceFile(rows, *shard.data, shard.global_ids->data(),
                           &entry.slice_bytes, &entry.slice_crc, fsyncs)) {
-        return false;
-      }
-      if (want_rq && !WriteRowqFile(rq, *shard.tree->rowq(), &entry.rq_bytes,
-                                    &entry.rq_crc, fsyncs)) {
         return false;
       }
     }
@@ -725,7 +653,7 @@ bool GenerationStore::PersistImpl(const PersistRequest& request,
 }
 
 std::optional<LoadedGeneration> GenerationStore::LoadGeneration(
-    std::uint64_t seq, ThreadPool* pool, bool enable_rowq) const {
+    std::uint64_t seq, ThreadPool* pool) const {
   SOFA_CHECK(pool != nullptr);
   const std::string dir = GenerationDir(seq);
   LoadedGeneration loaded;
@@ -771,26 +699,6 @@ std::optional<LoadedGeneration> GenerationStore::LoadGeneration(
     if (!tree.has_value()) {
       return std::nullopt;
     }
-    if (enable_rowq) {
-      // The compressed pruning tier: attach the persisted sidecar when
-      // the manifest accounts for one, or rebuild it from the freshly
-      // loaded slice (tier off at persist time). Either way the tier is
-      // admissible — a rebuilt grid just yields different (still exact)
-      // prune rates.
-      std::shared_ptr<const quant::RowQuant> rowq;
-      if (entry.rq_bytes > 0) {
-        std::vector<unsigned char> rq_bytes;
-        if (!ReadValidatedFile(ShardFile(dir, s, "rq"), entry.rq_bytes,
-                               entry.rq_crc, &rq_bytes) ||
-            !ParseRowqFile(rq_bytes, manifest.series_length, rows->size(),
-                           &rowq)) {
-          return std::nullopt;
-        }
-      } else {
-        rowq = quant::RowQuant::Build(*rows);
-      }
-      tree->tree->AttachRowQuant(std::move(rowq));
-    }
     shards[s].data = rows;
     shards[s].scheme = std::move(tree->scheme);
     shards[s].tree = std::shared_ptr<const index::TreeIndex>(
@@ -821,21 +729,19 @@ std::optional<LoadedGeneration> GenerationStore::LoadGeneration(
   // it from the deserialized trees so post-restart compactions derive
   // identically configured trees.
   config.index = shards[0].tree->config();
-  config.enable_rowq = enable_rowq;
   loaded.sharded = shard::ShardedIndex::FromShards(
       std::move(shards), config, manifest.series_length, pool);
   return loaded;
 }
 
 std::optional<LoadedGeneration> GenerationStore::LoadLatest(
-    ThreadPool* pool, bool enable_rowq) const {
+    ThreadPool* pool) const {
   std::vector<std::uint64_t> seqs = ListGenerations();
   // Newest first; fall back across generations that fail any validation
   // step — a torn commit never has a valid manifest, and bit rot or a
   // racing GC shows up as a size/CRC/parse failure.
   for (auto it = seqs.rbegin(); it != seqs.rend(); ++it) {
-    std::optional<LoadedGeneration> loaded =
-        LoadGeneration(*it, pool, enable_rowq);
+    std::optional<LoadedGeneration> loaded = LoadGeneration(*it, pool);
     if (loaded.has_value()) {
       return loaded;
     }

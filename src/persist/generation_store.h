@@ -13,8 +13,9 @@
 //     shard-<s>.tail     rows buffered past the tree cut: only the last
 //                        shard's holds rows (it owns the one insert
 //                        buffer); every other shard's is an empty slice
-//     shard-<s>.rq       shard s's quantized pruning sidecar (only when
-//                        the compressed tier was on at persist time)
+//
+// A generation written while the deleted compressed pruning tier was on
+// also holds shard-<s>.rq files; loads ignore them.
 //
 // The manifest records the generation's publish sequence number, the id
 // watermark (`next_id`), the build-time partition total that contiguous
@@ -71,9 +72,7 @@ namespace persist {
 
 /// Per-shard file accounting inside a manifest: byte size + CRC32 of
 /// each shard file, plus the shard's lineage counter
-/// (shard::Shard::generation) that hardlink reuse keys on. rq_bytes == 0
-/// means the shard has no quantized sidecar (tier off at persist time) —
-/// loaders asked for the tier rebuild the sidecar from the slice instead.
+/// (shard::Shard::generation) that hardlink reuse keys on.
 struct ManifestShard {
   std::uint64_t shard_generation = 0;
   std::uint64_t index_bytes = 0;
@@ -82,8 +81,6 @@ struct ManifestShard {
   std::uint32_t slice_crc = 0;
   std::uint64_t tail_bytes = 0;
   std::uint32_t tail_crc = 0;
-  std::uint64_t rq_bytes = 0;  // 0 = no sidecar persisted
-  std::uint32_t rq_crc = 0;
 };
 
 /// The decoded commit record of one generation directory.
@@ -151,20 +148,13 @@ class GenerationStore {
   /// deserialization, rows in no tail but the last shard's), falling back
   /// across torn or corrupt ones; nullopt when none loads. `pool` backs
   /// the reassembled index's rebuilds and multi-threaded searches and
-  /// must outlive it. With `enable_rowq` the reassembled shards carry the
-  /// compressed pruning tier: persisted shard-<s>.rq sidecars are
-  /// validated and attached, and shards without one (tier off at persist
-  /// time) get a sidecar rebuilt on-the-fly from the slice; the loaded
-  /// ShardingConfig then has enable_rowq set so post-restart compactions
-  /// keep the tier.
-  std::optional<LoadedGeneration> LoadLatest(ThreadPool* pool,
-                                             bool enable_rowq = false) const;
+  /// must outlive it.
+  std::optional<LoadedGeneration> LoadLatest(ThreadPool* pool) const;
 
   /// Loads one specific committed generation (test/tooling entry point);
-  /// nullopt when it does not validate. Same `enable_rowq` contract as
-  /// LoadLatest.
-  std::optional<LoadedGeneration> LoadGeneration(
-      std::uint64_t seq, ThreadPool* pool, bool enable_rowq = false) const;
+  /// nullopt when it does not validate.
+  std::optional<LoadedGeneration> LoadGeneration(std::uint64_t seq,
+                                                 ThreadPool* pool) const;
 
   /// Deletes every committed generation directory with sequence number
   /// below `keep_seq`, plus any staging husk below it. See the GC

@@ -4,11 +4,10 @@ namespace sofa {
 namespace service {
 namespace {
 
-constexpr const char* kProfileCounterNames[10] = {
+constexpr const char* kProfileCounterNames[8] = {
     "nodes_visited",     "nodes_pruned",      "leaves_collected",
     "leaves_abandoned",  "series_lbd_checked", "series_lbd_pruned",
-    "series_ed_computed", "candidates_filtered",
-    "rowq_checked",      "rowq_pruned"};
+    "series_ed_computed", "candidates_filtered"};
 
 }  // namespace
 
@@ -55,17 +54,11 @@ MetricsCollector::MetricsCollector(obs::Registry* registry) {
                                       "Seconds since the collector started");
   qps_gauge_ = registry_->GetGauge("sofa_service_qps", {},
                                    "Completed queries per uptime second");
-  for (std::size_t i = 0; i < 10; ++i) {
+  for (std::size_t i = 0; i < 8; ++i) {
     profile_counters_[i] = registry_->GetCounter(
         "sofa_service_profile_total", {{"counter", kProfileCounterNames[i]}},
         "Merged QueryProfile work counters of completed queries");
   }
-  rowq_checked_total_ = registry_->GetCounter(
-      "sofa_query_rowq_checked_total", {},
-      "Quantized-row lower bounds evaluated by the compressed pruning tier");
-  rowq_pruned_total_ = registry_->GetCounter(
-      "sofa_query_rowq_pruned_total", {},
-      "Rows pruned by the compressed tier before the exact distance kernel");
   hook_id_ = registry_->AddCollectHook([this] { SyncDerived(); });
 }
 
@@ -87,13 +80,12 @@ void MetricsCollector::SyncDerived() {
     std::lock_guard<std::mutex> lock(profile_mutex_);
     profile = profile_;
   }
-  const std::uint64_t values[10] = {
+  const std::uint64_t values[8] = {
       profile.nodes_visited,      profile.nodes_pruned,
       profile.leaves_collected,   profile.leaves_abandoned,
       profile.series_lbd_checked, profile.series_lbd_pruned,
-      profile.series_ed_computed, profile.candidates_filtered,
-      profile.rowq_checked,       profile.rowq_pruned};
-  for (std::size_t i = 0; i < 10; ++i) {
+      profile.series_ed_computed, profile.candidates_filtered};
+  for (std::size_t i = 0; i < 8; ++i) {
     profile_counters_[i]->Set(values[i]);
   }
 }
@@ -109,8 +101,6 @@ void MetricsCollector::RecordCompleted(double latency_ms,
     latency_by_priority_[cls]->Record(latency_ms);
   }
   if (profile != nullptr) {
-    rowq_checked_total_->Add(profile->rowq_checked);
-    rowq_pruned_total_->Add(profile->rowq_pruned);
     std::lock_guard<std::mutex> lock(profile_mutex_);
     profile_.Merge(*profile);
   }

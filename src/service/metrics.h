@@ -105,12 +105,9 @@ class MetricsCollector {
   obs::Histogram* latency_by_priority_[kNumPriorities];
   obs::Gauge* uptime_gauge_;
   obs::Gauge* qps_gauge_;
-  obs::Counter* profile_counters_[10];
-  // Dedicated compressed-tier instruments (sofa_query_rowq_*): monotonic
-  // across profiled completions, independent of the Set()-style sync of
-  // the labeled profile counters above.
-  obs::Counter* rowq_checked_total_;
-  obs::Counter* rowq_pruned_total_;
+  // sofa_service_profile_total, one label per QueryProfile counter but
+  // the two that are always 0 (rowq_checked, rowq_pruned).
+  obs::Counter* profile_counters_[8];
   std::uint64_t hook_id_;
 
   mutable std::mutex profile_mutex_;

@@ -65,8 +65,6 @@ std::vector<Neighbor> SearchGeneration(const IndexSnapshot& snapshot,
       buffers.buffer->Scan(request.query.data(), buffers.start,
                            tombstones.get(), results, &stats);
       scan_profile->series_ed_computed += stats.ed_computed;
-      scan_profile->rowq_checked += stats.rowq_checked;
-      scan_profile->rowq_pruned += stats.rowq_pruned;
       scan_profile->candidates_filtered += stats.masked;
       if (trace != nullptr) {
         trace->EndSpan(span);
@@ -455,8 +453,6 @@ void SearchService::FinishTrace(PendingRequest* pending,
   trace.AddCounter("series_lbd_pruned", profile.series_lbd_pruned);
   trace.AddCounter("series_ed_computed", profile.series_ed_computed);
   trace.AddCounter("candidates_filtered", profile.candidates_filtered);
-  trace.AddCounter("rowq_checked", profile.rowq_checked);
-  trace.AddCounter("rowq_pruned", profile.rowq_pruned);
   const bool expired =
       response->status == RequestStatus::kDeadlineExpired;
   obs::TraceRecord record =

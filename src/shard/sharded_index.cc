@@ -86,12 +86,8 @@ std::shared_ptr<const ShardedIndex> ShardedIndex::Build(
     shards[s].data = partition.data[s];
     shards[s].scheme = scheme;
     shards[s].global_ids = partition.global_ids[s];
-    auto tree = std::make_shared<index::TreeIndex>(
+    shards[s].tree = std::make_shared<index::TreeIndex>(
         shards[s].data.get(), scheme.get(), config.index, pool);
-    if (config.enable_rowq) {
-      tree->AttachRowQuant(quant::RowQuant::Build(*shards[s].data));
-    }
-    shards[s].tree = std::move(tree);
   }
   return std::shared_ptr<const ShardedIndex>(
       new ShardedIndex(std::move(shards), config, data.length(), pool));
@@ -160,9 +156,6 @@ std::shared_ptr<const ShardedIndex> LoadShardedIndex(
                          s == 0 ? nullptr : shards[0].scheme);
     if (!loaded.has_value()) {
       return nullptr;
-    }
-    if (config.enable_rowq) {
-      loaded->tree->AttachRowQuant(quant::RowQuant::Build(*partition.data[s]));
     }
     shards[s].data = partition.data[s];
     shards[s].scheme = std::move(loaded->scheme);

@@ -51,13 +51,6 @@ enum class ShardAssignment {
 struct ShardingConfig {
   std::size_t num_shards = 2;
   index::IndexConfig index;
-
-  /// Compressed pruning tier: when set, every built or rebuilt shard
-  /// tree carries a quant::RowQuant sidecar (scalar-quantized row
-  /// copies whose SIMD lower bounds prune ahead of the exact kernel),
-  /// and the ingest path quantizes buffered rows too. Answers are
-  /// bit-identical either way; only the work counters differ.
-  bool enable_rowq = false;
 };
 
 /// One shard: its slice of the collection, the tree over that slice, and
@@ -166,10 +159,9 @@ std::string ShardPath(const std::string& index_path, std::size_t shard,
 bool SaveShardedIndex(const ShardedIndex& index, const std::string& index_path);
 
 /// Reloads a generation SaveShardedIndex wrote over `data`: re-creates the
-/// build-time partition under config.num_shards, loads each shard's file
-/// against its slice and, with config.enable_rowq, attaches the
-/// compressed tier. config.index is not read: the loaded trees keep the
-/// configuration saved in their files, and later rebuilds (compaction)
+/// build-time partition under config.num_shards and loads each shard's
+/// file against its slice. config.index is not read: the loaded trees keep
+/// the configuration saved in their files, and later rebuilds (compaction)
 /// use shard 0's. Null when a file is missing or does not match its slice
 /// (wrong dataset or shard count).
 std::shared_ptr<const ShardedIndex> LoadShardedIndex(

@@ -3,6 +3,7 @@
 // power, and the AVX-512 kernel dispatch.
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <string>
@@ -13,6 +14,7 @@
 #include "core/distance.h"
 #include "core/io.h"
 #include "datagen/datasets.h"
+#include "harness/workload.h"
 #include "index/serialization.h"
 #include "index/tree_index.h"
 #include "quant/binning.h"
@@ -31,6 +33,8 @@ using testing_data::BruteForceKnn;
 using testing_data::Noise;
 using testing_data::SameDistances;
 using testing_data::Walk;
+using testing_harness::ReadFileBytes;
+using testing_harness::WriteFileBytes;
 
 // Unique temp path per test.
 std::string TempPath(const std::string& tag) {
@@ -241,6 +245,137 @@ TEST(SerializationTest, RejectsCorruptFile) {
     std::fclose(f);
   }
   EXPECT_FALSE(index::LoadIndex(file.path(), &data, &pool).has_value());
+}
+
+// A saved index with one field overwritten: `bytes` replace the file's
+// bytes at offset `at`.
+struct Corruption {
+  const char* field;
+  std::size_t at;
+  std::vector<unsigned char> bytes;
+};
+
+// The in-memory bytes of `value` (the format is the host's
+// little-endian layout).
+template <typename T>
+std::vector<unsigned char> BytesOf(T value) {
+  std::vector<unsigned char> out(sizeof(T));
+  std::memcpy(out.data(), &value, sizeof(T));
+  return out;
+}
+
+template <typename T>
+T ValueAt(const std::vector<unsigned char>& bytes, std::size_t at) {
+  T value{};
+  std::memcpy(&value, bytes.data() + at, sizeof(T));
+  return value;
+}
+
+// Loads `saved` with each corruption applied in turn; every one must be
+// refused with nullopt, not an abort or an out-of-bounds read later.
+void ExpectEachCorruptionRefused(const std::vector<unsigned char>& saved,
+                                 const std::vector<Corruption>& cases,
+                                 const Dataset& data, ThreadPool* pool) {
+  TempFile file("corrupted_index");
+  WriteFileBytes(file.path(), saved);
+  ASSERT_TRUE(index::LoadIndex(file.path(), &data, pool).has_value());
+  for (const Corruption& c : cases) {
+    ASSERT_LE(c.at + c.bytes.size(), saved.size()) << c.field;
+    std::vector<unsigned char> bytes = saved;
+    std::memcpy(bytes.data() + c.at, c.bytes.data(), c.bytes.size());
+    ASSERT_NE(bytes, saved) << c.field << " left the file unchanged";
+    WriteFileBytes(file.path(), bytes);
+    EXPECT_FALSE(index::LoadIndex(file.path(), &data, pool).has_value())
+        << c.field;
+  }
+}
+
+TEST(SerializationTest, RefusesEveryMalformedField) {
+  ThreadPool pool(2);
+  const Dataset data = Walk(600, 64, 21);
+  constexpr std::size_t kWord = 8;
+  constexpr std::size_t kAlphabet = 16;  // 4 bits per symbol
+  index::IndexConfig config;
+  config.leaf_capacity = 1000;  // one root bit, and both root children leaves
+
+  // SFA: magic, kind, series length, alphabet, word length, name, the
+  // selected values (u16 coefficient + u8 imaginary flag), the edges.
+  sfa::SfaConfig sfa_config;
+  sfa_config.word_length = kWord;
+  sfa_config.alphabet = kAlphabet;
+  sfa_config.sampling_ratio = 0.2;
+  const auto sfa_scheme = sfa::TrainSfa(data, sfa_config, &pool);
+  const index::TreeIndex sfa_tree(&data, sfa_scheme.get(), config, &pool);
+  ASSERT_EQ(sfa_tree.root_bits(), 1u);
+  TempFile sfa_file("sfa_fields");
+  ASSERT_TRUE(index::SaveIndex(sfa_tree, sfa_file.path()));
+  const std::vector<unsigned char> sfa = ReadFileBytes(sfa_file.path());
+  ASSERT_EQ(ValueAt<std::uint64_t>(sfa, 17), kAlphabet);
+  ASSERT_EQ(ValueAt<std::uint64_t>(sfa, 25), kWord);
+  const std::size_t refs = 41 + ValueAt<std::uint64_t>(sfa, 33);
+  const std::size_t edges = refs + 3 * kWord;
+  // Then the configuration, the shape, and the forest: subtree count,
+  // then each subtree's root key and nodes in preorder (leaf flag,
+  // prefixes, cards, split dimension, then a leaf's size, ids and words).
+  const std::size_t leaf_capacity = edges + 4 * kWord * (kAlphabet - 1);
+  const std::size_t node = leaf_capacity + 45;
+  ASSERT_EQ(ValueAt<std::uint64_t>(sfa, leaf_capacity), 1000u);
+  ASSERT_EQ(sfa[node], 1u);  // the first root child is a leaf
+  const std::size_t prefixes = node + 1;
+  const std::size_t cards = prefixes + kWord;
+  ASSERT_EQ(sfa[cards], 1u);      // the root bit's dimension
+  ASSERT_EQ(sfa[cards + 1], 0u);  // not split on
+  const std::size_t leaf_size = cards + kWord + 2;
+  ASSERT_GE(ValueAt<std::uint64_t>(sfa, leaf_size), 2u);
+  const std::size_t ids = leaf_size + 8;
+  const std::size_t words = ids + 4 * ValueAt<std::uint64_t>(sfa, leaf_size);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  ExpectEachCorruptionRefused(
+      sfa,
+      {{"scheme kind", 8, {7}},
+       {"series length", 9, BytesOf<std::uint64_t>(65)},
+       {"alphabet not a power of two", 17, BytesOf<std::uint64_t>(12)},
+       {"alphabet above 256", 17, BytesOf<std::uint64_t>(512)},
+       {"word length 0", 25, BytesOf<std::uint64_t>(0)},
+       {"coefficient past the spectrum", refs, BytesOf<std::uint16_t>(60000)},
+       {"imaginary part of DC", refs, {0, 0, 1}},
+       {"NaN edge", edges, BytesOf(nan)},
+       {"decreasing edges", edges, BytesOf(1e30f)},
+       {"leaf capacity 0", leaf_capacity, BytesOf<std::uint64_t>(0)},
+       {"split policy", leaf_capacity + 8, {2}},
+       {"root bits 0", leaf_capacity + 9, BytesOf<std::uint64_t>(0)},
+       {"root bits above the word length", leaf_capacity + 9,
+        BytesOf<std::uint64_t>(kWord + 1)},
+       {"collection size", leaf_capacity + 17, BytesOf<std::uint64_t>(601)},
+       {"series length of the shape", leaf_capacity + 25,
+        BytesOf<std::uint64_t>(65)},
+       {"more subtrees than root children", leaf_capacity + 33,
+        BytesOf<std::uint64_t>(3)},
+       {"root key outside the fan-out", leaf_capacity + 41,
+        BytesOf<std::uint32_t>(2)},
+       {"card above the scheme's bits", cards + 1, {5}},
+       {"prefix past its card", prefixes, {2}},
+       {"prefix on an unsplit dimension", prefixes + 1, {1}},
+       {"leaf larger than the collection", leaf_size,
+        BytesOf<std::uint64_t>(601)},
+       {"series id outside the collection", ids, BytesOf<std::uint32_t>(600)},
+       {"series id listed twice", ids + 4,
+        BytesOf(ValueAt<std::uint32_t>(sfa, ids))},
+       {"symbol outside the alphabet", words, {kAlphabet}}},
+      data, &pool);
+
+  // SAX: magic, kind, series length, word length, alphabet.
+  const sax::SaxScheme sax_scheme(64, kWord, kAlphabet);
+  const index::TreeIndex sax_tree(&data, &sax_scheme, config, &pool);
+  TempFile sax_file("sax_fields");
+  ASSERT_TRUE(index::SaveIndex(sax_tree, sax_file.path()));
+  const std::vector<unsigned char> sax = ReadFileBytes(sax_file.path());
+  ASSERT_EQ(ValueAt<std::uint64_t>(sax, 25), kAlphabet);
+  ExpectEachCorruptionRefused(
+      sax,
+      {{"word length above the series length", 17, BytesOf<std::uint64_t>(65)},
+       {"alphabet not a power of two", 25, BytesOf<std::uint64_t>(12)}},
+      data, &pool);
 }
 
 // ------------------------------------------------------- query profile

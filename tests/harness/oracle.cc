@@ -38,11 +38,10 @@ std::shared_ptr<const quant::SummaryScheme> TrainTestScheme(
 std::shared_ptr<const shard::ShardedIndex> BuildTestSharded(
     const Dataset& data, std::size_t num_shards,
     const std::shared_ptr<const quant::SummaryScheme>& scheme,
-    ThreadPool* pool, bool enable_rowq) {
+    ThreadPool* pool) {
   shard::ShardingConfig config;
   config.num_shards = num_shards;
   config.index.leaf_capacity = 100;
-  config.enable_rowq = enable_rowq;
   return shard::ShardedIndex::Build(data, config, scheme, pool);
 }
 

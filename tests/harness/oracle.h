@@ -3,9 +3,7 @@
 // net_test. Every end-to-end suite proves the same invariant (engine
 // answers == from-scratch oracle, bit for bit), so the oracle lives in
 // one place: a fix to the comparison or to the oracle's tie-breaking
-// applies to every suite at once, and new tiers (like the compressed
-// rowq scan) get their exactness proven by the identical yardstick the
-// uncompressed path is held to.
+// applies to every suite at once.
 
 #ifndef SOFA_TESTS_HARNESS_ORACLE_H_
 #define SOFA_TESTS_HARNESS_ORACLE_H_
@@ -32,8 +30,8 @@ namespace testing_harness {
 
 /// Bit-exact comparison: same ids AND same float distances at every
 /// rank. This is the exactness yardstick of the whole engine — ties must
-/// resolve to the lowest global id, and no tier (LBD, rowq, sharding,
-/// the wire) may perturb a single bit of the answer.
+/// resolve to the lowest global id, and no tier (LBD, sharding, the
+/// wire) may perturb a single bit of the answer.
 ::testing::AssertionResult BitIdentical(const std::vector<Neighbor>& actual,
                                         const std::vector<Neighbor>& expected);
 
@@ -43,12 +41,11 @@ std::shared_ptr<const quant::SummaryScheme> TrainTestScheme(
     const Dataset& data, ThreadPool* pool);
 
 /// A sharded generation over `data` with the standard test tree config
-/// (leaf capacity 100). `enable_rowq` turns on the compressed pruning
-/// tier — answers must stay bit-identical either way.
+/// (leaf capacity 100).
 std::shared_ptr<const shard::ShardedIndex> BuildTestSharded(
     const Dataset& data, std::size_t num_shards,
     const std::shared_ptr<const quant::SummaryScheme>& scheme,
-    ThreadPool* pool, bool enable_rowq = false);
+    ThreadPool* pool);
 
 /// From-scratch single-tree oracle over `combined` minus the `deleted`
 /// global ids, with answers remapped back to the original global ids —

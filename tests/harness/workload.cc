@@ -51,9 +51,8 @@ MutationWorkload::Oracle::Oracle(const MutationWorkload& w,
 }
 
 std::shared_ptr<const shard::ShardedIndex> MutationWorkload::BuildSharded(
-    ThreadPool* pool, bool enable_rowq) const {
-  return BuildTestSharded(base, kShards, TrainTestScheme(base, pool), pool,
-                          enable_rowq);
+    ThreadPool* pool) const {
+  return BuildTestSharded(base, kShards, TrainTestScheme(base, pool), pool);
 }
 
 std::vector<unsigned char> ReadFileBytes(const std::string& path) {

@@ -75,10 +75,9 @@ struct MutationWorkload {
   };
 
   /// Builds the base sharded generation (round-1 bootstrap; later rounds
-  /// reload it from the store instead). `enable_rowq` turns on the
-  /// compressed pruning tier.
+  /// reload it from the store instead).
   std::shared_ptr<const shard::ShardedIndex> BuildSharded(
-      ThreadPool* pool, bool enable_rowq = false) const;
+      ThreadPool* pool) const;
 };
 
 /// Whole-file byte copy — used to resurrect truncated segments, corrupt

@@ -54,10 +54,7 @@ using testing_harness::ReadFileBytes;
 using testing_harness::WriteFileBytes;
 
 // A base collection, a sharded generation over it, the service serving
-// it, and a from-scratch oracle over base ∪ inserts. With `enable_rowq`
-// the serving side carries the compressed pruning tier; the oracle never
-// does — so every BitIdentical assertion below doubles as the tier's
-// exactness proof.
+// it, and a from-scratch oracle over base ∪ inserts.
 struct IngestFixture {
   ThreadPool pool;
   Dataset base;
@@ -69,7 +66,7 @@ struct IngestFixture {
 
   IngestFixture(std::size_t base_count, std::size_t insert_count,
                 std::size_t length, std::size_t num_shards, std::uint64_t seed,
-                std::size_t threads = 4, bool enable_rowq = false)
+                std::size_t threads = 4)
       : pool(threads),
         base(Walk(base_count, length, seed)),
         inserts(Walk(insert_count, length, seed + 1)),
@@ -81,8 +78,8 @@ struct IngestFixture {
       combined.Append(inserts.row(i));
     }
     scheme = testing_harness::TrainTestScheme(base, &pool);
-    sharded = testing_harness::BuildTestSharded(base, num_shards, scheme,
-                                                &pool, enable_rowq);
+    sharded =
+        testing_harness::BuildTestSharded(base, num_shards, scheme, &pool);
     oracle = std::make_unique<ExactOracle>(combined, std::vector<std::uint32_t>{},
                                            scheme, &pool);
   }
@@ -527,14 +524,9 @@ TEST(IngestExactnessTest, DefaultAdmissionBoundIgnoresShardCount) {
 // the compactor rebuilds/republishes shards under the traffic. Once the
 // last insert lands, every answer — including those racing the remaining
 // compactions and the final flush — must be bit-identical to the
-// from-scratch single-index oracle over the full collection. With
-// `enable_rowq` the serving side runs the compressed pruning tier
-// (quantized sidecars on the shard trees AND on the racing insert
-// buffer) while the oracle never does — the same race doubles as the
-// tier's concurrency exactness proof, and runs under TSan via the
-// concurrency label.
-void RunConcurrentTrafficSoak(bool enable_rowq) {
-  IngestFixture fx(1200, 600, 64, 3, 107, /*threads=*/4, enable_rowq);
+// from-scratch single-index oracle over the full collection.
+TEST(IngestExactnessTest, ExactUnderConcurrentTrafficAndCompaction) {
+  IngestFixture fx(1200, 600, 64, 3, 107);
   service::SearchService svc(service::WrapShardedIndex(fx.sharded), &fx.pool);
   IngestConfig config;
   config.compact_threshold = 64;
@@ -602,32 +594,16 @@ void RunConcurrentTrafficSoak(bool enable_rowq) {
   EXPECT_GE(compactor.Metrics().compactions, 3u);
   EXPECT_EQ(compactor.current()->size(), fx.combined.size());
 
-  // Steady state after the flush: still bit-identical — and with the
-  // tier enabled, the compacted generation demonstrably runs it.
-  std::uint64_t rowq_checked = 0;
+  // Steady state after the flush: still bit-identical.
   for (std::size_t q = 0; q < queries.size(); ++q) {
     const service::SearchResponse response =
-        svc.Search(MakeSearchRequest(queries, q, 10, /*profile=*/true));
+        svc.Search(MakeSearchRequest(queries, q, 10));
     ASSERT_EQ(response.status, service::RequestStatus::kOk);
     EXPECT_TRUE(BitIdentical(response.neighbors, expected[q])) << "query "
                                                                << q;
-    rowq_checked += response.profile.rowq_checked;
-  }
-  if (enable_rowq) {
-    EXPECT_GT(rowq_checked, 0u);
-  } else {
-    EXPECT_EQ(rowq_checked, 0u);
   }
   const service::MetricsSnapshot metrics = svc.Metrics();
   EXPECT_GE(metrics.swaps, compactor.Metrics().compactions);
-}
-
-TEST(IngestExactnessTest, ExactUnderConcurrentTrafficAndCompaction) {
-  RunConcurrentTrafficSoak(/*enable_rowq=*/false);
-}
-
-TEST(IngestExactnessTest, RowqTierExactUnderConcurrentTrafficAndCompaction) {
-  RunConcurrentTrafficSoak(/*enable_rowq=*/true);
 }
 
 // Every insert extends the last shard, so each compaction round cuts
@@ -1017,10 +993,8 @@ TEST(IngestDeleteTest, DeletedTopKInOneShardYieldsTheNextLiveRows) {
 // traffic. Once the last mutation lands, every answer — including those
 // racing the remaining compactions and the final flush — must be
 // bit-identical to the from-scratch oracle over base ∪ inserts \ deletes.
-// The rowq variant races the compressed pruning tier through the same
-// mutation storm.
-void RunTrafficDeletesSoak(bool enable_rowq) {
-  IngestFixture fx(1000, 400, 64, 3, 317, /*threads=*/4, enable_rowq);
+TEST(IngestExactnessTest, ExactUnderTrafficCompactionAndDeletes) {
+  IngestFixture fx(1000, 400, 64, 3, 317);
   std::vector<std::uint32_t> delete_base;
   for (std::uint32_t id = 0; id < 1000; id += 23) {
     delete_base.push_back(id);
@@ -1124,14 +1098,6 @@ void RunTrafficDeletesSoak(bool enable_rowq) {
     EXPECT_TRUE(BitIdentical(response.neighbors, expected[q]))
         << "query " << q;
   }
-}
-
-TEST(IngestExactnessTest, ExactUnderTrafficCompactionAndDeletes) {
-  RunTrafficDeletesSoak(/*enable_rowq=*/false);
-}
-
-TEST(IngestExactnessTest, RowqTierExactUnderTrafficCompactionAndDeletes) {
-  RunTrafficDeletesSoak(/*enable_rowq=*/true);
 }
 
 // ------------------------------------------------------ write-ahead log

@@ -176,8 +176,8 @@ TEST(WireProtocolTest, SearchResponseRoundTripsEveryWireField) {
 
 TEST(WireProtocolTest, SearchResponseVersion1KeepsTheFrozenLayout) {
   // A v1 peer gets exactly the original bytes: 8-counter profile, trace
-  // text, no structured trace section — and its decoder leaves the rowq
-  // counters zero.
+  // text, no structured trace section — and its decoder leaves the two
+  // v2-only counters zero.
   service::SearchResponse response;
   response.status = StatusCode::kOk;
   response.neighbors = {{3, 0.5f}};
@@ -187,7 +187,8 @@ TEST(WireProtocolTest, SearchResponseVersion1KeepsTheFrozenLayout) {
       response, OkStatus(), "text", "should never appear", /*version=*/1);
   const std::vector<std::uint8_t> v2 =
       EncodeSearchResponse(response, OkStatus(), "text", "");
-  // v2 adds exactly the two rowq u64s plus the (empty) blob's u32 length.
+  // v2 adds exactly the two v2-only u64s plus the (empty) blob's u32
+  // length.
   EXPECT_EQ(v2.size(), v1.size() + 2 * 8 + 4);
 
   service::SearchResponse decoded;
@@ -361,14 +362,11 @@ struct ServerFixture {
   std::unique_ptr<SofaServer> server;
 
   explicit ServerFixture(service::ServiceConfig config = {},
-                         ServerConfig server_config = {},
-                         std::size_t base_count = 1200,
-                         std::size_t length = 64, std::uint64_t seed = 97,
-                         bool enable_rowq = false, std::size_t threads = 4)
-      : pool(threads), base(Walk(base_count, length, seed)) {
+                         ServerConfig server_config = {})
+      : pool(4), base(Walk(1200, 64, 97)) {
     scheme = testing_harness::TrainTestScheme(base, &pool);
     sharded = testing_harness::BuildTestSharded(base, /*num_shards=*/2, scheme,
-                                                &pool, enable_rowq);
+                                                &pool);
     config.registry = &registry;
     service = std::make_unique<service::SearchService>(
         service::WrapShardedIndex(sharded), &pool, config);
@@ -484,84 +482,6 @@ TEST(NetServerTest, NetworkAnswersAreBitIdenticalUnderWireMutations) {
   }
   client.Close();
   fx.server->Shutdown();
-}
-
-// The compressed pruning tier must be invisible over the wire: a server
-// whose shards carry the rowq tier, fed mutations through TCP, answers
-// bit-identical to a rowq-off in-process service fed the same mutations
-// directly. Profile counters prove the tier engaged on the server side
-// and never on the baseline.
-TEST(NetServerTest, RowqTierAnswersBitIdenticalOverTheWire) {
-  // One worker: no idle worker joins a query's leaf queue, so the profiled
-  // search repeats its rowq counters exactly over the wire and in process.
-  ServerFixture with_rowq({}, {}, /*base_count=*/1200, /*length=*/64,
-                          /*seed=*/97, /*enable_rowq=*/true, /*threads=*/1);
-  ServerFixture baseline({}, {}, /*base_count=*/1200, /*length=*/64,
-                         /*seed=*/97, /*enable_rowq=*/false);
-  const std::uint16_t port = with_rowq.Start();
-  SofaClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", port).ok());
-
-  // Same mutation stream on both sides — over the wire for the rowq
-  // server, straight into the compactor for the baseline.
-  const Dataset inserts = Walk(90, 64, 206);
-  for (std::size_t i = 0; i < inserts.size(); ++i) {
-    const StatusOr<std::uint32_t> id = client.Insert(std::vector<float>(
-        inserts.row(i), inserts.row(i) + inserts.length()));
-    ASSERT_TRUE(id.ok()) << id.status().ToString();
-    while (baseline.compactor->Insert(inserts.row(i), inserts.length()) ==
-           StatusCode::kRejected) {
-      std::this_thread::yield();
-    }
-  }
-  const std::vector<std::uint32_t> deleted = {7, 42, 1100,
-                                              static_cast<std::uint32_t>(
-                                                  1200 + 11)};
-  for (const std::uint32_t id : deleted) {
-    ASSERT_EQ(client.Delete(id).code(), StatusCode::kOk);
-    ASSERT_EQ(baseline.compactor->Delete(id), StatusCode::kOk);
-  }
-  with_rowq.compactor->Flush();
-  baseline.compactor->Flush();
-
-  const Dataset queries = Walk(15, 64, 207);
-  std::uint64_t rowq_checked = 0;
-  std::uint64_t baseline_checked = 0;
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    for (const std::size_t k : {1u, 10u}) {
-      service::SearchResponse over_wire;
-      ASSERT_TRUE(
-          client.Search(MakeSearchRequest(queries, q, k), &over_wire).ok());
-      ASSERT_EQ(over_wire.status, StatusCode::kOk);
-      const service::SearchResponse expected =
-          baseline.service->Search(MakeSearchRequest(queries, q, k));
-      ASSERT_EQ(expected.status, StatusCode::kOk);
-      EXPECT_TRUE(BitIdentical(over_wire.neighbors, expected.neighbors))
-          << "query " << q << " k=" << k
-          << ": rowq-on over-wire != rowq-off in-process";
-    }
-    // Engagement proof travels over the wire: protocol v2 carries the
-    // rowq counters, so the client sees the server's index consult the
-    // tier — and the baseline's never does. The wire copy must match the
-    // in-process profile of the same deterministic search exactly.
-    service::SearchResponse profiled;
-    ASSERT_TRUE(client
-                    .Search(MakeSearchRequest(queries, q, 10, /*profile=*/true),
-                            &profiled)
-                    .ok());
-    const service::SearchResponse in_process = with_rowq.service->Search(
-        MakeSearchRequest(queries, q, 10, /*profile=*/true));
-    EXPECT_EQ(profiled.profile.rowq_checked, in_process.profile.rowq_checked);
-    EXPECT_EQ(profiled.profile.rowq_pruned, in_process.profile.rowq_pruned);
-    rowq_checked += profiled.profile.rowq_checked;
-    const service::SearchResponse off_profiled = baseline.service->Search(
-        MakeSearchRequest(queries, q, 10, /*profile=*/true));
-    baseline_checked += off_profiled.profile.rowq_checked;
-  }
-  EXPECT_GT(rowq_checked, 0u);
-  EXPECT_EQ(baseline_checked, 0u);
-  client.Close();
-  with_rowq.server->Shutdown();
 }
 
 // ------------------------------------------------ wire-trace propagation

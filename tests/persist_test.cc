@@ -3,10 +3,11 @@
 // + rename), newest-valid-manifest recovery with fallback across torn
 // commits, bounded WAL-tail replay (restart cost = mutations since the
 // last compaction, not all mutations ever), hardlink slice reuse, GC
-// gating, refusal of a manifest naming the retired hash assignment or
-// holding tail rows outside the last shard, the WAL v2 record-seqno
-// chain (interior loss detected as sequence_gap, torn tails stay
-// benign), group-commit correctness under concurrent mutators, and the
+// gating, refusal of a manifest naming the retired hash assignment,
+// holding tail rows outside the last shard or a tombstone count whose
+// byte size wraps, loads that ignore a legacy .rq sidecar, the WAL v2
+// record-seqno chain (interior loss detected as sequence_gap, torn tails
+// stay benign), group-commit correctness under concurrent mutators, and the
 // end-to-end restart proof: a serving process killed at a random point
 // recovers from (latest manifest + WAL tail) to answers bit-identical to
 // a from-scratch build over base ∪ inserts \ deletes — with the on-disk
@@ -720,23 +721,22 @@ TEST(GenerationStoreTest, GcRacesInFlightRecovery) {
   RemoveTree(root);
 }
 
-// ------------------------------------------------- rowq sidecar persist
+// ------------------------------------------------ legacy .rq sidecars
 
-// Rowq-enabled compactions persist one shard-<s>.rq sidecar per shard
-// alongside the slices, and a rowq-enabled load reattaches them: the
-// reloaded service answers bit-identical to a rowq-off load of the same
-// generation AND to the from-scratch oracle, with the tier provably
-// engaged (profile counters). A generation persisted with the tier off
-// carries no sidecar and must still load with enable_rowq: the sidecar
-// is rebuilt on the fly, still bit-identical.
-TEST(GenerationStoreTest, RowqSidecarsPersistReloadAndRebuild) {
-  const std::string root = TestDir("rowq");
+// A generation written while the (since deleted) compressed pruning tier
+// was on holds a shard-<s>.rq file per shard, with its size and CRC in
+// the MANIFEST (payload: 57 bytes of header fields, then 56 bytes per
+// shard with rq_bytes + rq_crc at offset 44 of each entry). Such a data
+// directory still restarts: the load ignores both, and its answers are
+// the oracle's. The next commit accounts for no sidecar.
+TEST(GenerationStoreTest, LegacyRowqSidecarIsIgnored) {
+  const std::string root = TestDir("legacy_rq");
   RemoveTree(root);
   Workload w;
   ThreadPool pool(2);
   auto store = GenerationStore::Open(root + "/generations");
   ASSERT_NE(store, nullptr);
-  const auto sharded = w.BuildSharded(&pool, /*enable_rowq=*/true);
+  const auto sharded = w.BuildSharded(&pool);
   {
     service::SearchService svc(service::WrapShardedIndex(sharded), &pool);
     ingest::Compactor compactor(
@@ -751,117 +751,96 @@ TEST(GenerationStoreTest, RowqSidecarsPersistReloadAndRebuild) {
   const std::vector<std::uint64_t> seqs = store->ListGenerations();
   ASSERT_FALSE(seqs.empty());
   const std::string dir = root + "/generations/" + GenDirName(seqs.back());
-  for (std::size_t s = 0; s < Workload::kShards; ++s) {
-    char name[32];
-    std::snprintf(name, sizeof(name), "/shard-%04zu.rq", s);
-    EXPECT_FALSE(ReadFileBytes(dir + name).empty()) << name;
-  }
 
-  const Dataset queries = Walk(12, Workload::kLength, 4242);
+  const std::vector<unsigned char> sidecar = {'S', 'O', 'F', 'A', 'R', 'Q',
+                                              '0', '1', 1,   2,   3,   4};
+  WriteFileBytes(dir + "/shard-0000.rq", sidecar);
+  const std::uint64_t rq_bytes = sidecar.size();
+  const std::uint32_t rq_crc = Crc32(sidecar.data(), sidecar.size());
+  std::vector<unsigned char> bytes = ReadFileBytes(dir + "/MANIFEST");
+  const std::size_t rq_fields = kManifestHeaderBytes + 57 + 44;
+  ASSERT_GE(bytes.size(), rq_fields + 12);
+  std::memcpy(bytes.data() + rq_fields, &rq_bytes, sizeof(rq_bytes));
+  std::memcpy(bytes.data() + rq_fields + 8, &rq_crc, sizeof(rq_crc));
+  ResealManifest(&bytes);
+  WriteFileBytes(dir + "/MANIFEST", bytes);
+
+  const std::optional<LoadedGeneration> loaded = store->LoadLatest(&pool);
+  ASSERT_TRUE(loaded.has_value());
+  ASSERT_EQ(loaded->manifest.generation_seq, seqs.back());
   const Workload::Oracle oracle(w, 300, &pool);
-
-  // Reload twice — with and without the tier — and compare both against
-  // the oracle query-for-query, bit for bit.
-  const std::optional<LoadedGeneration> with_rowq =
-      store->LoadLatest(&pool, /*enable_rowq=*/true);
-  ASSERT_TRUE(with_rowq.has_value());
-  const std::optional<LoadedGeneration> without_rowq =
-      store->LoadLatest(&pool, /*enable_rowq=*/false);
-  ASSERT_TRUE(without_rowq.has_value());
-  service::SearchService svc_on(service::WrapShardedIndex(with_rowq->sharded),
-                                &pool);
-  service::SearchService svc_off(
-      service::WrapShardedIndex(without_rowq->sharded), &pool);
-  std::uint64_t on_checked = 0;
-  std::uint64_t off_checked = 0;
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    const std::vector<Neighbor> expected = oracle.SearchKnn(queries.row(q), 10);
-    const service::SearchResponse on =
-        svc_on.Search(MakeSearchRequest(queries, q, 10, /*profile=*/true));
-    const service::SearchResponse off =
-        svc_off.Search(MakeSearchRequest(queries, q, 10, /*profile=*/true));
-    ASSERT_EQ(on.status, service::RequestStatus::kOk);
-    ASSERT_EQ(off.status, service::RequestStatus::kOk);
-    EXPECT_TRUE(BitIdentical(on.neighbors, expected)) << "query " << q;
-    EXPECT_TRUE(BitIdentical(off.neighbors, expected)) << "query " << q;
-    on_checked += on.profile.rowq_checked;
-    off_checked += off.profile.rowq_checked;
-  }
-  EXPECT_GT(on_checked, 0u);   // the persisted tier actually engaged
-  EXPECT_EQ(off_checked, 0u);  // the off path never consulted it
-
-  // Tier-off generation: persist the rowq-off reload (its trees carry no
-  // sidecar, so the manifest accounts for none) and reload it with the
-  // tier requested — the sidecar is rebuilt from the row slices on the
-  // fly, answers unchanged.
-  PersistRequest tier_off;
-  tier_off.generation_seq = seqs.back() + 1;
-  tier_off.next_id = without_rowq->manifest.next_id;
-  tier_off.route_total = without_rowq->manifest.route_total;
-  tier_off.sharded = without_rowq->sharded;
-  tier_off.buffer_rows = without_rowq->buffer_rows;
-  tier_off.buffer_ids = without_rowq->buffer_ids;
-  tier_off.tombstones = without_rowq->manifest.tombstones;
-  ASSERT_TRUE(store->Persist(tier_off));
-  const std::string off_dir =
-      root + "/generations/" + GenDirName(tier_off.generation_seq);
-  for (std::size_t s = 0; s < Workload::kShards; ++s) {
-    char name[32];
-    std::snprintf(name, sizeof(name), "/shard-%04zu.rq", s);
-    EXPECT_TRUE(ReadFileBytes(off_dir + name).empty()) << name;
-  }
-  const std::optional<LoadedGeneration> rebuilt =
-      store->LoadLatest(&pool, /*enable_rowq=*/true);
-  ASSERT_TRUE(rebuilt.has_value());
-  ASSERT_EQ(rebuilt->manifest.generation_seq, tier_off.generation_seq);
-  service::SearchService svc_rebuilt(
-      service::WrapShardedIndex(rebuilt->sharded), &pool);
-  std::uint64_t rebuilt_checked = 0;
+  const Dataset queries = Walk(12, Workload::kLength, 4242);
+  service::SearchService svc(service::WrapShardedIndex(loaded->sharded),
+                             &pool);
   for (std::size_t q = 0; q < queries.size(); ++q) {
     const service::SearchResponse response =
-        svc_rebuilt.Search(MakeSearchRequest(queries, q, 10, /*profile=*/true));
+        svc.Search(MakeSearchRequest(queries, q, 10));
     ASSERT_EQ(response.status, service::RequestStatus::kOk);
     EXPECT_TRUE(
         BitIdentical(response.neighbors, oracle.SearchKnn(queries.row(q), 10)))
         << "query " << q;
-    rebuilt_checked += response.profile.rowq_checked;
   }
-  EXPECT_GT(rebuilt_checked, 0u);
+
+  PersistRequest next;
+  next.generation_seq = seqs.back() + 1;
+  next.next_id = loaded->manifest.next_id;
+  next.route_total = loaded->manifest.route_total;
+  next.sharded = loaded->sharded;
+  next.buffer_rows = loaded->buffer_rows;
+  next.buffer_ids = loaded->buffer_ids;
+  next.tombstones = loaded->manifest.tombstones;
+  ASSERT_TRUE(store->Persist(next));
+  const std::string next_dir =
+      root + "/generations/" + GenDirName(next.generation_seq);
+  EXPECT_TRUE(ReadFileBytes(next_dir + "/shard-0000.rq").empty());
+  const std::vector<unsigned char> next_manifest =
+      ReadFileBytes(next_dir + "/MANIFEST");
+  ASSERT_GE(next_manifest.size(), rq_fields + 12);
+  for (std::size_t i = 0; i < 12; ++i) {
+    EXPECT_EQ(next_manifest[rq_fields + i], 0u) << "byte " << i;
+  }
+  EXPECT_TRUE(store->LoadGeneration(next.generation_seq, &pool).has_value());
   RemoveTree(root);
 }
 
-// An unchanged shard's .rq sidecar is hardlinked into the next
-// generation, not rewritten — same inode across consecutive commits.
-TEST(GenerationStoreTest, RowqSidecarHardlinkedAcrossGenerations) {
-  const std::string root = TestDir("rowqlink");
+// The tombstone count is checked before it is multiplied: 2^62 tombstones
+// times 4 bytes wraps to 0, which would match a manifest with no
+// tombstone bytes and then drive a 2^62-element allocation.
+TEST(GenerationStoreTest, TombstoneCountThatWrapsIsRefused) {
+  const std::string root = TestDir("tomb_wrap");
   RemoveTree(root);
   Workload w;
   ThreadPool pool(2);
   auto store = GenerationStore::Open(root + "/generations");
   ASSERT_NE(store, nullptr);
-  const auto sharded = w.BuildSharded(&pool, /*enable_rowq=*/true);
   PersistRequest request;
+  request.generation_seq = 1;
   request.route_total = Workload::kBase;
   request.next_id = Workload::kBase;
-  request.sharded = sharded;
-  for (std::uint64_t seq = 1; seq <= 2; ++seq) {
-    request.generation_seq = seq;
-    ASSERT_TRUE(store->Persist(request));
-  }
-  for (std::size_t s = 0; s < Workload::kShards; ++s) {
-    char name[32];
-    std::snprintf(name, sizeof(name), "/shard-%04zu.rq", s);
-    struct stat first;
-    struct stat second;
-    ASSERT_EQ(::stat((root + "/generations/" + GenDirName(1) + name).c_str(),
-                     &first),
-              0);
-    ASSERT_EQ(::stat((root + "/generations/" + GenDirName(2) + name).c_str(),
-                     &second),
-              0);
-    EXPECT_EQ(first.st_ino, second.st_ino) << name;
-    EXPECT_GE(first.st_nlink, 2u) << name;
-  }
+  request.sharded = w.BuildSharded(&pool);
+  ASSERT_TRUE(store->Persist(request));
+
+  const std::string manifest =
+      root + "/generations/" + GenDirName(1) + "/MANIFEST";
+  std::vector<unsigned char> bytes = ReadFileBytes(manifest);
+  // The count is the payload's last field when no tombstone follows it.
+  ASSERT_EQ(bytes.size(),
+            kManifestHeaderBytes + 57 + 56 * Workload::kShards + 8);
+  const std::size_t count_at = bytes.size() - 8;
+  const std::uint64_t wrapping = std::uint64_t{1} << 62;
+  std::memcpy(bytes.data() + count_at, &wrapping, sizeof(wrapping));
+  ResealManifest(&bytes);
+  WriteFileBytes(manifest, bytes);
+  EXPECT_FALSE(store->LoadGeneration(1, &pool).has_value());
+  EXPECT_FALSE(store->LoadLatest(&pool).has_value());
+
+  // The same bytes with a count of 0 load again: the refusal is the
+  // count's, not a broken frame's.
+  const std::uint64_t none = 0;
+  std::memcpy(bytes.data() + count_at, &none, sizeof(none));
+  ResealManifest(&bytes);
+  WriteFileBytes(manifest, bytes);
+  EXPECT_TRUE(store->LoadGeneration(1, &pool).has_value());
   RemoveTree(root);
 }
 
